@@ -4,7 +4,7 @@ catalog and recognition, and complete star enumeration."""
 
 from .certify import (ExtremalityCertificate, b_eval, certify_extremal,
                       deficiency, min_deficiency)
-from .lattice import InputError, Lattice, load_lattice
+from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
                       multiply, reflect_series, theta_block, theta_factor)
@@ -16,7 +16,8 @@ from .star import (EutacticStar, divisor_multiplicity, dump_star, embed,
 
 __all__ = [
     "ExtremalityCertificate", "b_eval", "certify_extremal", "deficiency",
-    "min_deficiency", "InputError", "Lattice", "load_lattice", "FourierSeries",
+    "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
+    "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
     "dump_series", "eta_power", "heat_apply", "multiply", "reflect_series",
     "theta_block", "theta_factor", "RecognitionReport", "RootSystemDescriptor",

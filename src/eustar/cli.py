@@ -57,6 +57,8 @@ def cmd_extremal(args) -> int:
 def cmd_expand(args) -> int:
     star = _load_star_arg(args)
     order = args.order if args.order is not None else _default_order()
+    if order < 0:
+        raise InputError("--order must be non-negative")
     eta = args.eta if args.eta is not None else star.lattice.rank
     block = qseries.theta_block(star, eta_exponent=eta, n24_max=order)
     if args.check_holomorphic:

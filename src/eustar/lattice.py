@@ -17,8 +17,14 @@ class InputError(ValueError):
     """Malformed or out-of-contract input (maps to CLI exit code 2)."""
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in eustar, never a property of the input."""
+
+
 def parse_rational(s) -> Q:
     """Parse 'p/q' or 'n' into an exact rational; reject anything else."""
+    if isinstance(s, bool):
+        raise InputError(f"expected a rational, got the boolean {s!r}")
     if isinstance(s, int):
         return Q(s)
     if not isinstance(s, str):
@@ -90,7 +96,8 @@ class Lattice:
         """Exact inverse of the Gram matrix (Gram of the dual basis)."""
         if self._dual_gram is None:
             inv = invert(self.gram)
-            assert inv is not None  # positive definite, hence invertible
+            if inv is None:
+                raise InternalError("a positive definite Gram matrix has no inverse")
             self._dual_gram = inv
         return self._dual_gram
 

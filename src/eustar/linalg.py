@@ -17,10 +17,6 @@ def qmat(rows: Sequence[Sequence]) -> Mat:
     return tuple(qvec(r) for r in rows)
 
 
-def zeros(n: int) -> Vec:
-    return tuple(Q(0) for _ in range(n))
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
 
@@ -29,22 +25,6 @@ def dot(u: Sequence, v: Sequence) -> Q:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(Q(a) + Q(b) for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(Q(a) - Q(b) for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> Vec:
-    return tuple(Q(c) * Q(a) for a in u)
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
@@ -156,3 +136,56 @@ def det(m: Sequence[Sequence]) -> Q:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return out
+
+
+def ldl(a: Sequence[Sequence]) -> tuple[Vec, Mat] | None:
+    """Upper LDL^T of a symmetric matrix, or None if it is not positive definite.
+
+    Returns (d, m) with m unit upper triangular (stored as full rows) such that
+    x^T a x = sum_i d[i] * (x_i + sum_{j>i} m[i][j] x_j)^2; every d[i] is > 0.
+    This is the square completion of Fincke-Pohst (Cohen, GTM 138, Alg. 2.7.6).
+    """
+    n = len(a)
+    q = [[Q(x) for x in row] for row in a]
+    for i in range(n):
+        if q[i][i] <= 0:
+            return None
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for j in range(k, n):
+                q[k][j] -= q[k][i] * q[i][j]
+    d = tuple(q[i][i] for i in range(n))
+    m = tuple(tuple(Q(1) if j == i else q[i][j] if j > i else Q(0) for j in range(n))
+              for i in range(n))
+    return d, m
+
+
+def hnf_diagonal(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonal of the lower Hermite normal form of a nonsingular integer matrix.
+
+    Integer column operations make m lower triangular with diagonal h; the
+    box prod_i range(h[i]) is then a complete set of representatives of
+    Z^n / m Z^n, and prod(h) = |det m|.
+    """
+    a = [[int(x) for x in row] for row in m]
+    n = len(a)
+    for i in range(n):
+        while True:
+            live = [j for j in range(i, n) if a[i][j] != 0]
+            if not live:
+                raise ValueError("hnf_diagonal expects a nonsingular matrix")
+            p = min(live, key=lambda j: abs(a[i][j]))
+            for row in a:
+                row[i], row[p] = row[p], row[i]
+            done = True
+            for j in range(i + 1, n):
+                f = a[i][j] // a[i][i]
+                if f:
+                    for row in a:
+                        row[j] -= f * row[i]
+                done = done and a[i][j] == 0
+            if done:
+                break
+    return tuple(abs(a[i][i]) for i in range(n))

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .lattice import InputError, Lattice, format_rational
+from .lattice import InputError, InternalError, Lattice, format_rational
 from .linalg import qvec
 from .star import EutacticStar, is_eutactic
 
@@ -261,6 +261,10 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
     n = star.size
     mins = [3] * n + [eta_exponent - n]
     total_min = sum(mins)
+    want = total_min % 24
+    if n24_max < total_min:
+        # Every term has n24 >= total_min, so the block is exactly 0 this far.
+        return FourierSeries(star.lattice, 1, {}, n24_max, character_d=want)
     series = eta_power(eta_exponent - n, n24_max - (total_min - mins[-1]))
     running_min = mins[-1]
     remaining = 3 * n
@@ -269,10 +273,11 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
         factor = theta_factor(star, j, n24_max - (running_min + remaining))
         series = multiply(series, factor)
         running_min += 3
-    assert series.n24_max >= n24_max
+    if series.n24_max < n24_max:
+        raise InternalError(f"product exact only to n24 {series.n24_max} < {n24_max}")
     out = series.trimmed(n24_max)
-    want = (3 * n + (eta_exponent - n)) % 24
-    assert out.character_d == want
+    if out.character_d != want:
+        raise InternalError(f"block character {out.character_d}, expected {want}")
     return out
 
 

@@ -65,10 +65,21 @@ def test_acceptance_2_root_star_certificates():
                 and cert.threshold == wanted_threshold
                 and cert.witness == witness):
             problems.append(label)
+    # Rank 4: no witness is frozen, since the cell oracle cannot confirm one
+    # in reasonable time; the verdict and the re-evaluated minimum still must hold.
+    rank4 = ("B4", "C4", "D4")
+    for label in rank4:
+        star = build_star(catalog(label))
+        t0 = time.monotonic()
+        cert = certify_extremal(star)
+        worst = max(worst, time.monotonic() - t0)
+        if not (cert.is_extremal and cert.min_value == cert.threshold
+                and deficiency(star, cert.witness) == cert.min_value):
+            problems.append(label)
     ok = not problems and worst < 120.0
-    _verdict(2, ok, f"extremality certificates exact for {len(expected)} root "
-                    f"stars, slowest {worst:.2f}s (limit 120s); "
-                    f"problems: {problems}")
+    _verdict(2, ok, f"extremality certificates exact for "
+                    f"{len(expected) + len(rank4)} root stars, slowest "
+                    f"{worst:.2f}s (limit 120s); problems: {problems}")
 
 
 def test_acceptance_3_non_extremal_rejection(tmp_path):

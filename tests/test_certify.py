@@ -1,27 +1,43 @@
 """Extremality certificates checked against independent oracles.
 
-The certified minimum comes from an exact cell enumeration.  The oracle here
-is deliberately dumber: evaluate the deficiency on every point of a uniform
-rational grid.  Grid values are true function values, so the grid minimum can
-never undercut a correct certificate, and whenever the certified witness lies
-on the grid the two minima must agree exactly.
+The certified minimum comes from an exact enumeration of the shadow coset:
+min f = min |P(k + h)|^2 / 2 over k in Z^N, searched over the classes
+k mod U Z^l with Fincke-Pohst at the fixed radius N/12 (see eustar.certify).
+``cells_examined`` counts the classes inside that radius, a property of the
+star alone, so it is pinned for small inputs and must not move under a change
+of basis, a reordering or sign flips of the star.
+
+Two oracles share no search code with the certifier.  The grid oracle
+evaluates the deficiency on every point of a uniform rational grid: grid values
+are true function values, so the grid minimum can never undercut a correct
+certificate, and whenever the certified witness lies on the grid the two
+minima must agree exactly.  The cell oracle (``cell_oracle.py``) is the
+package's earlier arrangement-cell certifier; minimum and witness must match it
+exactly on enumerated stars.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cell_oracle
+from eustar import certify
 from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
                             deficiency, min_deficiency)
-from eustar.lattice import Lattice
+from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import build_star, catalog
-from eustar.star import EutacticStar
+from eustar.search import enumerate_stars
+from eustar.star import EutacticStar, load_star
 
 from conftest import rational_point
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
 def grid_min(star, den):
@@ -137,11 +153,102 @@ def test_certificate_json(a2_star):
 
 
 def test_non_eutactic_star_rejected():
-    # Correctness of the cell enumeration leans on eutaxy (it is what makes
-    # every constrained Hessian definite), so other stars are refused.
-    from eustar.lattice import InputError
+    # The coset formulation leans on eutaxy (U^T U = G is what turns the least
+    # squares residual into the projection P), so other stars are refused.
     star = EutacticStar(Lattice([[2]]), [(Q(1, 2),)])
     with pytest.raises(InputError):
         min_deficiency(star)
     with pytest.raises(InputError):
         certify_extremal(star)
+
+
+# Leaves #{k mod U Z^l : |P(k + h)|^2 <= N/12}, on the benchmark's seed-0 inputs.
+LEAVES = {"G2": 12, "A3": 6, "B3": 24, "A4": 24, "two_vector": 1,
+          "G2_weight_nonextremal": 8}
+
+
+@pytest.mark.parametrize("name", sorted(LEAVES))
+def test_leaf_count_pinned(name):
+    star = load_star(str(BENCH_INPUTS / f"{name}.star.json"))
+    assert certify_extremal(star).cells_examined == LEAVES[name]
+
+
+def _gram(draw):
+    rank = draw(st.integers(1, 3))
+    diag, off = (5, 3) if rank <= 2 else (3, 1)
+    g = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        g[i][i] = draw(st.integers(1, diag))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-off, off))
+    try:
+        return Lattice(g)
+    except InputError:  # not positive definite
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coset_minimum_matches_cell_oracle(data):
+    stars = enumerate_stars(_gram(data.draw))
+    assume(stars)
+    star = stars[data.draw(st.integers(0, len(stars) - 1))]
+    value, witness, _ = min_deficiency(star)
+    assert (value, witness) == cell_oracle.min_deficiency(star)[:2]
+
+
+METAMORPHIC_STARS = ("A2", "B2", "G2", "A3", "B3", "two_vector",
+                     "G2_weight_nonextremal")
+
+
+def _metamorphic_star(name):
+    if name == "two_vector":
+        return EutacticStar(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
+    if name == "G2_weight_nonextremal":
+        return load_star(str(BENCH_INPUTS / f"{name}.star.json"))
+    return build_star(catalog(name))
+
+
+def _reduce(x):
+    return tuple(xi - math.floor(xi) for xi in x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_metamorphic_basis_order_signs(data):
+    """A signed-permutation basis change P (new basis b P), a shuffle of the
+    star and sign flips of its vectors keep the minimum and the leaf count.
+    f'(x') = f(P x'), so minimizers map by P^-1 mod 1; with P the identity the
+    deficiency is the same function and the witness must not move at all."""
+    star = _metamorphic_star(data.draw(st.sampled_from(METAMORPHIC_STARS)))
+    l = star.lattice.rank
+    perm = data.draw(st.permutations(range(l)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
+    P = [[signs[j] if i == perm[j] else 0 for j in range(l)] for i in range(l)]
+    g = star.lattice.gram
+    gram = [[int(sum(P[a][i] * g[a][b] * P[b][j] for a in range(l) for b in range(l)))
+             for j in range(l)] for i in range(l)]
+    order = data.draw(st.permutations(range(star.size)))
+    flips = data.draw(st.lists(st.sampled_from((1, -1)), min_size=star.size,
+                               max_size=star.size))
+    # P^-1 = P^T for a signed permutation.
+    vectors = [tuple(flip * sum(P[a][i] * star.vectors[j][a] for a in range(l))
+                     for i in range(l)) for j, flip in zip(order, flips)]
+    moved = EutacticStar(Lattice(gram), vectors)
+
+    before, after = certify_extremal(star), certify_extremal(moved)
+    assert after.min_value == before.min_value
+    assert after.cells_examined == before.cells_examined
+    mapped = _reduce(sum(P[a][i] * before.witness[a] for a in range(l)) for i in range(l))
+    assert deficiency(moved, mapped) == after.min_value
+    back = _reduce(sum(P[i][a] * after.witness[a] for a in range(l)) for i in range(l))
+    assert deficiency(star, back) == before.min_value
+    if P == [[int(i == j) for j in range(l)] for i in range(l)]:
+        assert after.witness == before.witness
+
+
+def test_broken_witness_check_raises_internal_error(g2_star, monkeypatch):
+    monkeypatch.setattr(certify, "deficiency", lambda star, x: Q(-1))
+    with pytest.raises(InternalError):
+        min_deficiency(g2_star)
+    assert not issubclass(InternalError, InputError)

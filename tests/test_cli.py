@@ -63,6 +63,14 @@ def test_extremal(a1_file, two_file, capsys):
     assert out["extremal"] is False and out["threshold"] == "1/24"
 
 
+def test_boolean_vector_entries_rejected(tmp_path, capsys):
+    star = tmp_path / "bool.json"
+    star.write_text(json.dumps({"gram": [[1]], "vectors": [[True]]}))
+    for command in ("check", "extremal"):
+        assert main([command, str(star)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_extremal_catalog_type(capsys):
     assert main(["extremal", "--type", "G2"]) == 0
     out = capsys.readouterr().out
@@ -105,6 +113,22 @@ def test_expand_eta_override(two_file, capsys):
     assert main(["expand", two_file, "--order", "30", "--eta", "2"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[:3] == ["6 -1/1 1", "6 0/1 -2", "6 1/1 1"]
+
+
+def test_expand_order_below_lowest_exponent(capsys):
+    # The A2 block starts at n24 = 8 (three theta factors, eta^-1).
+    for order in ("0", "2", "7"):
+        assert main(["expand", "--type", "A2", "--order", order]) == 0
+        assert capsys.readouterr().out == ""
+    assert main(["expand", "--type", "A2", "--order", "2", "--check-singular"]) == 0
+    assert capsys.readouterr().out == "singular support\n"
+    assert main(["expand", "--type", "A2", "--order", "8"]) == 0
+    assert capsys.readouterr().out.startswith("8 ")
+
+
+def test_expand_negative_order(capsys):
+    assert main(["expand", "--type", "A2", "--order", "-5"]) == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_order_env(monkeypatch, capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eustar.lattice import (InputError, Lattice, dump_lattice, format_rational,
-                            format_vector, lattice_from_json_dict, load_lattice,
-                            parse_rational, parse_vector)
+from eustar import lattice
+from eustar.lattice import (InputError, InternalError, Lattice, dump_lattice,
+                            format_rational, format_vector, lattice_from_json_dict,
+                            load_lattice, parse_rational, parse_vector)
 
 
 def test_parse_rational():
@@ -21,6 +22,9 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(InputError):
         parse_rational(None)
+    for flag in (True, False):  # bool is an int subclass, but not a rational
+        with pytest.raises(InputError):
+            parse_rational(flag)
 
 
 def test_format_rational():
@@ -109,3 +113,9 @@ def test_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_lattice(str(bad))
+
+
+def test_dual_gram_inverse_check(monkeypatch):
+    monkeypatch.setattr(lattice, "invert", lambda m: None)
+    with pytest.raises(InternalError):
+        Lattice([[2, 1], [1, 2]]).dual_gram()

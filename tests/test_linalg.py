@@ -1,10 +1,15 @@
 """Exact linear algebra helpers."""
 
+import math
 import random
 from fractions import Fraction as Q
+from itertools import combinations, product
 
-from eustar.linalg import (det, dot, identity, invert, mat_mul, mat_vec,
-                           nullspace, qmat, qvec, rank, rref, solve, transpose)
+import pytest
+
+from eustar.linalg import (det, dot, hnf_diagonal, identity, invert, ldl, mat_mul,
+                           mat_vec, nullspace, qmat, qvec, rank, rref, solve,
+                           transpose)
 
 
 def test_qvec_and_dot():
@@ -72,3 +77,51 @@ def test_random_inverse_consistency():
             assert mat_mul(a, inv) == identity(n)
             b = qvec([rng.randrange(-9, 10) for _ in range(n)])
             assert solve(a, b) == mat_vec(inv, b)
+
+
+def test_ldl_completes_the_square():
+    rng = random.Random(11)
+    for _ in range(25):
+        n = rng.randrange(1, 5)
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n + 1)]
+        a = mat_mul(transpose(b), b)  # positive semidefinite
+        fact = ldl(a)
+        if det(a) == 0:
+            assert fact is None
+            continue
+        d, m = fact
+        assert all(x > 0 for x in d)
+        assert all(m[i][i] == 1 and all(m[i][j] == 0 for j in range(i))
+                   for i in range(n))
+        x = [rng.randrange(-5, 6) for _ in range(n)]
+        form = dot(x, mat_vec(a, x))
+        assert form == sum(d[i] * dot(m[i], x) ** 2 for i in range(n))
+    assert ldl(qmat([[1, 2], [2, 1]])) is None  # indefinite
+    assert ldl(()) == ((), ())
+
+
+def test_hnf_diagonal():
+    assert hnf_diagonal([[2, 0], [0, 3]]) == (2, 3)
+    assert hnf_diagonal([[2, 1], [0, 3]]) == (1, 6)
+    assert hnf_diagonal([[1, 0], [0, 1]]) == (1, 1)
+    assert hnf_diagonal([[-1, 1], [1, 1]]) == (1, 2)
+    rng = random.Random(5)
+    for _ in range(25):
+        n = rng.randrange(1, 5)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        d = det(a)
+        if d == 0:
+            with pytest.raises(ValueError):
+                hnf_diagonal(a)
+            continue
+        h = hnf_diagonal(a)
+        assert all(x > 0 for x in h)
+        assert abs(d) == math.prod(h)
+        if abs(d) > 40:
+            continue
+        # The box prod range(h_i) holds |det| pairwise inequivalent classes.
+        inv = invert(a)
+        box = list(product(*(range(x) for x in h)))
+        for v, w in combinations(box, 2):
+            diff = [x - y for x, y in zip(v, w)]
+            assert any(c.denominator != 1 for c in mat_vec(inv, diff))

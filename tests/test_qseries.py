@@ -168,6 +168,17 @@ def test_theta_block_a1_is_single_factor(a1_star):
     assert block.character_d == 3
 
 
+def test_theta_block_below_lowest_exponent(two_vector_star, a2_star):
+    # Every term of a block has n24 >= 3N + (eta - N); below that it is 0.
+    for star, eta in ((two_vector_star, 1), (a2_star, 2), (a2_star, -3)):
+        low = 3 * star.size + eta - star.size
+        for order in (low - 10, low - 1):
+            block = theta_block(star, eta_exponent=eta, n24_max=order)
+            assert block.is_zero() and block.n24_max == order
+            assert block.character_d == low % 24
+        assert theta_block(star, eta_exponent=eta, n24_max=low).min_n24 == low
+
+
 def test_theta_block_two_vector_frozen(two_vector_star):
     block = theta_block(two_vector_star, n24_max=60)
     assert block.z_den == 1
