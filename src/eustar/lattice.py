@@ -10,7 +10,7 @@ import json
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import Mat, Vec, det, dot, invert, mat_vec, qvec
+from .linalg import Mat, Vec, dot, invert, mat_vec, qvec, sym_elim
 
 
 class InputError(ValueError):
@@ -69,12 +69,10 @@ class Lattice:
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise InputError(f"Gram matrix is not symmetric at ({i},{j})")
-        # Positive definiteness: leading principal minors all positive.
-        for k in range(1, n + 1):
-            minor = det([row[:k] for row in self.gram[:k]])
-            if minor <= 0:
-                raise InputError(f"Gram matrix is not positive definite "
-                                 f"(leading {k}x{k} minor {minor})")
+        # Positive definite iff every pivot (a leading principal minor) is > 0.
+        pivots = sym_elim(gram)
+        if pivots is None or any(pivots[k][k] == 0 for k in range(n)):
+            raise InputError("Gram matrix is not positive definite")
         self.rank = n
         self._dual_gram: Mat | None = None
 

@@ -1,7 +1,8 @@
-"""Small exact linear algebra over Fraction: just what the rest of the package needs."""
+"""Small exact linear algebra over Fraction and int: what the rest of the package needs."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Sequence, Tuple
 
@@ -13,14 +14,6 @@ def qvec(entries: Sequence) -> Vec:
     return tuple(Q(e) for e in entries)
 
 
-def qmat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(qvec(r) for r in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
-
-
 def dot(u: Sequence, v: Sequence) -> Q:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -29,15 +22,6 @@ def dot(u: Sequence, v: Sequence) -> Q:
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(Q(m[i][j]) for i in range(len(m))) for j in range(len(m[0])))
 
 
 def _elim(rows: list) -> tuple[list, list]:
@@ -64,30 +48,12 @@ def _elim(rows: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def rref(m: Sequence[Sequence]) -> Mat:
-    rows = [[Q(x) for x in row] for row in m]
-    rows, _ = _elim(rows)
-    return tuple(tuple(row) for row in rows)
-
-
 def rank(m: Sequence[Sequence]) -> int:
     if not m:
         return 0
     rows = [[Q(x) for x in row] for row in m]
     _, pivots = _elim(rows)
     return len(pivots)
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """Unique solution of a x = b for square a, or None if a is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("solve expects a square system")
-    rows = [[Q(x) for x in row] + [Q(b[i])] for i, row in enumerate(a)]
-    rows, pivots = _elim(rows)
-    if pivots != list(range(n)):
-        return None
-    return tuple(rows[i][n] for i in range(n))
 
 
 def invert(a: Sequence[Sequence]) -> Mat | None:
@@ -101,41 +67,34 @@ def invert(a: Sequence[Sequence]) -> Mat | None:
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
-def nullspace(m: Sequence[Sequence], ncols: int) -> Mat:
-    """Basis of {x : m x = 0} as a tuple of vectors (empty tuple for trivial kernel)."""
-    if not m:
-        return identity(ncols)
-    rows = [[Q(x) for x in row] for row in m]
-    rows, pivots = _elim(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Fraction-free symmetric elimination of an integer matrix; None iff m is not PSD.
 
-
-def det(m: Sequence[Sequence]) -> Q:
-    n = len(m)
-    rows = [[Q(x) for x in row] for row in m]
-    out = Q(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = Q(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+    Bareiss's integer-preserving elimination (Math. Comp. 22, 1968) with the
+    diagonal pivots taken in order, on the upper triangle only.  Row k of the
+    result holds, in the columns j >= k, row k as it stood when it was the
+    pivot row: with S the earlier nonzero pivots, r[k][j] = det m[S+k, S+j],
+    which is det m[S, S] times the Schur complement entry, so each division
+    is exact (Sylvester's identity).  While no pivot has been 0, r[k][k] is
+    the leading (k+1)x(k+1) minor.  A symmetric matrix is PSD iff every
+    pivot is >= 0 and every zero pivot has a zero row; such a pivot is skipped.
+    """
+    rows = [list(row) for row in m]
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        piv = rows[k]
+        p = piv[k]
+        if p <= 0:
+            if p < 0 or any(piv[k + 1:]):
+                return None
+            continue
+        for i in range(k + 1, n):
+            row, a = rows[i], piv[i]
+            for j in range(i, n):
+                row[j] = (p * row[j] - a * piv[j]) // prev
+        prev = p
+    return rows
 
 
 def ldl(a: Sequence[Sequence]) -> tuple[Vec, Mat] | None:
@@ -143,22 +102,19 @@ def ldl(a: Sequence[Sequence]) -> tuple[Vec, Mat] | None:
 
     Returns (d, m) with m unit upper triangular (stored as full rows) such that
     x^T a x = sum_i d[i] * (x_i + sum_{j>i} m[i][j] x_j)^2; every d[i] is > 0.
-    This is the square completion of Fincke-Pohst (Cohen, GTM 138, Alg. 2.7.6).
+    This is the square completion of Fincke-Pohst (Cohen, GTM 138, Alg. 2.7.6),
+    read off sym_elim: with a = A / den for an integer A and r = sym_elim(A),
+    d[i] = r[i][i] / (r[i-1][i-1] den) and m[i][j] = r[i][j] / r[i][i].
     """
-    n = len(a)
     q = [[Q(x) for x in row] for row in a]
-    for i in range(n):
-        if q[i][i] <= 0:
-            return None
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for j in range(k, n):
-                q[k][j] -= q[k][i] * q[i][j]
-    d = tuple(q[i][i] for i in range(n))
-    m = tuple(tuple(Q(1) if j == i else q[i][j] if j > i else Q(0) for j in range(n))
-              for i in range(n))
+    den = math.lcm(*(x.denominator for row in q for x in row))
+    r = sym_elim([[int(x * den) for x in row] for row in q])
+    n = len(q)
+    if r is None or any(r[i][i] == 0 for i in range(n)):
+        return None
+    d = tuple(Q(r[i][i], (r[i - 1][i - 1] if i else 1) * den) for i in range(n))
+    m = tuple(tuple(Q(1) if j == i else Q(r[i][j], r[i][i]) if j > i else Q(0)
+                    for j in range(n)) for i in range(n))
     return d, m
 
 

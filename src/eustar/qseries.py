@@ -24,7 +24,7 @@ extremality threshold.  Nothing in the package relies on this.
 from __future__ import annotations
 
 import math
-import sys
+import warnings
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -161,7 +161,8 @@ def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
 
 
 def _poly_inv(a: list[int], order: int) -> list[int]:
-    assert a[0] == 1
+    if a[0] != 1:
+        raise InternalError(f"power series inverse needs constant term 1, got {a[0]}")
     inv = [0] * (order + 1)
     inv[0] = 1
     for n in range(1, order + 1):
@@ -257,7 +258,7 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
     if eta_exponent is None:
         eta_exponent = star.lattice.rank
     if not is_eutactic(star):
-        print("warning: theta_block of a non-eutactic star", file=sys.stderr)
+        warnings.warn("theta_block of a non-eutactic star", RuntimeWarning, stacklevel=2)
     n = star.size
     mins = [3] * n + [eta_exponent - n]
     total_min = sum(mins)

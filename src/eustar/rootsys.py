@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
-from .lattice import InputError, Lattice
+from .lattice import InputError, InternalError, Lattice
 from .linalg import Mat, Vec, invert, qvec, rank
 from .star import EutacticStar
 
@@ -125,9 +125,11 @@ def catalog(label: str) -> RootSystemDescriptor:
     norms = _norms(family, n)
     # M_ij = <a_i, a_j> = A_ij * <a_j, a_j> / 2; symmetry is a consistency check.
     gram = tuple(tuple(Q(cartan[i][j]) * norms[j] / 2 for j in range(n)) for i in range(n))
-    assert all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
+        raise InternalError(f"{label}: the form on the simple roots is not symmetric")
     roots = _close_under_reflections(cartan, n)
-    assert all(all(c >= 0 for c in r) or all(c <= 0 for c in r) for r in roots)
+    if not all(all(c >= 0 for c in r) or all(c <= 0 for c in r) for r in roots):
+        raise InternalError(f"{label}: a root is neither positive nor negative")
     positive = sorted((r for r in roots if all(c >= 0 for c in r)),
                       key=lambda r: (sum(r), r))
     # Dual Coxeter number via (sum_{r>0} r r^T) M = h I.
@@ -135,9 +137,10 @@ def catalog(label: str) -> RootSystemDescriptor:
     c = [[sum(Q(s[i][k]) * gram[k][j] for k in range(n)) for j in range(n)]
          for i in range(n)]
     h = c[0][0]
-    assert all(c[i][j] == (h if i == j else 0) for i in range(n) for j in range(n)), \
-        f"{label}: sum of root squares is not a multiple of the form"
-    assert h.denominator == 1 and h > 0
+    if any(c[i][j] != (h if i == j else 0) for i in range(n) for j in range(n)):
+        raise InternalError(f"{label}: sum of root squares is not a multiple of the form")
+    if h.denominator != 1 or h <= 0:
+        raise InternalError(f"{label}: dual Coxeter number {h} is not a positive integer")
     return RootSystemDescriptor(label=f"{family}{n}", rank=n, cartan=cartan,
                                 norm_gram=gram, positive_roots=tuple(positive),
                                 dual_coxeter=int(h))
@@ -153,9 +156,10 @@ def build_P_lattice(desc: RootSystemDescriptor) -> Lattice:
     pgram = [[sum(r[i] * r[j] for r in desc.positive_roots) for j in range(n)]
              for i in range(n)]
     minv = invert(desc.norm_gram)
-    assert minv is not None
-    assert all(Q(pgram[i][j]) == desc.dual_coxeter * minv[i][j]
-               for i in range(n) for j in range(n))
+    if minv is None or any(pgram[i][j] != desc.dual_coxeter * minv[i][j]
+                           for i in range(n) for j in range(n)):
+        raise InternalError(f"{desc.label}: sum of r r^T over the positive roots "
+                            "is not h M^-1")
     return Lattice(pgram)
 
 
@@ -169,7 +173,8 @@ def build_star(desc: RootSystemDescriptor) -> EutacticStar:
                    for i in range(desc.rank))
         vectors.append(mr)
     star = EutacticStar(lat, vectors)
-    assert star.pairings == desc.positive_roots
+    if star.pairings != desc.positive_roots:
+        raise InternalError(f"{desc.label}: the star's pairing vectors are not the roots")
     return star
 
 

@@ -6,45 +6,22 @@ chosen sign-normalized (first nonzero entry positive) in non-increasing
 lexicographic order, which makes the backtracking emit exactly one canonical
 representative per orbit under reordering and per-vector sign flips; the
 residual must stay positive semidefinite with non-negative diagonal at every
-step, which bounds entries by isqrt(gram_ii) and the length by the trace.
+step, which bounds entries by isqrt(gram_ii) and the length by the trace.  The
+PSD test is the integer Bareiss elimination ``linalg.sym_elim``, O(l^3) per
+residual.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 from .certify import certify_extremal
 from .lattice import InputError, Lattice, format_vector
-from .linalg import qvec, rank
+from .linalg import qvec, rank, sym_elim
 from .rootsys import recognize
 from .star import EutacticStar, star_from_pairings, support_set
-
-
-def _is_psd(m: Sequence[Sequence[int]]) -> bool:
-    """All principal minors non-negative (exact, intended for small matrices)."""
-    n = len(m)
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            sub = [[m[i][j] for j in idx] for i in idx]
-            if _int_det(sub) < 0:
-                return False
-    return True
-
-
-def _int_det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    out = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            out += (-1) ** j * m[0][j] * _int_det(minor)
-    return out
 
 
 def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -74,7 +51,7 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
         if lead <= 0:
             continue
         resid = [[g[i][j] - u[i] * u[j] for j in range(l)] for i in range(l)]
-        if all(resid[i][i] >= 0 for i in range(l)) and _is_psd(resid):
+        if all(resid[i][i] >= 0 for i in range(l)) and sym_elim(resid) is not None:
             alphabet.append(u)
     alphabet.sort(reverse=True)
 
@@ -91,7 +68,7 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
             nxt = [[residual[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)]
             if any(nxt[a][a] < 0 for a in range(l)):
                 continue
-            if not _is_psd(nxt):
+            if sym_elim(nxt) is None:
                 continue
             chosen.append(u)
             backtrack(i, nxt, chosen)

@@ -65,8 +65,9 @@ def test_acceptance_2_root_star_certificates():
                 and cert.threshold == wanted_threshold
                 and cert.witness == witness):
             problems.append(label)
-    # Rank 4: no witness is frozen, since the cell oracle cannot confirm one
-    # in reasonable time; the verdict and the re-evaluated minimum still must hold.
+    # Rank 4: no witness is frozen here; tests/test_certify.py checks minimum
+    # and witness live against the coset oracle.  The verdict and the
+    # re-evaluated minimum still must hold.
     rank4 = ("B4", "C4", "D4")
     for label in rank4:
         star = build_star(catalog(label))

@@ -4,29 +4,29 @@ The certified minimum comes from an exact enumeration of the shadow coset:
 min f = min |P(k + h)|^2 / 2 over k in Z^N, searched over the classes
 k mod U Z^l with Fincke-Pohst at the fixed radius N/12 (see eustar.certify).
 ``cells_examined`` counts the classes inside that radius, a property of the
-star alone, so it is pinned for small inputs and must not move under a change
-of basis, a reordering or sign flips of the star.
+star alone, so it is pinned for small inputs and must not move under a
+unimodular change of basis, a reordering or sign flips of the star.
 
 Two oracles share no search code with the certifier.  The grid oracle
 evaluates the deficiency on every point of a uniform rational grid: grid values
 are true function values, so the grid minimum can never undercut a correct
 certificate, and whenever the certified witness lies on the grid the two
-minima must agree exactly.  The cell oracle (``cell_oracle.py``) is the
-package's earlier arrangement-cell certifier; minimum and witness must match it
-exactly on enumerated stars.
+minima must agree exactly.  The coset oracle (``coset_oracle``) evaluates the
+deficiency on the whole finite coset that holds every minimizer, so minimum
+and witness must match it exactly.
 """
 
 import math
 import random
 from fractions import Fraction as Q
 from itertools import product
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cell_oracle
 from eustar import certify
 from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
                             deficiency, min_deficiency)
@@ -38,6 +38,34 @@ from eustar.star import EutacticStar, load_star
 from conftest import rational_point
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def coset_oracle(star):
+    """Exact minimum of the deficiency of a eutactic star, with the
+    lexicographically least minimizer in [0,1)^l.
+
+    f(x) = min over k in Z^N of |Ux - (k + h)|^2 / 2, with h = (1/2, ..., 1/2).
+    At a minimizer x*, choose k with f(x*) = |Ux* - (k + h)|^2 / 2.  That
+    quadratic is >= f everywhere and equals f at x*, so x* minimizes it too;
+    with U^T U = G this gives x* = G^-1 U^T (k + h) = sum_j (k_j + 1/2) s_j,
+    where s_j = G^-1 u_j are the star's vectors.  So every minimizer lies in
+    (1/2) sum_j s_j + <s_j> mod Z^l.  The s_j lie in G^-1 Z^l, so this coset is
+    finite, of order at most det G; it is built by closure under
+    x -> x + s_j mod 1, and the deficiency is evaluated on all of it.
+    """
+    group, frontier = set(), [(Q(0),) * star.lattice.rank]
+    while frontier:
+        x = frontier.pop()
+        if x not in group:
+            group.add(x)
+            frontier.extend(_reduce(map(add, x, s)) for s in star.vectors)
+    shift = [sum(c) / 2 for c in zip(*star.vectors)]
+    coset = (_reduce(map(add, shift, x)) for x in group)
+    return min((deficiency(star, w), w) for w in coset)
+
+
+def _reduce(x):
+    return tuple(xi - math.floor(xi) for xi in x)
 
 
 def grid_min(star, den):
@@ -189,12 +217,18 @@ def _gram(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_coset_minimum_matches_cell_oracle(data):
+def test_min_deficiency_matches_coset_oracle(data):
     stars = enumerate_stars(_gram(data.draw))
     assume(stars)
     star = stars[data.draw(st.integers(0, len(stars) - 1))]
     value, witness, _ = min_deficiency(star)
-    assert (value, witness) == cell_oracle.min_deficiency(star)[:2]
+    assert (value, witness) == coset_oracle(star)
+
+
+@pytest.mark.parametrize("label", ["B4", "C4", "D4"])
+def test_rank4_catalog_matches_coset_oracle(label):
+    star = build_star(catalog(label))
+    assert min_deficiency(star)[:2] == coset_oracle(star)
 
 
 METAMORPHIC_STARS = ("A2", "B2", "G2", "A3", "B3", "two_vector",
@@ -209,15 +243,12 @@ def _metamorphic_star(name):
     return build_star(catalog(name))
 
 
-def _reduce(x):
-    return tuple(xi - math.floor(xi) for xi in x)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_metamorphic_basis_order_signs(data):
-    """A signed-permutation basis change P (new basis b P), a shuffle of the
-    star and sign flips of its vectors keep the minimum and the leaf count.
+    """A unimodular basis change P (new basis b P), a shuffle of the star and
+    sign flips of its vectors keep the minimum and the leaf count.  P is a
+    signed permutation times up to four elementary matrices I + c e_ij.
     f'(x') = f(P x'), so minimizers map by P^-1 mod 1; with P the identity the
     deficiency is the same function and the witness must not move at all."""
     star = _metamorphic_star(data.draw(st.sampled_from(METAMORPHIC_STARS)))
@@ -225,25 +256,38 @@ def test_metamorphic_basis_order_signs(data):
     perm = data.draw(st.permutations(range(l)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
     P = [[signs[j] if i == perm[j] else 0 for j in range(l)] for i in range(l)]
+    P_inv = [list(col) for col in zip(*P)]  # P^-1 = P^T for a signed permutation
+    if l > 1:
+        pairs = [(i, j) for i in range(l) for j in range(l) if i != j]
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.sampled_from(pairs))
+            c = data.draw(st.sampled_from((1, -1)))
+            for row in P:  # P <- P (I + c e_ij)
+                row[j] += c * row[i]
+            # P^-1 <- (I - c e_ij) P^-1
+            P_inv[i] = [x - c * y for x, y in zip(P_inv[i], P_inv[j])]
+    identity = [[int(i == j) for j in range(l)] for i in range(l)]
+    assert [[sum(P[i][a] * P_inv[a][j] for a in range(l)) for j in range(l)]
+            for i in range(l)] == identity
     g = star.lattice.gram
     gram = [[int(sum(P[a][i] * g[a][b] * P[b][j] for a in range(l) for b in range(l)))
              for j in range(l)] for i in range(l)]
     order = data.draw(st.permutations(range(star.size)))
     flips = data.draw(st.lists(st.sampled_from((1, -1)), min_size=star.size,
                                max_size=star.size))
-    # P^-1 = P^T for a signed permutation.
-    vectors = [tuple(flip * sum(P[a][i] * star.vectors[j][a] for a in range(l))
+    vectors = [tuple(flip * sum(P_inv[i][a] * star.vectors[j][a] for a in range(l))
                      for i in range(l)) for j, flip in zip(order, flips)]
     moved = EutacticStar(Lattice(gram), vectors)
 
     before, after = certify_extremal(star), certify_extremal(moved)
     assert after.min_value == before.min_value
     assert after.cells_examined == before.cells_examined
-    mapped = _reduce(sum(P[a][i] * before.witness[a] for a in range(l)) for i in range(l))
+    mapped = _reduce(sum(P_inv[i][a] * before.witness[a] for a in range(l))
+                     for i in range(l))
     assert deficiency(moved, mapped) == after.min_value
     back = _reduce(sum(P[i][a] * after.witness[a] for a in range(l)) for i in range(l))
     assert deficiency(star, back) == before.min_value
-    if P == [[int(i == j) for j in range(l)] for i in range(l)]:
+    if P == identity:
         assert after.witness == before.witness
 
 

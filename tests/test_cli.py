@@ -179,6 +179,15 @@ def test_search_non_extremal_lattice(tmp_path, capsys):
     assert report == {"counterexamples": [], "extremal": [], "stars": 1}
 
 
+@pytest.mark.parametrize("gram", [[[1, 1], [1, 1]], [[1, 2], [2, 1]]],
+                         ids=["semidefinite", "indefinite"])
+def test_search_rejects_gram_not_positive_definite(gram, tmp_path, capsys):
+    p = tmp_path / "gram.json"
+    p.write_text(json.dumps({"gram": gram}))
+    assert main(["search", str(p)]) == 2
+    assert capsys.readouterr().err == "error: Gram matrix is not positive definite\n"
+
+
 def test_recognize(a1_file, tmp_path, capsys):
     assert main(["recognize", a1_file]) == 0
     assert capsys.readouterr().out == "A1\n"

@@ -49,8 +49,10 @@ def test_lattice_validation():
         Lattice([[1, 0], [1, 1]])  # not symmetric
     with pytest.raises(InputError):
         Lattice([[0]])  # not positive definite
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not positive definite"):
         Lattice([[1, 2], [2, 1]])  # indefinite
+    with pytest.raises(InputError, match="not positive definite"):
+        Lattice([[1, 1], [1, 1]])  # semidefinite
     with pytest.raises(InputError):
         Lattice([[Q(1, 2)]])  # non-integer entry
     with pytest.raises(InputError):

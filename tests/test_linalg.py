@@ -3,13 +3,35 @@
 import math
 import random
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from eustar.linalg import (det, dot, hnf_diagonal, identity, invert, ldl, mat_mul,
-                           mat_vec, nullspace, qmat, qvec, rank, rref, solve,
-                           transpose)
+from eustar.linalg import (dot, hnf_diagonal, invert, ldl, mat_vec, qvec, rank,
+                           sym_elim)
+
+
+def det(m):
+    """Leibniz determinant: a reference that shares no code with eustar.linalg."""
+    n = len(m)
+    out = Q(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        out += (-1) ** inversions * math.prod(Q(m[i][p[i]]) for i in range(n))
+    return out
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum((Q(x) * y for x, y in zip(row, col)), Q(0)) for col in zip(*b))
+                 for row in a)
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def identity(n):
+    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def test_qvec_and_dot():
@@ -19,55 +41,81 @@ def test_qvec_and_dot():
     assert dot((), ()) == 0
 
 
-def test_rref_and_rank():
-    m = qmat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    assert rank(m) == 2
-    r = rref(m)
-    assert r[0] == (1, 0, -1)
-    assert r[1] == (0, 1, 2)
-    assert all(x == 0 for x in r[2])
-    assert rank(qmat([[0, 0], [0, 0]])) == 0
+def test_rank():
+    assert rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
     assert rank(identity(4)) == 4
 
 
-def test_solve():
-    a = qmat([[2, 1], [1, 3]])
-    x = solve(a, (5, 10))
-    assert x is not None
-    assert mat_vec(a, x) == (5, 10)
-    assert solve(qmat([[1, 2], [2, 4]]), (1, 0)) is None
-
-
 def test_invert():
-    a = qmat([[2, 1], [1, 2]])
+    a = [[2, 1], [1, 2]]
     inv = invert(a)
     assert mat_mul(a, inv) == identity(2)
-    assert invert(qmat([[1, 1], [1, 1]])) is None
+    assert invert([[1, 1], [1, 1]]) is None
 
 
 def test_det():
-    assert det(qmat([[2, 1], [1, 2]])) == 3
-    assert det(qmat([[1, 2], [2, 4]])) == 0
-    assert det(identity(3)) == 1
+    # On a PSD matrix the last nonzero-row pivot of sym_elim is the determinant.
+    assert sym_elim([[2, 1], [1, 2]])[-1][-1] == 3
+    assert sym_elim([[1, 2], [2, 4]])[-1][-1] == 0
+    assert sym_elim([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[-1][-1] == 1
 
 
-def test_nullspace():
-    basis = nullspace(qmat([[1, 1, 1]]), 3)
-    assert len(basis) == 2
-    for b in basis:
-        assert sum(b) == 0
-    assert nullspace(qmat([[1, 0], [0, 1]]), 2) == ()
+def _is_psd(m):
+    """Every principal minor is >= 0 (the definition, via the Leibniz reference)."""
+    n = len(m)
+    return all(det([[m[i][j] for j in idx] for i in idx]) >= 0
+               for size in range(1, n + 1) for idx in combinations(range(n), size))
 
 
-def test_transpose():
-    assert transpose(qmat([[1, 2, 3], [4, 5, 6]])) == qmat([[1, 4], [2, 5], [3, 6]])
+def test_sym_elim_decides_psd():
+    rng = random.Random(3)
+    cases = [[[0, 1], [1, 0]],  # zero pivot followed by a nonzero row
+             [[0, 0, 0], [0, 1, 2], [0, 2, 4]],  # zero pivot and zero row, singular PSD
+             [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # zero pivot after elimination, nonzero row
+             [[1, 1], [1, 1]], [[1, 2], [2, 1]], [[-1]], [[0]], []]
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.5:  # B^T B with few rows: often singular PSD
+            b = [[rng.randrange(-2, 3) for _ in range(n)]
+                 for _ in range(rng.randrange(n + 1))]
+            cases.append([[sum(r[i] * r[j] for r in b) for j in range(n)]
+                          for i in range(n)])
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randrange(-2, 4)
+            cases.append(a)
+    for m in cases:
+        assert (sym_elim(m) is not None) == _is_psd(m), m
+    assert sym_elim([[0, 1], [1, 0]]) is None
+    assert sym_elim([[0, 0, 0], [0, 1, 2], [0, 2, 4]]) is not None
+    assert sym_elim([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) is None
+
+
+def test_sym_elim_pivots_are_leading_minors():
+    rng = random.Random(9)
+    seen = 0
+    while seen < 50:
+        n = rng.randrange(1, 5)
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n + 2)]
+        a = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        if det(a) == 0:
+            continue
+        seen += 1
+        before = [row[:] for row in a]
+        r = sym_elim(a)
+        assert [r[k][k] for k in range(n)] == [det([row[:k + 1] for row in a[:k + 1]])
+                                               for k in range(n)]
+        assert a == before
 
 
 def test_random_inverse_consistency():
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randrange(1, 5)
-        a = qmat([[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)])
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
         inv = invert(a)
         d = det(a)
         if inv is None:
@@ -75,16 +123,15 @@ def test_random_inverse_consistency():
         else:
             assert d != 0
             assert mat_mul(a, inv) == identity(n)
-            b = qvec([rng.randrange(-9, 10) for _ in range(n)])
-            assert solve(a, b) == mat_vec(inv, b)
 
 
 def test_ldl_completes_the_square():
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randrange(1, 5)
-        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n + 1)]
-        a = mat_mul(transpose(b), b)  # positive semidefinite
+        b = [[Q(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+             for _ in range(n + 1)]
+        a = mat_mul(transpose(b), b)  # positive semidefinite, rational
         fact = ldl(a)
         if det(a) == 0:
             assert fact is None
@@ -96,7 +143,7 @@ def test_ldl_completes_the_square():
         x = [rng.randrange(-5, 6) for _ in range(n)]
         form = dot(x, mat_vec(a, x))
         assert form == sum(d[i] * dot(m[i], x) ** 2 for i in range(n))
-    assert ldl(qmat([[1, 2], [2, 1]])) is None  # indefinite
+    assert ldl([[1, 2], [2, 1]]) is None  # indefinite
     assert ldl(()) == ((), ())
 
 

@@ -10,7 +10,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eustar.lattice import InputError, Lattice
+from eustar import rootsys
+from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
                             cartan_matrix, catalog, catalog_labels,
                             parse_label, recognize)
@@ -67,6 +68,18 @@ def test_frozen_small_descriptors():
     assert g2.cartan == ((2, -1), (-3, 2))
     assert g2.positive_roots == ((0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
     assert g2.norm_gram[0][0] == Q(2, 3)  # short simple root first
+
+
+def test_broken_catalog_check_raises_internal_error(monkeypatch):
+    # With every simple root of norm 2, B2's form M_ij = A_ij <a_j, a_j> / 2 is
+    # the Cartan matrix itself, which is not symmetric.
+    monkeypatch.setattr(rootsys, "_norms", lambda family, n: (Q(2),) * n)
+    catalog.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="not symmetric"):
+            catalog("B2")
+    finally:
+        catalog.cache_clear()
 
 
 def test_long_roots_have_norm_two():
