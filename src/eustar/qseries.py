@@ -7,7 +7,12 @@ vector l whose pairing with a lattice point x is (w . x)/z_den, so the norm
 (l, l) is w^T dual_gram w / z_den^2.  A series is exact for all n24 up to
 n24_max: terms above the cap are unknown, absent terms at or below it are zero.
 Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
-truncation error can first appear.
+truncation error can first appear.  multiply packs each exponent (n24, w)
+into one integer whose order is the (n24, w) order, so a product term costs
+one integer addition and each scan over partners stops at the cap; see its
+docstring.  The heat, holomorphy and singular-shell checks evaluate (l, l)
+with the integer matrix e * dual_gram (e the lcm of its denominators) and
+build at most one Fraction per term.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
 variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
@@ -51,7 +56,8 @@ class FourierSeries:
         self.lattice = lattice
         width = lattice.rank if lattice is not None else 0
         clean = {}
-        for (n24, w), c in terms.items():
+        for key, c in terms.items():
+            n24, w = key
             c = _norm_coeff(c)
             if c == 0:
                 continue
@@ -61,12 +67,14 @@ class FourierSeries:
                 raise InputError(f"z-exponent {w} has wrong length (want {width})")
             if character_d is not None and (n24 - character_d) % 24 != 0:
                 raise InputError(f"term n24={n24} violates character {character_d}")
-            clean[(n24, tuple(w))] = c
+            clean[key if type(w) is tuple else (n24, tuple(w))] = c
         # Canonical z_den: divide out the common content of all exponents.
         g = z_den
         for (_, w) in clean:
             for x in w:
-                g = math.gcd(g, abs(x))
+                g = math.gcd(g, x)
+            if g == 1:
+                break
         if clean and g > 1:
             clean = {(n, tuple(x // g for x in w)): c for (n, w), c in clean.items()}
             z_den //= g
@@ -96,12 +104,20 @@ class FourierSeries:
 
     def norm_of(self, w: Sequence[int]) -> Q:
         """(l, l) for the stored exponent w: w^T dual_gram w / z_den^2."""
+        form, den = self._norm_form()
+        return Q(_quad(form, w), den)
+
+    def _norm_form(self) -> tuple[list[list[int]], int]:
+        """(M, D), M an int matrix, with (l, l) = w^T M w / D for every w.
+
+        M = e dual_gram for e the lcm of its denominators, and D = e z_den^2.
+        """
         if self.lattice is None:
-            return Q(0)
+            return [], 1
         dg = self.lattice.dual_gram()
-        n = len(w)
-        return sum(Q(w[i]) * dg[i][j] * w[j] for i in range(n) for j in range(n)) \
-            / (self.z_den ** 2)
+        e = math.lcm(*(x.denominator for row in dg for x in row))
+        return ([[x.numerator * (e // x.denominator) for x in row] for row in dg],
+                e * self.z_den ** 2)
 
     def trimmed(self, n24_max: int) -> "FourierSeries":
         if n24_max > self.n24_max:
@@ -184,6 +200,11 @@ def eta_power(k: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
     return FourierSeries(None, 1, terms, n24_max, character_d=k % 24)
 
 
+def _quad(form: list[list[int]], w: Sequence[int]) -> int:
+    """w^T form w."""
+    return sum(x * sum(m * y for m, y in zip(row, w)) for x, row in zip(w, form))
+
+
 def _join_lattice(a: FourierSeries, b: FourierSeries) -> Lattice | None:
     if a.lattice is None:
         return b.lattice
@@ -200,8 +221,36 @@ def _widen(w: tuple, scale: int, width: int) -> tuple:
     return tuple(x * scale for x in w)
 
 
+def _packed(s: FourierSeries, scale: int, radix: int, shift: int):
+    """Yield (key, coeff) per term, key = n24 R^l + sum_i scale w_i R^(l-1-i).
+
+    shift is R^l; a lattice-free series (w = ()) has all its w_i zero.
+    """
+    for (n24, w), c in s.terms.items():
+        key = n24
+        for x in w:
+            key = key * radix + x * scale
+        yield (key if w else n24 * shift), c
+
+
 def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Exact truncated product; cap = min(a.cap + b.min, b.cap + a.min)."""
+    """Exact truncated product; cap = min(a.cap + b.min, b.cap + a.min).
+
+    Terms are multiplied as packed integers (Kronecker substitution).  With
+    both operands widened to the common z_den, each exponent (n24, w) of
+    width l becomes the base-R number with balanced digits
+
+        key = n24 R^l + w_1 R^(l-1) + ... + w_l,
+
+    where R = 2 (max|w| over a + max|w| over b) + 1, maxima taken after
+    widening.  The map is linear, so a product term has key k1 + k2.  Every
+    digit of a product is at most (R-1)/2 in absolute value, so the key
+    decodes uniquely, and keys order terms as (n24, w) order lexicographically.
+    Hence n24 <= cap iff key <= cap R^l + (R^l - 1)/2.  The smaller operand is
+    sorted by key once; for each term of the other, its scan stops at the
+    first partner whose sum passes that limit.  Sums that cancel are dropped
+    at once, and keys are decoded back to (n24, w) only at the end.
+    """
     lat = _join_lattice(a, b)
     width = lat.rank if lat is not None else 0
     d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
@@ -210,21 +259,38 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     char = None
     if a.character_d is not None and b.character_d is not None:
         char = (a.character_d + b.character_d) % 24
+    half = (max((abs(x) for _, w in a.terms for x in w), default=0) * sa
+            + max((abs(x) for _, w in b.terms for x in w), default=0) * sb)
+    radix = 2 * half + 1
+    shift = radix ** width
+    bias = (shift - 1) // 2
+    if len(a.terms) < len(b.terms):
+        a, b, sa, sb = b, a, sb, sa
+    inner = sorted(_packed(b, sb, radix, shift))
+    limit = cap * shift + bias
     out: dict = {}
-    bitems = [((n, _widen(w, sb, width)), c) for (n, w), c in b.terms.items()]
-    for (n1, w1), c1 in a.terms.items():
-        w1 = _widen(w1, sa, width)
-        for (n2, w2), c2 in bitems:
-            n = n1 + n2
-            if n > cap:
-                continue
-            key = (n, tuple(x + y for x, y in zip(w1, w2)))
+    for k1, c1 in _packed(a, sa, radix, shift):
+        stop = limit - k1
+        for k2, c2 in inner:
+            if k2 > stop:
+                break
+            key = k1 + k2
             v = out.get(key, 0) + c1 * c2
             if v:
                 out[key] = v
-            elif key in out:
+            else:
                 del out[key]
-    return FourierSeries(lat, d, out, cap, character_d=char)
+    terms = {}
+    for key, c in out.items():
+        # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
+        n24, rest = divmod(key + bias, shift)
+        w = [0] * width
+        for i in range(width - 1, -1, -1):
+            rest, digit = divmod(rest, radix)
+            w[i] = digit - half
+        terms[(n24, tuple(w))] = c
+    del out  # free the packed terms before the constructor copies the decoded ones
+    return FourierSeries(lat, d, terms, cap, character_d=char)
 
 
 def add(a: FourierSeries, b: FourierSeries) -> FourierSeries:
@@ -284,26 +350,29 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
 
 def heat_apply(s: FourierSeries) -> FourierSeries:
     """Multiply each term by n - (l, l)/2; coefficients become exact rationals."""
+    form, den = s._norm_form()
     out = {}
     for (n24, w), c in s.terms.items():
-        factor = Q(n24, 24) - s.norm_of(w) / 2
-        out[(n24, w)] = factor * c
+        # n - (l, l)/2 = (n24 D - 12 w^T M w) / (24 D), see _norm_form.
+        out[(n24, w)] = Q(n24 * den - 12 * _quad(form, w), 24 * den) * c
     return FourierSeries(s.lattice, s.z_den, out, s.n24_max, s.character_d)
 
 
 def check_holomorphic(s: FourierSeries) -> list[tuple[int, tuple, Q]]:
     """Terms violating 2n >= (l, l), as (n24, w, deficit) sorted; empty if none."""
+    form, den = s._norm_form()
     bad = []
-    for (n24, w), _ in s.terms.items():
-        deficit = Q(n24, 12) - s.norm_of(w)
-        if deficit < 0:
-            bad.append((n24, w, deficit))
+    for (n24, w) in s.terms:
+        gap = n24 * den - 12 * _quad(form, w)  # 12 D (2n - (l, l))
+        if gap < 0:
+            bad.append((n24, w, Q(gap, 12 * den)))
     return sorted(bad)
 
 
 def check_singular_support(s: FourierSeries) -> bool:
     """True iff every stored term sits on the singular shell 2n = (l, l)."""
-    return all(Q(n24, 12) == s.norm_of(w) for (n24, w), _ in s.terms.items())
+    form, den = s._norm_form()
+    return all(n24 * den == 12 * _quad(form, w) for (n24, w) in s.terms)
 
 
 def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:

@@ -5,18 +5,29 @@ The oracle below multiplies out the corresponding infinite product directly,
 factor by factor, sharing no code with the implementation.  Likewise the
 pentagonal-number eta coefficients are compared against a naive expansion of
 prod (1 - q^n).
+
+multiply works on packed integer keys; reference_multiply below is the plain
+pairwise product on (n24, w) tuples, and the two must agree term for term.
+The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
+they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
+test-local inverse.
 """
 
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from eustar import qseries
 from eustar.lattice import InputError, Lattice
 from eustar.qseries import (DEFAULT_ORDER, FourierSeries, add,
                             check_antisymmetry, check_holomorphic,
                             check_singular_support, dump_series, eta_power,
                             heat_apply, multiply, reflect_series, theta_block,
                             theta_factor)
+from eustar.rootsys import build_star, catalog
 from eustar.star import EutacticStar, support_set
 
 
@@ -255,3 +266,189 @@ def test_dump_series_frozen(a1_star):
 
 def test_default_order():
     assert DEFAULT_ORDER == 480
+
+
+def reference_multiply(a, b):
+    """Pairwise truncated product: every pair of terms, keys (n24, w) tuples."""
+    lat = a.lattice if a.lattice is not None else b.lattice
+    width = lat.rank if lat is not None else 0
+    d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
+    sa, sb = d // a.z_den, d // b.z_den
+    cap = min(a.n24_max + b.min_n24, b.n24_max + a.min_n24)
+    char = None
+    if a.character_d is not None and b.character_d is not None:
+        char = (a.character_d + b.character_d) % 24
+
+    def widen(w, scale):
+        return tuple(x * scale for x in w) if w else (0,) * width
+
+    out = {}
+    for (n1, w1), c1 in a.terms.items():
+        for (n2, w2), c2 in b.terms.items():
+            if n1 + n2 <= cap:
+                key = (n1 + n2, tuple(x + y for x, y in zip(widen(w1, sa), widen(w2, sb))))
+                out[key] = out.get(key, 0) + c1 * c2
+    return FourierSeries(lat, d, out, cap, character_d=char)
+
+
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def random_series(draw, lat):
+    width = lat.rank if lat is not None else 0
+    char = draw(st.one_of(st.none(), st.integers(0, 23)))
+    if char is None:
+        n24s = st.integers(-30, 200)
+    else:
+        n24s = st.integers(-2, 8).map(lambda j: char + 24 * j)
+    ws = st.tuples(*[st.integers(-40, 40)] * width)
+    terms = draw(st.dictionaries(st.tuples(n24s, ws), COEFFS, max_size=12))
+    ns = sorted(n for n, _ in terms)
+    # A cap inside the drawn exponents cuts the series, and the product, midway.
+    cap = draw(st.integers(ns[0], ns[-1]) if ns else n24s)
+    return FourierSeries(lat, draw(st.sampled_from([1, 2, 3, 6])), terms, cap, char)
+
+
+def mirrored(s):
+    """s(q, -z): each odd-z term of s * mirrored(s) cancels to zero."""
+    return FourierSeries(s.lattice, s.z_den,
+                         {(n, w): c * (-1) ** sum(w) for (n, w), c in s.terms.items()},
+                         s.n24_max, s.character_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_multiply_matches_pairwise_reference(data):
+    width = data.draw(st.integers(0, 3))
+    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
+    a = data.draw(random_series(lat))
+    if data.draw(st.booleans()):
+        b = mirrored(a)
+    else:
+        # Either operand may be lattice-free (w = ()) next to a lattice series.
+        b = data.draw(random_series(None if data.draw(st.booleans()) else lat))
+    if data.draw(st.booleans()):
+        a = data.draw(random_series(None))
+    want = reference_multiply(a, b)
+    for got in (multiply(a, b), multiply(b, a)):
+        assert got.terms == want.terms
+        assert (got.z_den, got.n24_max, got.character_d) == \
+            (want.z_den, want.n24_max, want.character_d)
+        assert got.lattice is want.lattice
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_theta_block_matches_pairwise_reference(label, monkeypatch):
+    star = build_star(catalog(label))
+    block = theta_block(star, n24_max=240)
+    monkeypatch.setattr(qseries, "multiply", reference_multiply)
+    want = theta_block(star, n24_max=240)
+    assert block.terms == want.terms
+    assert (block.z_den, block.n24_max, block.character_d) == \
+        (want.z_den, want.n24_max, want.character_d)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "A3"])
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_theta_block_metamorphic_order_and_signs(label, data):
+    # Each theta factor is odd in z, so negating k vectors scales by (-1)^k.
+    # Reordering changes the caps of the intermediate products, not the block.
+    star = build_star(catalog(label))
+    block = theta_block(star, n24_max=240)
+    order = data.draw(st.permutations(range(star.size)))
+    flips = data.draw(st.lists(st.booleans(), min_size=star.size, max_size=star.size))
+    vectors = [tuple(-x for x in star.vectors[j]) if flips[j] else star.vectors[j]
+               for j in order]
+    moved = theta_block(EutacticStar(star.lattice, vectors), n24_max=240)
+    sign = (-1) ** sum(flips)
+    assert moved.terms == {k: sign * c for k, c in block.terms.items()}
+    assert (moved.z_den, moved.n24_max, moved.character_d) == \
+        (block.z_den, block.n24_max, block.character_d)
+
+
+def test_a3_product_chain_sizes_pinned(monkeypatch):
+    # Output sizes of eta^-3 * theta_1 * ... * theta_6 at order 720: a change
+    # to truncation or to the factor order shows up here as a count.
+    sizes = []
+
+    def counting(a, b):
+        out = multiply(a, b)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(qseries, "multiply", counting)
+    block = theta_block(build_star(catalog("A3")), n24_max=720)
+    assert sizes == [312, 2872, 24072, 27996, 51110, 2928]
+    assert len(block.terms) == 2928
+
+
+def fraction_inverse(m):
+    """Gauss-Jordan inverse over Fraction of a nonsingular square matrix."""
+    n = len(m)
+    rows = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+@st.composite
+def non_unimodular_lattice(draw):
+    rank = draw(st.integers(1, 3))
+    g = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        g[i][i] = draw(st.integers(1, 9))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    try:
+        lat = Lattice(g)
+    except InputError:
+        assume(False)
+    inv = fraction_inverse(g)
+    # det G = 1 iff every entry of G^-1 is an integer (Cramer's rule, G integral).
+    assume(any(x.denominator != 1 for row in inv for x in row))
+    return lat, inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_unimodular_lattice(), st.data())
+def test_norm_checks_match_fraction_reference(lat_inv, data):
+    lat, inv = lat_inv
+    n = lat.rank
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * n)),
+        COEFFS, max_size=10))
+    s = FourierSeries(lat, data.draw(st.integers(1, 6)), terms, 100)
+
+    def norm(w, z_den):
+        return sum(Q(w[i]) * inv[i][j] * w[j] for i in range(n) for j in range(n)) / z_den ** 2
+
+    for _, w in s.terms:
+        assert s.norm_of(w) == norm(w, s.z_den)
+    assert heat_apply(s).terms == {
+        (n24, w): (Q(n24, 24) - norm(w, s.z_den) / 2) * c
+        for (n24, w), c in s.terms.items() if Q(n24, 24) != norm(w, s.z_den) / 2}
+    assert check_holomorphic(s) == sorted(
+        (n24, w, Q(n24, 12) - norm(w, s.z_den)) for (n24, w) in s.terms
+        if Q(n24, 12) < norm(w, s.z_den))
+    assert check_singular_support(s) == all(
+        Q(n24, 12) == norm(w, s.z_den) for (n24, w) in s.terms)
+    # The same exponents moved onto the shell 2n = (l, l), where 12 (l, l) is
+    # an integer; dividing out a common content leaves each (l, l) unchanged.
+    shell = {(12 * norm(w, s.z_den), w): c for (_, w), c in s.terms.items()
+             if (12 * norm(w, s.z_den)).denominator == 1}
+    on = FourierSeries(lat, s.z_den, {(int(n24), w): c for (n24, w), c in shell.items()},
+                       10 ** 9)
+    assert check_singular_support(on)
+    assert check_holomorphic(on) == []
+    assert heat_apply(on).is_zero()
