@@ -7,6 +7,7 @@ rational span are coordinate tuples of Fraction relative to that fixed basis.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -65,6 +66,7 @@ class Lattice:
                     raise InputError(f"Gram entry {x!r} is not an integer")
             rows.append(tuple(Q(x) for x in row))
         self.gram: Mat = tuple(rows)
+        self._int_gram = tuple(tuple(row) for row in gram)
         for i in range(n):
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -100,8 +102,17 @@ class Lattice:
         return self._dual_gram
 
     def pairings(self, x: Sequence) -> Vec:
-        """gram @ x: the pairings of x with the basis vectors."""
-        return mat_vec(self.gram, qvec(x))
+        """gram @ x: the pairings of x with the basis vectors.
+
+        With den the lcm of x's denominators, den * x is integral, so each
+        pairing is one integer sum over den.
+        """
+        x = qvec(x)
+        if len(x) != self.rank:
+            raise ValueError(f"dimension mismatch: {self.rank} vs {len(x)}")
+        den = math.lcm(*(a.denominator for a in x))
+        xs = [a.numerator * (den // a.denominator) for a in x]
+        return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self._int_gram)
 
     def is_in_dual(self, x: Sequence) -> bool:
         """x is in the dual lattice iff all basis pairings are integers."""

@@ -49,11 +49,29 @@ def _elim(rows: list) -> tuple[list, list]:
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    if not m:
-        return 0
+    """Rank over Q: the number of positive pivots of sym_elim on a Gram matrix.
+
+    The rows are scaled to int by the lcm of their denominators, and the Gram
+    matrix of the rows (of the columns, when there are fewer of them) is PSD
+    with the same rank as m.  sym_elim takes its pivots greedily, and pivot k
+    is positive iff the vector k is independent of the earlier pivots' vectors.
+    """
     rows = [[Q(x) for x in row] for row in m]
-    _, pivots = _elim(rows)
-    return len(pivots)
+    if not rows or not rows[0]:
+        return 0
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    n = len(rows)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(rows[i], rows[j]))
+    r = sym_elim(gram)
+    if r is None:
+        raise ArithmeticError("rank: a Gram matrix is not PSD")
+    return sum(1 for k in range(n) if r[k][k] > 0)
 
 
 def invert(a: Sequence[Sequence]) -> Mat | None:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import permutations
+from operator import add, mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice
@@ -210,9 +210,15 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
 
     Checks, in order: no proper integer multiples, mutual distinctness,
     closure under the reflections x -> x - (2(v, x)/(v, v)) v, and integrality
-    of all ratios 2(x, y)/(x, x).  A passing S is decomposed into orthogonal
-    components and each component is matched against the catalog by Dynkin
-    diagram isomorphism, so the verdict is invariant under rescaling S.
+    of all ratios 2(x, y)/(x, x); the first failing pair in index order is the
+    witness.  A passing S is decomposed into orthogonal components and each
+    component is matched against the catalog by Dynkin diagram isomorphism, so
+    the verdict is invariant under rescaling S.
+
+    S is scaled to int by a common denominator, and every check runs in int:
+    only parallel vectors are compared for integer multiples, and a reflection
+    image is y - c x with c = 2(x, y)/(x, x).  The one exception is a pair with
+    c not an integer, whose image is tested in Fraction; no root system has one.
     """
     if len(S) == 0:
         raise InputError("recognize: S is empty")
@@ -228,49 +234,69 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
 
     # Clear denominators once; every later check is ratio-based, so a common
     # integer rescaling changes nothing and keeps the arithmetic in int.
-    denom = 1
-    for v in orig:
-        for x in v:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [tuple(int(x * denom) for x in v) for v in orig]
+    denom = math.lcm(*(x.denominator for v in orig for x in v))
+    scaled = [tuple(x.numerator * (denom // x.denominator) for x in v) for v in orig]
     back = {s: o for s, o in zip(scaled, orig)}
     n = len(scaled)
     g = [[int(x) for x in row] for row in lattice.gram]
     l = lattice.rank
 
-    def inner(a, b):
-        return sum(a[i] * g[i][j] * b[j] for i in range(l) for j in range(l))
+    # pair[i][j] = (v_i, v_j): one G v_j per vector, one triangle of dot products.
+    gs = [[sum(map(mul, row, v)) for row in g] for v in scaled]
+    pair = [[0] * n for _ in range(n)]
+    for i, x in enumerate(scaled):
+        row = pair[i]
+        for j in range(i + 1):
+            row[j] = pair[j][i] = sum(map(mul, x, gs[j]))
 
-    pair = [[inner(scaled[i], scaled[j]) for j in range(n)] for i in range(n)]
-
+    # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
+    # with p_i primitive and its first nonzero entry positive, so v_j is an
+    # integer multiple of v_i iff p_j = p_i and mult[i] divides mult[j].
+    mult, prim = [], []
+    lines: dict[tuple, list[int]] = {}
+    for i, v in enumerate(scaled):
+        d = math.gcd(*v)
+        if next(a for a in v if a != 0) < 0:
+            d = -d
+        mult.append(d)
+        prim.append(tuple(a // d for a in v))
+        lines.setdefault(prim[i], []).append(i)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = scaled[i], scaled[j]
-            if all(x[a] * y[b] == x[b] * y[a] for a in range(l) for b in range(a)):
-                k = next(a for a in range(l) if x[a] != 0)
-                if y[k] % x[k] == 0 and abs(y[k] // x[k]) >= 2 \
-                        and all(y[a] == (y[k] // x[k]) * x[a] for a in range(l)):
-                    return _fail("integer-multiple", (S[i], S[j]))
+        a = mult[i]
+        for j in lines[prim[i]]:
+            b = mult[j]
+            if j != i and b % a == 0 and abs(b // a) >= 2:
+                return _fail("integer-multiple", (S[i], S[j]))
     seen: dict[tuple, int] = {}
     for i, v in enumerate(scaled):
         if v in seen:
             return _fail("distinct", (S[seen[v]], S[i]))
         seen[v] = i
     sset = set(scaled)
-    for i in range(n):
+    integral = True
+    for i, x in enumerate(scaled):
         nii = pair[i][i]
-        for j in range(n):
-            c = Q(2 * pair[i][j], nii)
-            img = tuple(Q(scaled[j][a]) - c * scaled[i][a] for a in range(l))
-            if any(x.denominator != 1 for x in img) or \
-                    tuple(int(x) for x in img) not in sset:
+        for j, y in enumerate(scaled):
+            t = 2 * pair[i][j]
+            if t == 0:
+                continue
+            c, r = divmod(t, nii)
+            if r == 0:
+                if tuple([b - c * a for a, b in zip(x, y)]) in sset:
+                    continue
                 return _fail("reflection-closure", (S[i], S[j]))
-    for i in range(n):
-        for j in range(n):
-            if (2 * pair[i][j]) % pair[i][i] != 0:
-                return _fail("cartan-integrality", (S[i], S[j]))
+            integral = False
+            q = Q(t, nii)
+            img = tuple(Q(b) - q * a for a, b in zip(x, y))
+            if any(z.denominator != 1 for z in img) or \
+                    tuple(int(z) for z in img) not in sset:
+                return _fail("reflection-closure", (S[i], S[j]))
+    # Unless some pair took the Fraction path, every 2(x, y)/(x, x) was an integer.
+    if not integral:
+        for i in range(n):
+            for j in range(n):
+                if (2 * pair[i][j]) % pair[i][i] != 0:
+                    return _fail("cartan-integrality", (S[i], S[j]))
 
     # Orthogonal components.
     comp = list(range(n))
@@ -300,15 +326,16 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     sums = set()
     for a in pos_set:
         for b in pos_set:
-            sums.add(tuple(a[k] + b[k] for k in range(l)))
+            sums.add(tuple(map(add, a, b)))
     simple = [i for i in positive if scaled[i] not in sums]
 
     components = []
     for root_ids in groups.values():
-        simp = [i for i in simple if i in set(root_ids)]
+        ids = set(root_ids)
+        simp = [i for i in simple if i in ids]
         r = len(simp)
-        span_rank = rank([qvec(scaled[i]) for i in root_ids])
-        if r != span_rank or rank([qvec(scaled[i]) for i in simp]) != r:
+        span_rank = rank([scaled[i] for i in root_ids])
+        if r != span_rank or rank([scaled[i] for i in simp]) != r:
             return _fail("simple-system", tuple(S[i] for i in simp))
         a = [[2 * pair[x][y] // pair[y][y] for y in simp] for x in simp]
         if any(a[p][q] > 0 for p in range(r) for q in range(r) if p != q):
@@ -327,23 +354,40 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
 
 
 def _match_type(a: list[list[int]], n_roots: int) -> str | None:
-    """Match a simple-root Cartan matrix against the catalog diagrams."""
+    """Match a simple-root Cartan matrix against the catalog diagrams.
+
+    The Cartan matrix is compared with each diagram of its rank, by a profile
+    of its edges and then by isomorphism, before any catalog entry is built:
+    only the entry of the matching label is, for its root count.
+    """
     r = len(a)
+
+    def profile(m):
+        return sorted(sorted((m[i][j], m[j][i]) for j in range(r) if j != i and m[i][j])
+                      for i in range(r))
+
+    def isomorphic(ref, perm):
+        # Extend perm (a[perm[i]][perm[j]] == ref[i][j] so far) to all of range(r).
+        i = len(perm)
+        if i == r:
+            return True
+        for p in range(r):
+            if p not in perm and a[p][p] == ref[i][i] and \
+                    all(a[p][q] == ref[i][j] and a[q][p] == ref[j][i]
+                        for j, q in enumerate(perm)):
+                perm.append(p)
+                if isomorphic(ref, perm):
+                    return True
+                perm.pop()
+        return False
+
+    prof = profile(a)
     for lab in catalog_labels():
         family, rk = parse_label(lab)
         if rk != r:
             continue
-        desc = catalog(lab)
-        if 2 * len(desc.positive_roots) != n_roots:
-            continue
-        ref = desc.cartan
-        prof = sorted(sorted((a[i][j], a[j][i]) for j in range(r) if j != i and a[i][j])
-                      for i in range(r))
-        ref_prof = sorted(sorted((ref[i][j], ref[j][i]) for j in range(r)
-                                 if j != i and ref[i][j]) for i in range(r))
-        if prof != ref_prof:
-            continue
-        for perm in permutations(range(r)):
-            if all(a[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r)):
-                return lab
+        ref = cartan_matrix_for(family, rk)
+        if profile(ref) == prof and isomorphic(ref, []) \
+                and 2 * len(catalog(lab).positive_roots) == n_roots:
+            return lab
     return None

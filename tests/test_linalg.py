@@ -41,10 +41,56 @@ def test_qvec_and_dot():
     assert dot((), ()) == 0
 
 
+def gauss_jordan_rank(m):
+    """Rank by Gauss-Jordan elimination over Fraction: a reference that shares
+    no code with eustar.linalg."""
+    rows = [[Q(x) for x in row] for row in m]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def test_rank():
     assert rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank(identity(4)) == 4
+    assert rank([]) == 0 and rank([[]]) == 0
+
+
+def test_rank_rational_rows():
+    m = [[Q(1, 2), Q(-1, 3), 0], [Q(2, 5), 1, Q(-7, 4)], [Q(1, 6), Q(1, 6), Q(1, 6)]]
+    assert rank(m) == gauss_jordan_rank(m) == 3
+    m = [[Q(1, 2), Q(1, 3)], [Q(3, 4), Q(1, 2)], [Q(-1, 6), Q(-1, 9)]]  # one line
+    assert rank(m) == gauss_jordan_rank(m) == 1
+
+
+def test_rank_dependent_rows():
+    a, b = [Q(1, 3), 2, 0, Q(-5, 2)], [0, Q(1, 7), 1, 1]
+    m = [a, b, [x + 2 * y for x, y in zip(a, b)], [Q(3, 2) * x - y for x, y in zip(a, b)]]
+    assert rank(m) == gauss_jordan_rank(m) == 2
+    assert rank(transpose(m)) == 2
+
+
+def test_rank_matches_gauss_jordan():
+    rng = random.Random(13)
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = [[Q(rng.randrange(-3, 4), rng.choice((1, 2, 3, 5))) for _ in range(ncols)]
+             for _ in range(nrows)]
+        for _ in range(rng.randrange(3)):  # append combinations of earlier rows
+            u, v = rng.choice(m), rng.choice(m)
+            c = Q(rng.randrange(-2, 3), rng.choice((1, 3)))
+            m.append([x + c * y for x, y in zip(u, v)])
+        assert rank(m) == gauss_jordan_rank(m), m
 
 
 def test_invert():

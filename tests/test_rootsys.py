@@ -9,6 +9,8 @@ tables below are the independent cross-check.
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eustar import rootsys
 from eustar.lattice import InputError, InternalError, Lattice
@@ -16,6 +18,8 @@ from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
                             cartan_matrix, catalog, catalog_labels,
                             parse_label, recognize)
 from eustar.star import is_eutactic, support_set
+
+from test_linalg import det, gauss_jordan_rank
 
 
 def classical_dual_coxeter(family, n):
@@ -194,3 +198,135 @@ def test_report_truthiness():
     bad = RecognitionReport(ok=False, label=None, components=[],
                             failure={"axiom": "distinct", "witness": ()})
     assert ok and not bad
+
+
+def reference_failure(S, gram):
+    """The four axiom checks of recognize, in order, in Fraction form.
+
+    A reference that shares no code with recognize: the first failing pair in
+    index order, as {"axiom": ..., "witness": ...}, or None if S passes all four.
+    """
+    vs = [tuple(Q(x) for x in v) for v in S]
+    l, n = len(gram), len(vs)
+
+    def ip(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(l) for j in range(l))
+
+    def fail(axiom, i, j):
+        return {"axiom": axiom, "witness": (S[i], S[j])}
+
+    for i, x in enumerate(vs):
+        k = next(a for a in range(l) if x[a] != 0)
+        for j, y in enumerate(vs):
+            c = y[k] / x[k]
+            if j != i and c.denominator == 1 and abs(c) >= 2 \
+                    and all(y[a] == c * x[a] for a in range(l)):
+                return fail("integer-multiple", i, j)
+    for j in range(n):
+        if vs[j] in vs[:j]:
+            return fail("distinct", vs.index(vs[j]), j)
+    for i, x in enumerate(vs):
+        for j, y in enumerate(vs):
+            c = 2 * ip(x, y) / ip(x, x)
+            if tuple(y[a] - c * x[a] for a in range(l)) not in vs:
+                return fail("reflection-closure", i, j)
+    for i, x in enumerate(vs):
+        for j, y in enumerate(vs):
+            if (2 * ip(x, y) / ip(x, x)).denominator != 1:
+                return fail("cartan-integrality", i, j)
+    return None
+
+
+@st.composite
+def supports(draw):
+    """A rank 1-3 positive definite, non-unimodular Gram and a rational S = -S,
+    with perhaps a multiple c v of one vector and a duplicate, shuffled."""
+    l = draw(st.integers(1, 3))
+    gram = [[0] * l for _ in range(l)]
+    for i in range(l):
+        gram[i][i] = draw(st.integers(1, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+    minors = [det([row[:k] for row in gram[:k]]) for k in range(1, l + 1)]
+    assume(all(m > 0 for m in minors) and minors[-1] != 1)
+    entry = st.builds(Q, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    vector = st.tuples(*[entry] * l).filter(any)
+    S = []
+    for v in draw(st.lists(vector, min_size=1, max_size=4)):
+        for w in (v, tuple(-x for x in v)):
+            if w not in S:
+                S.append(w)
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((Q(2), Q(-2), Q(3), Q(1, 2), Q(2, 3))))
+        v = tuple(c * x for x in draw(st.sampled_from(S)))
+        S += [v, tuple(-x for x in v)]
+    if draw(st.booleans()):
+        S.append(draw(st.sampled_from(S)))
+    return gram, draw(st.permutations(S))
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports())
+def test_recognize_matches_fraction_reference(case):
+    """recognize reports the same first failing axiom and witness as the
+    Fraction reference, and labels exactly the supports that pass it: their
+    components' root counts and ranks add up to those of S."""
+    gram, S = case
+    report = recognize(S, Lattice(gram))
+    expected = reference_failure(S, gram)
+    if expected is not None:
+        assert not report.ok and report.label is None
+        assert report.failure == expected
+        return
+    assert report.ok and report.failure is None
+    labels = report.label.split(" x ")
+    assert labels == [c["label"] for c in report.components]
+    assert sum(2 * len(catalog(lab).positive_roots) for lab in labels) == len(S)
+    assert sum(parse_label(lab)[1] for lab in labels) == gauss_jordan_rank(S)
+
+
+def test_match_type_builds_only_the_returned_entry():
+    # D8 has E8's edge profile (degrees 1, 1, 1, 2, 2, 2, 2, 3), but it is not
+    # isomorphic to E8, so its catalog entry must not be built.
+    star = build_star(catalog("E8"))
+    support, _ = support_set(star)
+    catalog.cache_clear()
+    try:
+        assert recognize(support, star.lattice).label == "E8"
+        assert catalog.cache_info().misses == 1
+    finally:
+        catalog.cache_clear()
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_recognize_label_invariant_under_basis_change(label, data):
+    """A unimodular basis change (G' = P^T G P, v' = P^-1 v) and a shuffle of S
+    keep the label.  P is a signed permutation times up to four elementary
+    matrices I + c e_ij."""
+    star = build_star(catalog(label))
+    support, _ = support_set(star)
+    l = star.lattice.rank
+    perm = data.draw(st.permutations(range(l)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
+    P = [[signs[j] if i == perm[j] else 0 for j in range(l)] for i in range(l)]
+    P_inv = [list(col) for col in zip(*P)]  # P^-1 = P^T for a signed permutation
+    if l > 1:
+        pairs = [(i, j) for i in range(l) for j in range(l) if i != j]
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.sampled_from(pairs))
+            c = data.draw(st.sampled_from((1, -1)))
+            for row in P:  # P <- P (I + c e_ij)
+                row[j] += c * row[i]
+            # P^-1 <- (I - c e_ij) P^-1
+            P_inv[i] = [x - c * y for x, y in zip(P_inv[i], P_inv[j])]
+    assert [[sum(P[i][a] * P_inv[a][j] for a in range(l)) for j in range(l)]
+            for i in range(l)] == [[int(i == j) for j in range(l)] for i in range(l)]
+    g = star.lattice.gram
+    gram = [[int(sum(P[a][i] * g[a][b] * P[b][j] for a in range(l) for b in range(l)))
+             for j in range(l)] for i in range(l)]
+    moved = [tuple(sum(P_inv[i][a] * v[a] for a in range(l)) for i in range(l))
+             for v in data.draw(st.permutations(support))]
+    report = recognize(moved, Lattice(gram))
+    assert report.ok and report.label == label
