@@ -21,6 +21,8 @@ the search runs over the classes k mod U Z^l:
 
   * rows I: l pairing rows with U_I nonsingular and |det U_I| small (a greedy
     rank pass, then exchanges while one lowers |det U_I|; 1 for root stars);
+    U_I^-1 is taken as (U_I^T U_I)^-1 U_I^T, so the only inverse computed is
+    that of a positive definite Gram matrix, through its LDL^T;
   * k_I runs over the |det U_I| representatives of Z^l / U_I Z^l, read off the
     Hermite normal form diagonal; each class has exactly one k with k_I there;
   * with k_I fixed, q is the positive definite form A = P_JJ on the other
@@ -43,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
@@ -60,6 +63,9 @@ def b_eval(x) -> Q:
 def deficiency(star: EutacticStar, x: Sequence) -> Q:
     """sum_j B(u_j . x), evaluated exactly."""
     x = qvec(x)
+    if len(x) != star.lattice.rank:
+        raise InputError(f"deficiency: x has length {len(x)}, "
+                         f"expected {star.lattice.rank}")
     return sum((b_eval(sum(c * xi for c, xi in zip(u, x))) for u in star.pairings), Q(0))
 
 
@@ -81,6 +87,17 @@ class ExtremalityCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _inverse(u: Sequence[Sequence[int]]) -> list[list[Q]]:
+    """U^-1 = (U^T U)^-1 U^T for a nonsingular square integer matrix U."""
+    l = len(u)
+    g = invert([[sum(r[a] * r[b] for r in u) for b in range(l)] for a in range(l)])
+    if g is None:
+        raise InternalError("rows I of the pairing matrix are dependent")
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    gs = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+    return [[Q(sum(map(mul, gs[a], row)), den) for row in u] for a in range(l)]
+
+
 def _pick_rows(U: Sequence[Sequence[int]], l: int) -> list[int]:
     """Indices of l rows of U with U_I nonsingular and |det U_I| small."""
     rows: list[int] = []
@@ -90,7 +107,7 @@ def _pick_rows(U: Sequence[Sequence[int]], l: int) -> list[int]:
         if rank([U[i] for i in rows] + [U[j]]) > len(rows):
             rows.append(j)
     while True:
-        inv = invert([U[i] for i in rows])
+        inv = _inverse([U[i] for i in rows])
         # Swapping row a of U_I for row j scales det U_I by (U_j U_I^-1)_a.
         best = None
         for j in range(len(U)):
@@ -157,7 +174,7 @@ def min_deficiency(star: EutacticStar) -> tuple[Q, Vec, int]:
     if factor is None:
         raise InternalError("P restricted to the coordinates J is not positive definite")
     d, m = factor
-    inv_I = invert([U[i] for i in I])
+    inv_I = _inverse([U[i] for i in I])
     C = [[sum(U[j][c] * inv_I[c][b] for c in range(l)) for b in range(l)] for j in J]
 
     best: tuple[Q, Vec] | None = None

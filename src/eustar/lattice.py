@@ -11,7 +11,7 @@ import math
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import Mat, Vec, dot, invert, mat_vec, qvec, sym_elim
+from .linalg import Mat, Vec, dot, invert, qvec, sym_elim
 
 
 class InputError(ValueError):
@@ -54,7 +54,6 @@ class Lattice:
     """Z^l with an integer symmetric positive definite Gram matrix."""
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = []
         n = len(gram)
         if n == 0:
             raise InputError("empty Gram matrix")
@@ -64,15 +63,13 @@ class Lattice:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InputError(f"Gram entry {x!r} is not an integer")
-            rows.append(tuple(Q(x) for x in row))
-        self.gram: Mat = tuple(rows)
-        self._int_gram = tuple(tuple(row) for row in gram)
+        self.gram: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in gram)
         for i in range(n):
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise InputError(f"Gram matrix is not symmetric at ({i},{j})")
         # Positive definite iff every pivot (a leading principal minor) is > 0.
-        pivots = sym_elim(gram)
+        pivots = sym_elim(self.gram)
         if pivots is None or any(pivots[k][k] == 0 for k in range(n)):
             raise InputError("Gram matrix is not positive definite")
         self.rank = n
@@ -85,12 +82,11 @@ class Lattice:
         return hash(self.gram)
 
     def __repr__(self) -> str:
-        rows = [[int(x) for x in row] for row in self.gram]
-        return f"Lattice({rows})"
+        return f"Lattice({[list(row) for row in self.gram]})"
 
     def inner(self, x: Sequence, y: Sequence) -> Q:
         """(x, y) = x^T gram y."""
-        return dot(qvec(x), mat_vec(self.gram, qvec(y)))
+        return dot(qvec(x), self.pairings(y))
 
     def dual_gram(self) -> Mat:
         """Exact inverse of the Gram matrix (Gram of the dual basis)."""
@@ -112,25 +108,10 @@ class Lattice:
             raise ValueError(f"dimension mismatch: {self.rank} vs {len(x)}")
         den = math.lcm(*(a.denominator for a in x))
         xs = [a.numerator * (den // a.denominator) for a in x]
-        return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self._int_gram)
-
-    def is_in_dual(self, x: Sequence) -> bool:
-        """x is in the dual lattice iff all basis pairings are integers."""
-        return all(p.denominator == 1 for p in self.pairings(x))
-
-    def is_in_shadow(self, x: Sequence) -> bool:
-        """Shadow membership: (x, y) - (y, y)/2 in Z for every lattice y.
-
-        y -> (x, y) - (y, y)/2 is additive mod Z (the cross term (y, y') is an
-        integer on an integral lattice), so checking the basis vectors suffices:
-        (gram x)_i - gram_ii / 2 in Z for all i.
-        """
-        px = self.pairings(x)
-        return all((px[i] - Q(self.gram[i][i], 2)).denominator == 1
-                   for i in range(self.rank))
+        return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self.gram)
 
     def to_json_dict(self) -> dict:
-        return {"gram": [[int(x) for x in row] for row in self.gram]}
+        return {"gram": [list(row) for row in self.gram]}
 
 
 def lattice_from_json_dict(data) -> Lattice:
@@ -149,7 +130,3 @@ def load_lattice(path: str) -> Lattice:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read lattice file {path}: {exc}") from None
     return lattice_from_json_dict(data)
-
-
-def dump_lattice(lat: Lattice) -> str:
-    return json.dumps(lat.to_json_dict(), sort_keys=True)

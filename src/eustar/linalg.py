@@ -1,4 +1,11 @@
-"""Small exact linear algebra over Fraction and int: what the rest of the package needs."""
+"""Small exact linear algebra over Fraction and int: what the rest of the package needs.
+
+There is one elimination over Q, the fraction-free symmetric kernel
+``sym_elim``.  ``rank`` (of a Gram matrix of the rows), ``ldl`` (the square
+completion of a positive definite form) and ``invert`` (through ``ldl``) are
+read off it.  ``hnf_diagonal`` is the one other reduction: integer column
+operations, for a set of coset representatives.
+"""
 
 from __future__ import annotations
 
@@ -18,34 +25,6 @@ def dot(u: Sequence, v: Sequence) -> Q:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
-def _elim(rows: list) -> tuple[list, list]:
-    """Row-reduce in place; return (reduced rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -72,17 +51,6 @@ def rank(m: Sequence[Sequence]) -> int:
     if r is None:
         raise ArithmeticError("rank: a Gram matrix is not PSD")
     return sum(1 for k in range(n) if r[k][k] > 0)
-
-
-def invert(a: Sequence[Sequence]) -> Mat | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(a)
-    rows = [[Q(x) for x in row] + [Q(1) if j == i else Q(0) for j in range(n)]
-            for i, row in enumerate(a)]
-    rows, pivots = _elim(rows)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
 def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
@@ -125,15 +93,40 @@ def ldl(a: Sequence[Sequence]) -> tuple[Vec, Mat] | None:
     d[i] = r[i][i] / (r[i-1][i-1] den) and m[i][j] = r[i][j] / r[i][i].
     """
     q = [[Q(x) for x in row] for row in a]
+    n = len(q)
+    # sym_elim reads the upper triangle only, so an asymmetric a would be
+    # factored as a different matrix.
+    if any(len(row) != n for row in q) or \
+            any(q[i][j] != q[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("ldl expects a symmetric matrix")
     den = math.lcm(*(x.denominator for row in q for x in row))
     r = sym_elim([[int(x * den) for x in row] for row in q])
-    n = len(q)
     if r is None or any(r[i][i] == 0 for i in range(n)):
         return None
     d = tuple(Q(r[i][i], (r[i - 1][i - 1] if i else 1) * den) for i in range(n))
     m = tuple(tuple(Q(1) if j == i else Q(r[i][j], r[i][i]) if j > i else Q(0)
                     for j in range(n)) for i in range(n))
     return d, m
+
+
+def invert(a: Sequence[Sequence]) -> Mat | None:
+    """Inverse of a symmetric matrix, or None if it is not positive definite.
+
+    ldl gives a = m^T diag(d) m with m unit upper triangular, so
+    a^-1 = w diag(d)^-1 w^T for w = m^-1, which is unit upper triangular too
+    and comes from one back substitution.
+    """
+    factor = ldl(a)
+    if factor is None:
+        return None
+    d, m = factor
+    n = len(d)
+    w = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            w[i][j] = -sum((m[i][k] * w[k][j] for k in range(i + 1, j + 1)), Q(0))
+    return tuple(tuple(sum((w[i][k] * w[j][k] / d[k] for k in range(max(i, j), n)), Q(0))
+                       for j in range(n)) for i in range(n))
 
 
 def hnf_diagonal(m: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice
-from .linalg import Mat, Vec, invert, qvec, rank
+from .linalg import Mat, qvec, rank
 from .star import EutacticStar
 
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
@@ -155,9 +155,8 @@ def build_P_lattice(desc: RootSystemDescriptor) -> Lattice:
     n = desc.rank
     pgram = [[sum(r[i] * r[j] for r in desc.positive_roots) for j in range(n)]
              for i in range(n)]
-    minv = invert(desc.norm_gram)
-    if minv is None or any(pgram[i][j] != desc.dual_coxeter * minv[i][j]
-                           for i in range(n) for j in range(n)):
+    if any(sum(pgram[i][k] * desc.norm_gram[k][j] for k in range(n))
+           != (desc.dual_coxeter if i == j else 0) for i in range(n) for j in range(n)):
         raise InternalError(f"{desc.label}: sum of r r^T over the positive roots "
                             "is not h M^-1")
     return Lattice(pgram)
@@ -224,6 +223,9 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
         raise InputError("recognize: S is empty")
     orig = [qvec(v) for v in S]
     for j, v in enumerate(orig):
+        if len(v) != lattice.rank:
+            raise InputError(f"recognize: vector {j} has length {len(v)}, "
+                             f"expected {lattice.rank}")
         if all(x == 0 for x in v):
             raise InputError(f"recognize: vector {j} is zero")
     oset = set(orig)
@@ -238,7 +240,7 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     scaled = [tuple(x.numerator * (denom // x.denominator) for x in v) for v in orig]
     back = {s: o for s, o in zip(scaled, orig)}
     n = len(scaled)
-    g = [[int(x) for x in row] for row in lattice.gram]
+    g = lattice.gram
     l = lattice.rank
 
     # pair[i][j] = (v_i, v_j): one G v_j per vector, one triangle of dot products.

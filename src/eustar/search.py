@@ -42,7 +42,7 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
     without it, every distinct multiset of pairing vectors (sign variants
     expanded).  max_n aborts enumeration once any branch needs more vectors.
     """
-    g = [[int(x) for x in row] for row in lattice.gram]
+    g = lattice.gram
     l = lattice.rank
     bound = [math.isqrt(g[i][i]) for i in range(l)]
     alphabet = []

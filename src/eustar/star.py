@@ -82,6 +82,9 @@ def embed(star: EutacticStar, x: Sequence) -> Vec:
 def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
     """Number of star vectors lying on the line through v (v nonzero)."""
     v = qvec(v)
+    if len(v) != star.lattice.rank:
+        raise InputError(f"divisor_multiplicity: v has length {len(v)}, "
+                         f"expected {star.lattice.rank}")
     if all(x == 0 for x in v):
         raise InputError("divisor_multiplicity: v must be nonzero")
     count = 0

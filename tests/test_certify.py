@@ -31,11 +31,12 @@ from eustar import certify
 from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
                             deficiency, min_deficiency)
 from eustar.lattice import InputError, InternalError, Lattice
-from eustar.rootsys import build_star, catalog
+from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
 from eustar.star import EutacticStar, load_star
 
 from conftest import rational_point
+from test_linalg import det, gauss_jordan_inverse
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -199,6 +200,38 @@ LEAVES = {"G2": 12, "A3": 6, "B3": 24, "A4": 24, "two_vector": 1,
 def test_leaf_count_pinned(name):
     star = load_star(str(BENCH_INPUTS / f"{name}.star.json"))
     assert certify_extremal(star).cells_examined == LEAVES[name]
+
+
+@pytest.mark.parametrize("label", catalog_labels(8))
+def test_pick_rows_unimodular_on_catalog(label):
+    # |det U_I| = 1 iff U_I^-1 is integral; the inverse is the test's own.
+    star = build_star(catalog(label))
+    rows = certify._pick_rows(star.pairings, star.lattice.rank)
+    inv = gauss_jordan_inverse([star.pairings[i] for i in rows])
+    assert inv is not None and all(x.denominator == 1 for row in inv for x in row)
+
+
+# (rows I, |det U_I|) that _pick_rows returns for each star of enumerate_stars
+# on a weight lattice, in enumeration order.  The rows fix the order of the
+# coset search; a new way of computing U_I^-1 must choose the same ones.  On
+# G2 the exchange loop runs: star 1 has greedy rows [0, 1] with |det| 4.
+PICKED_ROWS = {
+    "G2": [([0, 1], 4), ([1, 2], 2), ([1, 3], 2), ([1, 2], 1), ([1, 2], 2), ([1, 5], 1),
+           ([0, 3], 2), ([0, 2], 2), ([1, 2], 1), ([0, 2], 1), ([0, 1], 1), ([0, 1], 1),
+           ([0, 1], 1), ([0, 3], 2), ([0, 2], 2), ([0, 2], 1), ([0, 1], 1), ([0, 1], 1),
+           ([0, 1], 2), ([1, 5], 1), ([0, 6], 2), ([0, 5], 1), ([0, 5], 1), ([0, 4], 1)],
+    "A3": [([0, 1, 2], 4), ([0, 1, 3], 2), ([0, 2, 3], 2), ([0, 1, 2], 1),
+           ([0, 2, 3], 2)],
+}
+
+
+@pytest.mark.parametrize("label", sorted(PICKED_ROWS))
+def test_pick_rows_pinned_on_weight_lattices(label):
+    got = []
+    for star in enumerate_stars(build_P_lattice(catalog(label))):
+        rows = certify._pick_rows(star.pairings, star.lattice.rank)
+        got.append((rows, abs(det([star.pairings[i] for i in rows]))))
+    assert got == PICKED_ROWS[label]
 
 
 def _gram(draw):

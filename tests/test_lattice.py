@@ -1,14 +1,15 @@
-"""Lattice construction, rational parsing, dual and shadow membership."""
+"""Lattice construction, rational parsing, the dual Gram matrix, JSON."""
 
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from eustar import lattice
-from eustar.lattice import (InputError, InternalError, Lattice, dump_lattice,
-                            format_rational, format_vector, lattice_from_json_dict,
-                            load_lattice, parse_rational, parse_vector)
+from eustar.lattice import (InputError, InternalError, Lattice, format_rational,
+                            format_vector, lattice_from_json_dict, load_lattice,
+                            parse_rational, parse_vector)
 
 
 def test_parse_rational():
@@ -66,24 +67,6 @@ def test_inner_and_dual():
     assert lat.inner((1, 0), (0, 1)) == 1
     assert lat.dual_gram() == ((Q(2, 3), Q(-1, 3)), (Q(-1, 3), Q(2, 3)))
     assert lat.pairings((Q(1, 3), Q(1, 3))) == (1, 1)
-    assert lat.is_in_dual((Q(1, 3), Q(1, 3)))
-    assert not lat.is_in_dual((Q(1, 2), Q(0)))
-
-
-def test_shadow_even_lattice_equals_dual():
-    lat = Lattice([[2, 1], [1, 2]])
-    for v in [(Q(1, 3), Q(1, 3)), (Q(2, 3), Q(-1, 3)), (1, 0)]:
-        assert lat.is_in_shadow(v) == lat.is_in_dual(v)
-
-
-def test_shadow_odd_lattice():
-    # On Z with x.y = xy the shadow is Z + 1/2, a coset of the dual.
-    lat = Lattice([[1]])
-    assert lat.is_in_dual((0,))
-    assert not lat.is_in_shadow((0,))
-    assert lat.is_in_shadow((Q(1, 2),))
-    assert lat.is_in_shadow((Q(-3, 2),))
-    assert not lat.is_in_shadow((Q(1, 3),))
 
 
 def test_lattice_equality_and_repr():
@@ -96,7 +79,7 @@ def test_lattice_equality_and_repr():
 
 def test_json_round_trip(tmp_path):
     lat = Lattice([[4, 1], [1, 4]])
-    text = dump_lattice(lat)
+    text = json.dumps(lat.to_json_dict())
     assert lattice_from_json_dict(json.loads(text)) == lat
     path = tmp_path / "lat.json"
     path.write_text(text)
@@ -121,3 +104,33 @@ def test_dual_gram_inverse_check(monkeypatch):
     monkeypatch.setattr(lattice, "invert", lambda m: None)
     with pytest.raises(InternalError):
         Lattice([[2, 1], [1, 2]]).dual_gram()
+
+
+def test_dual_gram_under_unimodular_change_of_basis():
+    # Lattice(B^T G B) has dual Gram B^-1 G^-1 B^-T.  B and B^-1 are built
+    # together from elementary operations, so no inverse is computed here.
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randrange(1, 5)
+        c = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        g = [[sum(r[i] * r[j] for r in c) + (i == j) for j in range(n)] for i in range(n)]
+        b = [[int(i == j) for j in range(n)] for i in range(n)]
+        b_inv = [row[:] for row in b]
+        for _ in range(rng.randrange(6) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice((1, -1, 2, -2))
+            for row in b:  # B <- B (I + f e_ij)
+                row[j] += f * row[i]
+            b_inv[i] = [x - f * y for x, y in zip(b_inv[i], b_inv[j])]
+        if rng.random() < 0.5:
+            k = rng.randrange(n)  # a sign flip of one basis vector
+            for row in b:
+                row[k] = -row[k]
+            b_inv[k] = [-x for x in b_inv[k]]
+        moved = [[sum(b[p][i] * g[p][q] * b[q][j] for p in range(n) for q in range(n))
+                  for j in range(n)] for i in range(n)]
+        d = Lattice(g).dual_gram()
+        expect = tuple(tuple(sum(b_inv[i][p] * d[p][q] * b_inv[j][q]
+                                 for p in range(n) for q in range(n))
+                             for j in range(n)) for i in range(n))
+        assert Lattice(moved).dual_gram() == expect

@@ -7,8 +7,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from eustar.linalg import (dot, hnf_diagonal, invert, ldl, mat_vec, qvec, rank,
-                           sym_elim)
+from eustar.linalg import dot, hnf_diagonal, invert, ldl, qvec, rank, sym_elim
 
 
 def det(m):
@@ -59,6 +58,24 @@ def gauss_jordan_rank(m):
     return r
 
 
+def gauss_jordan_inverse(m):
+    """Inverse of a square matrix by Gauss-Jordan elimination over Fraction, or
+    None if it is singular: a reference that shares no code with eustar.linalg."""
+    n = len(m)
+    rows = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def test_rank():
     assert rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
@@ -97,7 +114,13 @@ def test_invert():
     a = [[2, 1], [1, 2]]
     inv = invert(a)
     assert mat_mul(a, inv) == identity(2)
-    assert invert([[1, 1], [1, 1]]) is None
+    assert invert([[1, 1], [1, 1]]) is None  # semidefinite
+    assert invert([[1, 2], [2, 1]]) is None  # indefinite
+    assert invert([[Q(1, 2), Q(1, 3)], [Q(1, 3), 1]]) == gauss_jordan_inverse(
+        [[Q(1, 2), Q(1, 3)], [Q(1, 3), 1]])
+    assert invert(()) == ()
+    with pytest.raises(ValueError):
+        invert([[2, 1], [0, 2]])  # not symmetric
 
 
 def test_det():
@@ -159,16 +182,20 @@ def test_sym_elim_pivots_are_leading_minors():
 
 def test_random_inverse_consistency():
     rng = random.Random(7)
-    for _ in range(25):
+    singular = 0
+    for _ in range(60):
         n = rng.randrange(1, 5)
-        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+        a = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]  # B^T B
         inv = invert(a)
-        d = det(a)
-        if inv is None:
-            assert d == 0
+        if det(a) == 0:
+            singular += 1
+            assert inv is None
         else:
-            assert d != 0
+            assert inv == gauss_jordan_inverse(a)
             assert mat_mul(a, inv) == identity(n)
+    assert singular >= 10
+    assert invert([[2, 3, 0], [3, 2, 0], [0, 0, 1]]) is None  # indefinite, det -5
 
 
 def test_ldl_completes_the_square():
@@ -187,7 +214,7 @@ def test_ldl_completes_the_square():
         assert all(m[i][i] == 1 and all(m[i][j] == 0 for j in range(i))
                    for i in range(n))
         x = [rng.randrange(-5, 6) for _ in range(n)]
-        form = dot(x, mat_vec(a, x))
+        form = dot(x, [dot(row, x) for row in a])
         assert form == sum(d[i] * dot(m[i], x) ** 2 for i in range(n))
     assert ldl([[1, 2], [2, 1]]) is None  # indefinite
     assert ldl(()) == ((), ())
@@ -213,8 +240,8 @@ def test_hnf_diagonal():
         if abs(d) > 40:
             continue
         # The box prod range(h_i) holds |det| pairwise inequivalent classes.
-        inv = invert(a)
+        inv = gauss_jordan_inverse(a)
         box = list(product(*(range(x) for x in h)))
         for v, w in combinations(box, 2):
             diff = [x - y for x, y in zip(v, w)]
-            assert any(c.denominator != 1 for c in mat_vec(inv, diff))
+            assert any(dot(row, diff).denominator != 1 for row in inv)

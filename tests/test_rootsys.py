@@ -2,10 +2,11 @@
 
 The catalog derives everything from the Cartan matrices: roots by reflection
 closure, the dual Coxeter number from the proportionality of the squared-sum
-form, the weight lattice Gram from exact inversion.  The classical closed-form
-tables below are the independent cross-check.
+form, the weight lattice Gram as that squared-sum form.  The classical
+closed-form tables below are the independent cross-check.
 """
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -84,6 +85,12 @@ def test_broken_catalog_check_raises_internal_error(monkeypatch):
             catalog("B2")
     finally:
         catalog.cache_clear()
+
+
+def test_broken_weight_lattice_check_raises_internal_error():
+    desc = dataclasses.replace(catalog("A2"), dual_coxeter=4)
+    with pytest.raises(InternalError, match="is not h M"):
+        build_P_lattice(desc)
 
 
 def test_long_roots_have_norm_two():

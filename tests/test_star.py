@@ -6,7 +6,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from eustar.certify import deficiency
 from eustar.lattice import InputError, Lattice
+from eustar.rootsys import build_star, catalog, recognize
 from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, embed,
                          is_eutactic, load_star, star_from_json_dict,
                          star_from_pairings, support_set)
@@ -104,3 +106,15 @@ def test_rational_point_helper_shape():
     rng = random.Random(0)
     p = rational_point(rng, 3)
     assert len(p) == 3 and all(isinstance(x, Q) for x in p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: deficiency(build_star(catalog("A2")), (Q(1, 3),)),
+    lambda: divisor_multiplicity(build_star(catalog("A2")), (1,)),
+    lambda: recognize([(1, 0, 0), (-1, 0, 0)], Lattice([[2]])),
+    lambda: recognize([(1,), (-1,)], Lattice([[2, 1], [1, 2]])),
+], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short"])
+def test_wrong_length_vectors_rejected(call):
+    # zip would truncate a long vector and indexing would fail on a short one.
+    with pytest.raises(InputError, match="length"):
+        call()
