@@ -21,21 +21,26 @@ the search runs over the classes k mod U Z^l:
 
   * rows I: l pairing rows with U_I nonsingular and |det U_I| small (a greedy
     rank pass, then exchanges while one lowers |det U_I|; 1 for root stars);
-    U_I^-1 is taken as (U_I^T U_I)^-1 U_I^T, so the only inverse computed is
-    that of a positive definite Gram matrix, through its LDL^T;
+    U_I^-1 = V / v is taken as (U_I^T U_I)^-1 U_I^T, so the only inverse
+    computed is that of a positive definite Gram matrix;
   * k_I runs over the |det U_I| representatives of Z^l / U_I Z^l, read off the
     Hermite normal form diagonal; each class has exactly one k with k_I there;
   * with k_I fixed, q is the positive definite form A = P_JJ on the other
     N - l coordinates, centred at U_J U_I^-1 (k_I + h_I) - h_J, with no
     constant term (the Schur complement of A in P is 0, as P has rank N - l);
-    Fincke-Pohst enumeration over an exact LDL^T of A lists every k_J with
-    q <= N/12, the mean bound, which some k always meets.
+    Fincke-Pohst enumeration (Cohen, GTM 138, Alg. 2.7.5) lists every k_J
+    with q <= N/12, the mean bound, which some k always meets.
+
+The enumeration runs in int: with G^-1 = gi / g and the centre num / (2v),
+g (2v)^2 q is an integer form in k_J, completed to squares on the Bareiss rows
+of sym_elim(g A), with exact interval ends from math.isqrt and floor division.
+Leaves compare as (scaled q, witness numerators over 2g); Fraction appears
+only in the returned minimum and witness, which ``deficiency`` re-evaluates.
 
 The radius stays N/12 throughout, so the number of leaves,
 #{k mod U Z^l : q(k) <= N/12}, is a property of the star alone: it does not
 depend on the basis, the order of the vectors or their signs.  It is reported
-as ``cells_examined``.  All arithmetic is over Fraction and int; no floats are
-consulted anywhere.
+as ``cells_examined``.  No floats are consulted anywhere.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
-from .linalg import Vec, hnf_diagonal, invert, ldl, qvec, rank
+from .linalg import (Vec, clear_denominators, hnf_diagonal, invert, qvec, rank,
+                     sym_elim)
 from .star import EutacticStar, is_eutactic
 
 
@@ -87,19 +93,19 @@ class ExtremalityCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _inverse(u: Sequence[Sequence[int]]) -> list[list[Q]]:
-    """U^-1 = (U^T U)^-1 U^T for a nonsingular square integer matrix U."""
+def _inverse(u: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(V, v) with U^-1 = V / v, from (U^T U)^-1 U^T, for a nonsingular square integer U."""
     l = len(u)
     g = invert([[sum(r[a] * r[b] for r in u) for b in range(l)] for a in range(l)])
     if g is None:
         raise InternalError("rows I of the pairing matrix are dependent")
-    den = math.lcm(*(x.denominator for row in g for x in row))
-    gs = [[x.numerator * (den // x.denominator) for x in row] for row in g]
-    return [[Q(sum(map(mul, gs[a], row)), den) for row in u] for a in range(l)]
+    gs, den = clear_denominators(g)
+    return [[sum(map(mul, gs[a], row)) for row in u] for a in range(l)], den
 
 
-def _pick_rows(U: Sequence[Sequence[int]], l: int) -> list[int]:
-    """Indices of l rows of U with U_I nonsingular and |det U_I| small."""
+def _pick_rows(U: Sequence[Sequence[int]], l: int) -> tuple[list[int], list[list[int]], int]:
+    """Sorted indices I of l rows of U with U_I nonsingular and |det U_I| small,
+    and (V, v) with U_I^-1 = V / v."""
     rows: list[int] = []
     for j in range(len(U)):
         if len(rows) == l:
@@ -107,48 +113,55 @@ def _pick_rows(U: Sequence[Sequence[int]], l: int) -> list[int]:
         if rank([U[i] for i in rows] + [U[j]]) > len(rows):
             rows.append(j)
     while True:
-        inv = _inverse([U[i] for i in rows])
-        # Swapping row a of U_I for row j scales det U_I by (U_j U_I^-1)_a.
+        V, v = _inverse([U[i] for i in rows])
+        # Swapping row a of U_I for row j scales det U_I by (U_j V)_a / v.
         best = None
         for j in range(len(U)):
             if j in rows:
                 continue
             for a in range(l):
-                c = abs(sum(U[j][b] * inv[b][a] for b in range(l)))
-                if 0 < c < 1 and (best is None or c < best[0]):
+                c = abs(sum(U[j][b] * V[b][a] for b in range(l)))
+                if 0 < c < v and (best is None or c < best[0]):
                     best = (c, a, j)
         if best is None:
-            return sorted(rows)
+            # Sorting the rows of U_I permutes the columns of its inverse.
+            order = sorted(range(l), key=rows.__getitem__)
+            return [rows[a] for a in order], [[row[a] for a in order] for row in V], v
         rows[best[1]] = best[2]
 
 
-def _close_points(d: Vec, m: Sequence[Vec], center: Sequence[Q],
-                  bound: Q) -> Iterator[tuple[tuple[int, ...], Q]]:
-    """Every integer k with q(k) <= bound, with q(k), where
-    q(k) = sum_i d[i] * (y_i + sum_{j>i} m[i][j] y_j)^2 and y = k - center."""
-    n = len(d)
+def _close_points(r: Sequence[Sequence[int]], den: int, num: Sequence[int],
+                  bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every integer k with q(k) <= bound, with q(k), where q(k) = z^T A z for
+    z = den k - num, an integer positive definite A and r = sym_elim(A).
+
+    Completing the square on the Bareiss rows gives
+    q(k) = sum_i (sum_{j>=i} r[i][j] z_j)^2 / (r[i][i] r[i-1][i-1]).  With L the
+    lcm of those denominators, L q(k) = sum_i coef_i (a_i k_i - b_i)^2 where
+    a_i = den r[i][i] and b_i = r[i][i] num_i - sum_{j>i} r[i][j] z_j, all int.
+    """
+    n = len(r)
+    dens = [r[i][i] * (r[i - 1][i - 1] if i else 1) for i in range(n)]
+    L = math.lcm(*dens)
+    coef = [L // x for x in dens]
     k = [0] * n
-    y = [Q(0)] * n
+    z = [0] * n
 
-    def walk(i: int, budget: Q):
+    def walk(i: int, budget: int):
         if i < 0:
-            yield tuple(k), bound - budget
+            yield tuple(k), bound - budget // L
             return
-        c = center[i] - sum((m[i][j] * y[j] for j in range(i + 1, n)), Q(0))
-        # Integers t with d_i (t - c)^2 <= budget form an interval; s bounds its
-        # half-width from above (s + 1 > sqrt(budget / d_i)), then exact checks trim it.
-        s = math.isqrt(math.floor(budget / d[i]))
-        lo, hi = math.floor(c) - s, math.ceil(c) + s
-        while lo <= hi and d[i] * (lo - c) ** 2 > budget:
-            lo += 1
-        while hi >= lo and d[i] * (hi - c) ** 2 > budget:
-            hi -= 1
-        for t in range(lo, hi + 1):
+        row = r[i]
+        a = den * row[i]
+        b = row[i] * num[i] - sum(row[j] * z[j] for j in range(i + 1, n))
+        # coef_i (a t - b)^2 <= budget iff |a t - b| <= s, as a t - b is an int.
+        s = math.isqrt(budget // coef[i])
+        for t in range(-((s - b) // a), (b + s) // a + 1):
             k[i] = t
-            y[i] = t - center[i]
-            yield from walk(i - 1, budget - d[i] * (t - c) ** 2)
+            z[i] = den * t - num[i]
+            yield from walk(i - 1, budget - coef[i] * (a * t - b) ** 2)
 
-    yield from walk(n - 1, bound)
+    yield from walk(n - 1, L * bound)
 
 
 def min_deficiency(star: EutacticStar) -> tuple[Q, Vec, int]:
@@ -162,45 +175,44 @@ def min_deficiency(star: EutacticStar) -> tuple[Q, Vec, int]:
         raise InputError("min_deficiency requires a eutactic star")
     U = star.pairings
     N, l = star.size, star.lattice.rank
-    half = Q(1, 2)
-    ginv = star.lattice.dual_gram()
+    gi, g = clear_denominators(star.lattice.dual_gram())  # G^-1 = gi / g
 
-    I = _pick_rows(U, l)
+    I, V, v = _pick_rows(U, l)  # U_I^-1 = V / v
     J = [j for j in range(N) if j not in I]
-    g_uJ = [[sum(ginv[a][b] * U[j][b] for b in range(l)) for a in range(l)] for j in J]
-    A = [[int(a == b) - sum(U[J[a]][c] * g_uJ[b][c] for c in range(l))
-          for b in range(len(J))] for a in range(len(J))]
-    factor = ldl(A)
-    if factor is None:
+    gu = [[sum(map(mul, row, U[j])) for row in gi] for j in J]
+    # g P_JJ = g 1 - U_J gi U_J^T
+    r = sym_elim([[g * (a == b) - sum(map(mul, U[ja], gu[b])) for b in range(len(J))]
+                  for a, ja in enumerate(J)])
+    if r is None or any(r[i][i] == 0 for i in range(len(J))):
         raise InternalError("P restricted to the coordinates J is not positive definite")
-    d, m = factor
-    inv_I = _inverse([U[i] for i in I])
-    C = [[sum(U[j][c] * inv_I[c][b] for c in range(l)) for b in range(l)] for j in J]
+    C = [[sum(U[j][c] * V[c][b] for c in range(l)) for b in range(l)] for j in J]
+    # The centre is num / (2v), so q(k) = (2v k_J - num)^T (g P_JJ) (2v k_J - num)
+    # / scale, and q <= N/12 iff the integer numerator is <= N scale / 12.
+    scale = g * (2 * v) ** 2
 
-    best: tuple[Q, Vec] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     leaves = 0
-    for r in product(*(range(h) for h in hnf_diagonal([U[i] for i in I]))):
-        z_I = [ri + half for ri in r]
-        center = [sum((row[b] * z_I[b] for b in range(l)), Q(0)) - half for row in C]
-        for k_J, q in _close_points(d, m, center, Q(N, 12)):
+    for res in product(*(range(h) for h in hnf_diagonal([U[i] for i in I]))):
+        z_I = [2 * x + 1 for x in res]
+        num = [sum(map(mul, row, z_I)) - v for row in C]
+        for k_J, q in _close_points(r, 2 * v, num, N * scale // 12):
             leaves += 1
             if best is not None and q > best[0]:
                 continue
             k = [0] * N
-            for i, ki in zip(I, r):
+            for i, ki in zip(I, res):
                 k[i] = ki
             for j, kj in zip(J, k_J):
                 k[j] = kj
-            # x = G^-1 U^T (k + h); U^T (2k + 1) is integral.
+            # x = G^-1 U^T (k + h) = gi U^T (2k + 1) / (2g); keep x mod 1 as numerators.
             ut = [sum(U[j][a] * (2 * k[j] + 1) for j in range(N)) for a in range(l)]
-            x = [sum(ginv[a][b] * ut[b] for b in range(l)) / 2 for a in range(l)]
-            wit = tuple(xa - math.floor(xa) for xa in x)
+            wit = tuple(sum(map(mul, row, ut)) % (2 * g) for row in gi)
             if best is None or (q, wit) < best:
                 best = (q, wit)
 
     if best is None:
         raise InternalError("no shadow-coset point within the mean bound N/12")
-    value, wit = best[0] / 2, best[1]
+    value, wit = Q(best[0], 2 * scale), tuple(Q(x, 2 * g) for x in best[1])
     if not 0 <= value <= Q(N, 24):
         raise InternalError(f"minimum {value} outside [0, N/24]")
     if deficiency(star, wit) != value:

@@ -7,11 +7,10 @@ rational span are coordinate tuples of Fraction relative to that fixed basis.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import Mat, Vec, dot, invert, qvec, sym_elim
+from .linalg import Mat, Vec, clear_denominators, dot, invert, qvec, sym_elim
 
 
 class InputError(ValueError):
@@ -106,8 +105,7 @@ class Lattice:
         x = qvec(x)
         if len(x) != self.rank:
             raise ValueError(f"dimension mismatch: {self.rank} vs {len(x)}")
-        den = math.lcm(*(a.denominator for a in x))
-        xs = [a.numerator * (den // a.denominator) for a in x]
+        (xs,), den = clear_denominators([x])
         return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self.gram)
 
     def to_json_dict(self) -> dict:

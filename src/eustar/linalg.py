@@ -1,10 +1,12 @@
 """Small exact linear algebra over Fraction and int: what the rest of the package needs.
 
 There is one elimination over Q, the fraction-free symmetric kernel
-``sym_elim``.  ``rank`` (of a Gram matrix of the rows), ``ldl`` (the square
-completion of a positive definite form) and ``invert`` (through ``ldl``) are
-read off it.  ``hnf_diagonal`` is the one other reduction: integer column
-operations, for a set of coset representatives.
+``sym_elim``.  ``rank`` (of a Gram matrix of the rows) and ``invert`` are read
+off it; its rows also complete the square of a positive definite form in int,
+which is how ``eustar.certify`` enumerates lattice points.  A rational matrix
+reaches it through ``clear_denominators``, the one place that scales to int by
+the lcm of the denominators.  ``hnf_diagonal`` is the one other reduction:
+integer column operations, for a set of coset representatives.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ def dot(u: Sequence, v: Sequence) -> Q:
     return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
 
 
+def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(ints, den) with rows = ints / den, den the lcm of the entries' denominators."""
+    rows = [[Q(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def rank(m: Sequence[Sequence]) -> int:
     """Rank over Q: the number of positive pivots of sym_elim on a Gram matrix.
 
@@ -35,11 +44,9 @@ def rank(m: Sequence[Sequence]) -> int:
     with the same rank as m.  sym_elim takes its pivots greedily, and pivot k
     is positive iff the vector k is independent of the earlier pivots' vectors.
     """
-    rows = [[Q(x) for x in row] for row in m]
-    if not rows or not rows[0]:
+    if not m or not m[0]:
         return 0
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    rows = clear_denominators(m)[0]
     if len(rows) > len(rows[0]):
         rows = [list(col) for col in zip(*rows)]
     n = len(rows)
@@ -83,48 +90,28 @@ def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
     return rows
 
 
-def ldl(a: Sequence[Sequence]) -> tuple[Vec, Mat] | None:
-    """Upper LDL^T of a symmetric matrix, or None if it is not positive definite.
-
-    Returns (d, m) with m unit upper triangular (stored as full rows) such that
-    x^T a x = sum_i d[i] * (x_i + sum_{j>i} m[i][j] x_j)^2; every d[i] is > 0.
-    This is the square completion of Fincke-Pohst (Cohen, GTM 138, Alg. 2.7.6),
-    read off sym_elim: with a = A / den for an integer A and r = sym_elim(A),
-    d[i] = r[i][i] / (r[i-1][i-1] den) and m[i][j] = r[i][j] / r[i][i].
-    """
-    q = [[Q(x) for x in row] for row in a]
-    n = len(q)
-    # sym_elim reads the upper triangle only, so an asymmetric a would be
-    # factored as a different matrix.
-    if any(len(row) != n for row in q) or \
-            any(q[i][j] != q[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("ldl expects a symmetric matrix")
-    den = math.lcm(*(x.denominator for row in q for x in row))
-    r = sym_elim([[int(x * den) for x in row] for row in q])
-    if r is None or any(r[i][i] == 0 for i in range(n)):
-        return None
-    d = tuple(Q(r[i][i], (r[i - 1][i - 1] if i else 1) * den) for i in range(n))
-    m = tuple(tuple(Q(1) if j == i else Q(r[i][j], r[i][i]) if j > i else Q(0)
-                    for j in range(n)) for i in range(n))
-    return d, m
-
-
 def invert(a: Sequence[Sequence]) -> Mat | None:
     """Inverse of a symmetric matrix, or None if it is not positive definite.
 
-    ldl gives a = m^T diag(d) m with m unit upper triangular, so
-    a^-1 = w diag(d)^-1 w^T for w = m^-1, which is unit upper triangular too
-    and comes from one back substitution.
+    With a = A / den and r = sym_elim(A), a = m^T diag(d) m for the unit upper
+    triangular m[i][j] = r[i][j] / r[i][i] and d[i] = r[i][i] / (r[i-1][i-1] den),
+    so a^-1 = w diag(d)^-1 w^T for w = m^-1, from one back substitution.
     """
-    factor = ldl(a)
-    if factor is None:
+    n = len(a)
+    # sym_elim reads the upper triangle only, so an asymmetric a would be
+    # inverted as a different matrix.
+    if any(len(row) != n for row in a) or \
+            any(Q(a[i][j]) != Q(a[j][i]) for i in range(n) for j in range(i)):
+        raise ValueError("invert expects a symmetric matrix")
+    ints, den = clear_denominators(a)
+    r = sym_elim(ints)
+    if r is None or any(r[i][i] == 0 for i in range(n)):
         return None
-    d, m = factor
-    n = len(d)
+    d = [Q(r[i][i], (r[i - 1][i - 1] if i else 1) * den) for i in range(n)]
     w = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            w[i][j] = -sum((m[i][k] * w[k][j] for k in range(i + 1, j + 1)), Q(0))
+            w[i][j] = -sum((Q(r[i][k], r[i][i]) * w[k][j] for k in range(i + 1, j + 1)), Q(0))
     return tuple(tuple(sum((w[i][k] * w[j][k] / d[k] for k in range(max(i, j), n)), Q(0))
                        for j in range(n)) for i in range(n))
 

@@ -34,7 +34,7 @@ from fractions import Fraction as Q
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice, format_rational
-from .linalg import qvec
+from .linalg import clear_denominators, qvec
 from .star import EutacticStar, is_eutactic
 
 DEFAULT_ORDER = 480
@@ -114,10 +114,8 @@ class FourierSeries:
         """
         if self.lattice is None:
             return [], 1
-        dg = self.lattice.dual_gram()
-        e = math.lcm(*(x.denominator for row in dg for x in row))
-        return ([[x.numerator * (e // x.denominator) for x in row] for row in dg],
-                e * self.z_den ** 2)
+        m, e = clear_denominators(self.lattice.dual_gram())
+        return m, e * self.z_den ** 2
 
     def trimmed(self, n24_max: int) -> "FourierSeries":
         if n24_max > self.n24_max:

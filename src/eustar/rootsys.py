@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice
-from .linalg import Mat, qvec, rank
+from .linalg import Mat, clear_denominators, qvec, rank
 from .star import EutacticStar
 
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
@@ -236,8 +236,7 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
 
     # Clear denominators once; every later check is ratio-based, so a common
     # integer rescaling changes nothing and keeps the arithmetic in int.
-    denom = math.lcm(*(x.denominator for v in orig for x in v))
-    scaled = [tuple(x.numerator * (denom // x.denominator) for x in v) for v in orig]
+    scaled = [tuple(v) for v in clear_denominators(orig)[0]]
     back = {s: o for s, o in zip(scaled, orig)}
     n = len(scaled)
     g = lattice.gram

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 from typing import Sequence
 
 from .lattice import (InputError, Lattice, format_vector, lattice_from_json_dict,
                       parse_vector)
-from .linalg import Vec, dot, qvec
+from .linalg import Vec, clear_denominators, dot, qvec
 
 
 class EutacticStar:
@@ -138,6 +139,6 @@ def dump_star(star: EutacticStar) -> str:
 
 def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
     """Build the star whose pairing vectors are the given integer tuples."""
-    dual = lattice.dual_gram()
-    vectors = [tuple(dot(row, qvec(u)) for row in dual) for u in pairings]
+    gi, g = clear_denominators(lattice.dual_gram())  # G^-1 = gi / g
+    vectors = [tuple(Q(sum(map(mul, row, u)), g) for row in gi) for u in pairings]
     return EutacticStar(lattice, vectors)

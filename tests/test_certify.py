@@ -31,6 +31,7 @@ from eustar import certify
 from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
                             deficiency, min_deficiency)
 from eustar.lattice import InputError, InternalError, Lattice
+from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
 from eustar.star import EutacticStar, load_star
@@ -206,7 +207,7 @@ def test_leaf_count_pinned(name):
 def test_pick_rows_unimodular_on_catalog(label):
     # |det U_I| = 1 iff U_I^-1 is integral; the inverse is the test's own.
     star = build_star(catalog(label))
-    rows = certify._pick_rows(star.pairings, star.lattice.rank)
+    rows = certify._pick_rows(star.pairings, star.lattice.rank)[0]
     inv = gauss_jordan_inverse([star.pairings[i] for i in rows])
     assert inv is not None and all(x.denominator == 1 for row in inv for x in row)
 
@@ -229,9 +230,53 @@ PICKED_ROWS = {
 def test_pick_rows_pinned_on_weight_lattices(label):
     got = []
     for star in enumerate_stars(build_P_lattice(catalog(label))):
-        rows = certify._pick_rows(star.pairings, star.lattice.rank)
+        rows = certify._pick_rows(star.pairings, star.lattice.rank)[0]
         got.append((rows, abs(det([star.pairings[i] for i in rows]))))
     assert got == PICKED_ROWS[label]
+
+
+@pytest.mark.parametrize("label", sorted(PICKED_ROWS))
+def test_pick_rows_inverse_follows_sorted_rows(label):
+    # _pick_rows sorts I after the exchanges, so the columns of V must follow.
+    for star in enumerate_stars(build_P_lattice(catalog(label))):
+        rows, V, v = certify._pick_rows(star.pairings, star.lattice.rank)
+        assert rows == sorted(rows)
+        inv = gauss_jordan_inverse([star.pairings[i] for i in rows])
+        assert tuple(tuple(Q(x, v) for x in row) for row in V) == inv
+
+
+def _form_value(A, den, num, k):
+    z = [den * ki - ni for ki, ni in zip(k, num)]
+    return sum(z[i] * A[i][j] * z[j] for i in range(len(z)) for j in range(len(z)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_close_points_matches_box(data):
+    """_close_points lists exactly the k with q(k) = z^T A z <= bound, z = den k - num.
+    The bound is q(k0) for a drawn k0, so at least one point lies on it."""
+    n = data.draw(st.integers(1, 3))
+    entries = st.integers(-2, 2)
+    b = [[data.draw(entries) for _ in range(n)] for _ in range(n + 1)]
+    diag = [data.draw(st.integers(0, 2)) for _ in range(n)]
+    A = [[sum(r[i] * r[j] for r in b) + diag[i] * (i == j) for j in range(n)]
+         for i in range(n)]
+    assume(det(A) > 0)
+    den = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
+    num = [data.draw(st.integers(-2 * den, 2 * den)) for _ in range(n)]
+    k0 = tuple(round(Q(x, den)) + data.draw(st.integers(-1, 1)) for x in num)
+    bound = _form_value(A, den, num, k0)
+    # Over z^T A z <= bound, |z_i| <= sqrt(bound (A^-1)_ii): a box that holds every point.
+    inv = gauss_jordan_inverse(A)
+    box = []
+    for i in range(n):
+        s = math.isqrt(math.ceil(bound * inv[i][i])) + 1
+        box.append(range((num[i] - s) // den, (num[i] + s) // den + 2))
+    want = {(k, q) for k in product(*box) if (q := _form_value(A, den, num, k)) <= bound}
+    got = list(certify._close_points(sym_elim(A), den, num, bound))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert (k0, bound) in want
 
 
 def _gram(draw):

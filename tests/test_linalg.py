@@ -7,7 +7,8 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from eustar.linalg import dot, hnf_diagonal, invert, ldl, qvec, rank, sym_elim
+from eustar.linalg import (clear_denominators, dot, hnf_diagonal, invert, qvec, rank,
+                           sym_elim)
 
 
 def det(m):
@@ -198,26 +199,36 @@ def test_random_inverse_consistency():
     assert invert([[2, 3, 0], [3, 2, 0], [0, 0, 1]]) is None  # indefinite, det -5
 
 
+def test_clear_denominators():
+    assert clear_denominators([[Q(1, 2), Q(-1, 3)], [2, "3/4"]]) == ([[6, -4], [24, 9]], 12)
+    assert clear_denominators([[1, -2]]) == ([[1, -2]], 1)
+    assert clear_denominators([]) == ([], 1)
+
+
 def test_ldl_completes_the_square():
+    # The LDL^T square completion eustar.certify enumerates on, read off the
+    # Bareiss rows: with (A, den) from clear_denominators and r = sym_elim(A),
+    # a positive definite A has
+    # x^T A x = sum_i (sum_{j>=i} r[i][j] x_j)^2 / (r[i][i] r[i-1][i-1]).
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randrange(1, 5)
         b = [[Q(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
              for _ in range(n + 1)]
         a = mat_mul(transpose(b), b)  # positive semidefinite, rational
-        fact = ldl(a)
+        A, den = clear_denominators(a)
+        assert tuple(tuple(Q(x, den) for x in row) for row in A) == a
+        r = sym_elim(A)
         if det(a) == 0:
-            assert fact is None
+            assert r is None or any(r[i][i] == 0 for i in range(n))
             continue
-        d, m = fact
-        assert all(x > 0 for x in d)
-        assert all(m[i][i] == 1 and all(m[i][j] == 0 for j in range(i))
-                   for i in range(n))
+        assert all(r[i][i] > 0 for i in range(n))
         x = [rng.randrange(-5, 6) for _ in range(n)]
-        form = dot(x, [dot(row, x) for row in a])
-        assert form == sum(d[i] * dot(m[i], x) ** 2 for i in range(n))
-    assert ldl([[1, 2], [2, 1]]) is None  # indefinite
-    assert ldl(()) == ((), ())
+        form = dot(x, [dot(row, x) for row in A])
+        assert form == sum(Q(dot(r[i][i:], x[i:]) ** 2, r[i][i] * (r[i - 1][i - 1] if i else 1))
+                           for i in range(n))
+    assert sym_elim([[1, 2], [2, 1]]) is None  # indefinite
+    assert sym_elim([]) == []
 
 
 def test_hnf_diagonal():

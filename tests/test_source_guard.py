@@ -3,7 +3,8 @@
 Verdicts are computed with int and Fraction only, and runtime invariants are
 checks that raise, because ``python -O`` strips ``assert``.  So no module
 under src/eustar may hold an assert statement, a float literal or a call to
-float.
+float.  Every module-level import outside ``__init__.py`` (which re-exports)
+must be used, so a helper that stops needing a module drops its import.
 """
 
 import ast
@@ -33,3 +34,23 @@ def test_sources_found():
 def test_no_assert_or_float(path):
     found = list(_violations(ast.parse(path.read_text(), filename=str(path))))
     assert not found, f"{path.name}: {found}"
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_used(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name}: unused imports {unused}"
