@@ -7,12 +7,14 @@ vector l whose pairing with a lattice point x is (w . x)/z_den, so the norm
 (l, l) is w^T dual_gram w / z_den^2.  A series is exact for all n24 up to
 n24_max: terms above the cap are unknown, absent terms at or below it are zero.
 Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
-truncation error can first appear.  multiply packs each exponent (n24, w)
-into one integer whose order is the (n24, w) order, so a product term costs
-one integer addition and each scan over partners stops at the cap; see its
-docstring.  The heat, holomorphy and singular-shell checks evaluate (l, l)
-with the integer matrix e * dual_gram (e the lcm of its denominators) and
-build at most one Fraction per term.
+truncation error can first appear.  One packed-key kernel computes every
+product, of two series (multiply) or of a whole theta block: one radix for
+every partial product, one integer addition per pair of terms, scans that
+stop at the cap, one decode at the end; see multiply.  A block puts the
+dense q-only eta power last, so no partial product carries its terms.  The
+heat, holomorphy and singular-shell checks evaluate (l, l) with the integer
+matrix e * dual_gram (e the lcm of its denominators) and build at most one
+Fraction per term; reflections map exponents in int over one denominator.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
 variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
@@ -34,7 +36,7 @@ from fractions import Fraction as Q
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice, format_rational
-from .linalg import clear_denominators, qvec
+from .linalg import clear_denominators
 from .star import EutacticStar, is_eutactic
 
 DEFAULT_ORDER = 480
@@ -203,14 +205,14 @@ def _quad(form: list[list[int]], w: Sequence[int]) -> int:
     return sum(x * sum(m * y for m, y in zip(row, w)) for x, row in zip(w, form))
 
 
-def _join_lattice(a: FourierSeries, b: FourierSeries) -> Lattice | None:
-    if a.lattice is None:
-        return b.lattice
-    if b.lattice is None:
-        return a.lattice
-    if a.lattice != b.lattice:
-        raise InputError("series live on different lattices")
-    return a.lattice
+def _join_lattice(*series: FourierSeries) -> Lattice | None:
+    lat = None
+    for s in series:
+        if lat is None:
+            lat = s.lattice
+        elif s.lattice is not None and s.lattice != lat:
+            raise InputError("series live on different lattices")
+    return lat
 
 
 def _widen(w: tuple, scale: int, width: int) -> tuple:
@@ -234,50 +236,63 @@ def _packed(s: FourierSeries, scale: int, radix: int, shift: int):
 def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     """Exact truncated product; cap = min(a.cap + b.min, b.cap + a.min).
 
-    Terms are multiplied as packed integers (Kronecker substitution).  With
-    both operands widened to the common z_den, each exponent (n24, w) of
-    width l becomes the base-R number with balanced digits
+    This is the product kernel on two operands, the larger one outer.  The
+    kernel multiplies a list of series as packed integers (Kronecker
+    substitution).  With every operand widened once to the common z_den,
+    each exponent (n24, w) of width l becomes the base-R number with balanced
+    digits
 
         key = n24 R^l + w_1 R^(l-1) + ... + w_l,
 
-    where R = 2 (max|w| over a + max|w| over b) + 1, maxima taken after
-    widening.  The map is linear, so a product term has key k1 + k2.  Every
-    digit of a product is at most (R-1)/2 in absolute value, so the key
-    decodes uniquely, and keys order terms as (n24, w) order lexicographically.
-    Hence n24 <= cap iff key <= cap R^l + (R^l - 1)/2.  The smaller operand is
-    sorted by key once; for each term of the other, its scan stops at the
-    first partner whose sum passes that limit.  Sums that cancel are dropped
-    at once, and keys are decoded back to (n24, w) only at the end.
+    with one radix R = 2 (sum over operands of max|w|) + 1, maxima taken
+    after widening.  The map is linear, so a product term has key k1 + k2.
+    Every digit of every partial product is at most (R-1)/2 in absolute
+    value, so keys decode uniquely, and they order terms as (n24, w) order
+    lexicographically.  Hence n24 <= cap iff key <= cap R^l + (R^l - 1)/2.
+    The kernel folds left: each operand is packed once, and the next one is
+    sorted by key as the inner list, so each scan stops at the first partner
+    past the step's cap.  The caps follow the rule above with the running
+    min taken as the sum of the operands' mins, a lower bound, so each cap
+    is sound.  Sums that cancel are dropped at once, and keys are decoded to
+    (n24, w), into one FourierSeries, only at the end.
     """
-    lat = _join_lattice(a, b)
+    return _product([a, b] if len(a.terms) >= len(b.terms) else [b, a])
+
+
+def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
+    """The truncated product of the factors, folded left on packed keys; see multiply."""
+    lat = _join_lattice(*factors)
     width = lat.rank if lat is not None else 0
-    d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
-    sa, sb = d // a.z_den, d // b.z_den
-    cap = min(a.n24_max + b.min_n24, b.n24_max + a.min_n24)
-    char = None
-    if a.character_d is not None and b.character_d is not None:
-        char = (a.character_d + b.character_d) % 24
-    half = (max((abs(x) for _, w in a.terms for x in w), default=0) * sa
-            + max((abs(x) for _, w in b.terms for x in w), default=0) * sb)
+    d = math.lcm(*(s.z_den for s in factors))
+    scales = [d // s.z_den for s in factors]
+    half = sum(max((abs(x) for _, w in s.terms for x in w), default=0) * scale
+               for s, scale in zip(factors, scales))
     radix = 2 * half + 1
     shift = radix ** width
     bias = (shift - 1) // 2
-    if len(a.terms) < len(b.terms):
-        a, b, sa, sb = b, a, sb, sa
-    inner = sorted(_packed(b, sb, radix, shift))
-    limit = cap * shift + bias
-    out: dict = {}
-    for k1, c1 in _packed(a, sa, radix, shift):
-        stop = limit - k1
-        for k2, c2 in inner:
-            if k2 > stop:
-                break
-            key = k1 + k2
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+    chars = [s.character_d for s in factors]
+    char = None if None in chars else sum(chars) % 24
+    first = factors[0]
+    cap, low = first.n24_max, first.min_n24
+    out = dict(_packed(first, scales[0], radix, shift))
+    for s, scale in zip(factors[1:], scales[1:]):
+        cap = min(cap + s.min_n24, s.n24_max + low)
+        low += s.min_n24
+        inner = sorted(_packed(s, scale, radix, shift))
+        limit = cap * shift + bias
+        outer, out = out, {}
+        for k1, c1 in outer.items():
+            stop = limit - k1
+            for k2, c2 in inner:
+                if k2 > stop:
+                    break
+                key = k1 + k2
+                v = out.get(key, 0) + c1 * c2
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        del outer
     terms = {}
     for key, c in out.items():
         # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
@@ -324,20 +339,17 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
     if not is_eutactic(star):
         warnings.warn("theta_block of a non-eutactic star", RuntimeWarning, stacklevel=2)
     n = star.size
-    mins = [3] * n + [eta_exponent - n]
-    total_min = sum(mins)
+    eta_min = eta_exponent - n
+    total_min = 3 * n + eta_min
     want = total_min % 24
     if n24_max < total_min:
         # Every term has n24 >= total_min, so the block is exactly 0 this far.
         return FourierSeries(star.lattice, 1, {}, n24_max, character_d=want)
-    series = eta_power(eta_exponent - n, n24_max - (total_min - mins[-1]))
-    running_min = mins[-1]
-    remaining = 3 * n
-    for j in range(n):
-        remaining -= 3
-        factor = theta_factor(star, j, n24_max - (running_min + remaining))
-        series = multiply(series, factor)
-        running_min += 3
+    # A factor of lowest exponent m is needed to n24_max - (total_min - m).
+    # The dense q-only eta power goes last, so no partial product carries it.
+    factors = [theta_factor(star, j, n24_max - total_min + 3) for j in range(n)]
+    factors.append(eta_power(eta_min, n24_max - total_min + eta_min))
+    series = _product(factors)
     if series.n24_max < n24_max:
         raise InternalError(f"product exact only to n24 {series.n24_max} < {n24_max}")
     out = series.trimmed(n24_max)
@@ -374,29 +386,22 @@ def check_singular_support(s: FourierSeries) -> bool:
 
 
 def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:
-    """Pull the series back along the reflection through v's orthogonal wall."""
+    """Pull the series back along the reflection through v's orthogonal wall.
+
+    With a = e v and b = e G v in int for one common e, the image of w is
+    ((a . b) w - 2 (a . w) b) / (a . b), so every image shares one denominator.
+    """
     if s.lattice is None:
         raise InputError("reflect_series needs a lattice-bearing series")
-    v = qvec(v)
-    vv = s.lattice.inner(v, v)
-    if vv == 0:
+    (a, b), _ = clear_denominators([v, s.lattice.pairings(v)])
+    ab = sum(x * y for x, y in zip(a, b))
+    if ab == 0:
         raise InputError("reflect_series: v must be nonzero")
-    gv = s.lattice.pairings(v)
     new = {}
-    den = s.z_den
-    images = {}
     for (n24, w), c in s.terms.items():
-        c_v = 2 * sum(Q(a) * b for a, b in zip(v, w)) / vv  # 2 (v, l) z_den / (v, v)
-        img = tuple(Q(w[i]) - c_v * gv[i] for i in range(len(w)))
-        images[(n24, w)] = img
-        for x in img:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    scale = den // s.z_den
-    for (n24, w), c in s.terms.items():
-        img = images[(n24, w)]
-        key = (n24, tuple(int(x * scale) for x in img))
-        new[key] = new.get(key, 0) + c
-    return FourierSeries(s.lattice, den, new, s.n24_max, s.character_d)
+        t = 2 * sum(x * y for x, y in zip(a, w))
+        new[(n24, tuple(ab * x - t * y for x, y in zip(w, b)))] = c
+    return FourierSeries(s.lattice, ab * s.z_den, new, s.n24_max, s.character_d)
 
 
 def check_antisymmetry(s: FourierSeries, v: Sequence) -> bool:

@@ -8,11 +8,14 @@ prod (1 - q^n).
 
 multiply works on packed integer keys; reference_multiply below is the plain
 pairwise product on (n24, w) tuples, and the two must agree term for term.
+theta_block runs the same packed kernel over all its factors, eta last; its
+reference is an eta-first fold of reference_multiply.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
 test-local inverse.
 """
 
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -339,15 +342,62 @@ def test_multiply_matches_pairwise_reference(data):
         assert got.lattice is want.lattice
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
-def test_theta_block_matches_pairwise_reference(label, monkeypatch):
+def eta_first_fold(star, n24_max, eta_exponent, mul):
+    """eta^(eta_exponent - N) * theta_1 * ... * theta_N, folded left by mul.
+
+    Eta goes first, and each factor is taken to n24_max minus the lowest
+    exponents of the others.  Returns the product and the size of each
+    partial product.
+    """
+    n = star.size
+    total_min = 2 * n + eta_exponent
+    series = eta_power(eta_exponent - n, n24_max - 3 * n)
+    sizes = []
+    for j in range(n):
+        series = mul(series, theta_factor(star, j, n24_max - total_min + 3))
+        sizes.append(len(series.terms))
+    return series, sizes
+
+
+ETA_EXPONENTS = {"rank": lambda star: star.lattice.rank, "zero": lambda star: 0,
+                 "N": lambda star: star.size, "N+3": lambda star: star.size + 3}
+
+
+@pytest.mark.parametrize("label, eta", [
+    pytest.param(label, eta, id=label if eta == "rank" else f"{label}-{eta}")
+    for label in ("A2", "B2", "G2", "A3") for eta in ETA_EXPONENTS])
+def test_theta_block_matches_pairwise_reference(label, eta):
+    # theta_block multiplies eta last in one packed product; the reference is
+    # the pairwise product on (n24, w) tuples, folded with eta first.
     star = build_star(catalog(label))
-    block = theta_block(star, n24_max=240)
-    monkeypatch.setattr(qseries, "multiply", reference_multiply)
-    want = theta_block(star, n24_max=240)
+    eta_exponent = ETA_EXPONENTS[eta](star)
+    block = theta_block(star, eta_exponent=eta_exponent, n24_max=240)
+    want, _ = eta_first_fold(star, 240, eta_exponent, reference_multiply)
+    assert want.n24_max >= 240
+    want = want.trimmed(240)
     assert block.terms == want.terms
     assert (block.z_den, block.n24_max, block.character_d) == \
         (want.z_den, want.n24_max, want.character_d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_kernel_matches_pairwise_fold(data):
+    # The kernel's running min is the sum of the operands' mins, a lower bound
+    # on the partial product's, so its cap may sit below the fold's.  Up to
+    # that cap the two agree term for term.
+    width = data.draw(st.integers(0, 2))
+    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
+    factors = [data.draw(random_series(None if data.draw(st.booleans()) else lat))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    got = qseries._product(factors)
+    want = factors[0]
+    for s in factors[1:]:
+        want = reference_multiply(want, s)
+    assert got.n24_max <= want.n24_max
+    want = want.trimmed(got.n24_max)
+    assert got.terms == want.terms
+    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "A3"])
@@ -369,20 +419,45 @@ def test_theta_block_metamorphic_order_and_signs(label, data):
         (block.z_den, block.n24_max, block.character_d)
 
 
-def test_a3_product_chain_sizes_pinned(monkeypatch):
-    # Output sizes of eta^-3 * theta_1 * ... * theta_6 at order 720: a change
-    # to truncation or to the factor order shows up here as a count.
-    sizes = []
-
-    def counting(a, b):
-        out = multiply(a, b)
-        sizes.append(len(out.terms))
-        return out
-
-    monkeypatch.setattr(qseries, "multiply", counting)
-    block = theta_block(build_star(catalog("A3")), n24_max=720)
+def test_a3_product_chain_sizes_pinned():
+    # Output sizes of eta^-3 * theta_1 * ... * theta_6 at order 720, folded
+    # with eta first through multiply: a change to truncation shows up here
+    # as a count.  theta_block multiplies eta last; both orders must give the
+    # same block.
+    star = build_star(catalog("A3"))
+    series, sizes = eta_first_fold(star, 720, star.lattice.rank, multiply)
     assert sizes == [312, 2872, 24072, 27996, 51110, 2928]
-    assert len(block.terms) == 2928
+    block = theta_block(star, n24_max=720)
+    assert series.terms == block.terms
+    assert (series.z_den, series.n24_max, series.character_d) == \
+        (block.z_den, block.n24_max, block.character_d)
+
+
+def test_a3_eta_last_chain_sizes_pinned():
+    # theta_block's own order, theta_1 ... theta_6 then eta^-3 at order 720.
+    # The kernel on the first k factors stops at the fold's k-th partial
+    # product, cap included, so each prefix gives one step's size.
+    star = build_star(catalog("A3"))
+    total_min = 3 * 6 - 3
+    factors = [theta_factor(star, j, 720 - total_min + 3) for j in range(6)]
+    factors.append(eta_power(-3, 720 - total_min - 3))
+    steps = [qseries._product(factors[:k]) for k in range(2, 8)]
+    assert [len(s.terms) for s in steps] == [188, 1904, 11832, 32772, 13536, 2928]
+    assert steps[-1].n24_max == 720
+    assert steps[-1].terms == theta_block(star, n24_max=720).terms
+
+
+@pytest.mark.parametrize("label, order, size, z_den, digest", [
+    ("A3", 720, 2928, 2, "736a040e1712196aa21c98ab4a4a714c9e0529e5c9ea347885ebc08889bc8da0"),
+    ("B3", 480, 2352, 2, "3c7997f11dce4fa683a1f11b88080b0e12cde1db472ec7707fc3fa1309363850"),
+    ("G2", 1440, 648, 1, "579b4e041f22020a1ec5d3b61dc574466985da176aa34b15d8bf38fbdd7b7b33"),
+], ids=["A3@720", "B3@480", "G2@1440"])
+def test_theta_block_dump_digest_frozen(label, order, size, z_den, digest):
+    # Frozen sha256 of the dumps, recorded from an eta-first fold of pairwise
+    # products: the factor order must not change a byte.
+    block = theta_block(build_star(catalog(label)), n24_max=order)
+    assert (len(block.terms), block.z_den) == (size, z_den)
+    assert hashlib.sha256(dump_series(block).encode()).hexdigest() == digest
 
 
 def fraction_inverse(m):
@@ -452,3 +527,36 @@ def test_norm_checks_match_fraction_reference(lat_inv, data):
     assert check_singular_support(on)
     assert check_holomorphic(on) == []
     assert heat_apply(on).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_unimodular_lattice(), st.data())
+def test_reflect_series_matches_fraction_reference(lat_inv, data):
+    # l -> l - 2 (l, v)/(v, v) v on rational exponents w / z_den, where v has
+    # pairings G v.  Denominators of the images may share factors with z_den.
+    lat, _ = lat_inv
+    n = lat.rank
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * n)),
+        COEFFS, min_size=1, max_size=10))
+    s = FourierSeries(lat, data.draw(st.sampled_from([1, 2, 3, 6])), terms, 100)
+    v = data.draw(st.tuples(*[st.integers(-2, 2).map(Q) | st.fractions(-2, 2, max_denominator=3)]
+                            * n).filter(any))
+    gv = [sum(Q(g) * x for g, x in zip(row, v)) for row in lat.gram]
+    vv = sum(x * y for x, y in zip(v, gv))
+    want = {}
+    for (n24, w), c in s.terms.items():
+        t = 2 * sum(Q(x, s.z_den) * y for x, y in zip(w, v)) / vv
+        want[(n24, tuple(Q(x, s.z_den) - t * y for x, y in zip(w, gv)))] = c
+    image = reflect_series(s, v)
+    assert {(n24, tuple(Q(x, image.z_den) for x in w)): c
+            for (n24, w), c in image.terms.items()} == want
+    back = reflect_series(image, v)
+    assert (back.terms, back.z_den) == (s.terms, s.z_den)
+
+
+def test_reflect_series_fractional_image():
+    # G = diag(1, 2), v = (1, 1): w = (1, 0) over 3 maps to (1/3, -4/3) over 3.
+    s = FourierSeries(Lattice([[1, 0], [0, 2]]), 3, {(0, (1, 0)): 1}, 10)
+    image = reflect_series(s, (1, 1))
+    assert (image.z_den, image.terms) == (9, {(0, (1, -4)): 1})
