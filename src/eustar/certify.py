@@ -54,8 +54,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
-from .linalg import (Vec, clear_denominators, hnf_diagonal, invert, qvec, rank,
-                     sym_elim)
+from .linalg import Vec, hnf_diagonal, invert, qvec, rank, sym_elim
 from .star import EutacticStar, is_eutactic
 
 
@@ -94,13 +93,13 @@ class ExtremalityCertificate:
 
 
 def _inverse(u: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(V, v) with U^-1 = V / v, from (U^T U)^-1 U^T, for a nonsingular square integer U."""
+    """(V, v) with U^-1 = V / v = (U^T U)^-1 U^T, for a nonsingular square integer U."""
     l = len(u)
-    g = invert([[sum(r[a] * r[b] for r in u) for b in range(l)] for a in range(l)])
-    if g is None:
+    inv = invert([[sum(r[a] * r[b] for r in u) for b in range(l)] for a in range(l)])
+    if inv is None:
         raise InternalError("rows I of the pairing matrix are dependent")
-    gs, den = clear_denominators(g)
-    return [[sum(map(mul, gs[a], row)) for row in u] for a in range(l)], den
+    x, v = inv
+    return [[sum(map(mul, x[a], row)) for row in u] for a in range(l)], v
 
 
 def _pick_rows(U: Sequence[Sequence[int]], l: int) -> tuple[list[int], list[list[int]], int]:
@@ -175,7 +174,7 @@ def min_deficiency(star: EutacticStar) -> tuple[Q, Vec, int]:
         raise InputError("min_deficiency requires a eutactic star")
     U = star.pairings
     N, l = star.size, star.lattice.rank
-    gi, g = clear_denominators(star.lattice.dual_gram())  # G^-1 = gi / g
+    gi, g = star.lattice.dual_gram()  # G^-1 = gi / g
 
     I, V, v = _pick_rows(U, l)  # U_I^-1 = V / v
     J = [j for j in range(N) if j not in I]

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import Mat, Vec, clear_denominators, dot, invert, qvec, sym_elim
+from .linalg import IntMat, Vec, clear_denominators, dot, invert, qvec, sym_elim
 
 
 class InputError(ValueError):
@@ -72,7 +72,7 @@ class Lattice:
         if pivots is None or any(pivots[k][k] == 0 for k in range(n)):
             raise InputError("Gram matrix is not positive definite")
         self.rank = n
-        self._dual_gram: Mat | None = None
+        self._dual_gram: tuple[IntMat, int] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.gram == other.gram
@@ -83,12 +83,18 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({[list(row) for row in self.gram]})"
 
+    def _coords(self, x: Sequence, what: str) -> Vec:
+        x = qvec(x)
+        if len(x) != self.rank:
+            raise InputError(f"{what}: x has length {len(x)}, expected {self.rank}")
+        return x
+
     def inner(self, x: Sequence, y: Sequence) -> Q:
         """(x, y) = x^T gram y."""
-        return dot(qvec(x), self.pairings(y))
+        return dot(self._coords(x, "inner"), self.pairings(y))
 
-    def dual_gram(self) -> Mat:
-        """Exact inverse of the Gram matrix (Gram of the dual basis)."""
+    def dual_gram(self) -> tuple[IntMat, int]:
+        """(gi, g) with gram^-1 = gi / g in lowest terms: the Gram of the dual basis."""
         if self._dual_gram is None:
             inv = invert(self.gram)
             if inv is None:
@@ -102,10 +108,7 @@ class Lattice:
         With den the lcm of x's denominators, den * x is integral, so each
         pairing is one integer sum over den.
         """
-        x = qvec(x)
-        if len(x) != self.rank:
-            raise ValueError(f"dimension mismatch: {self.rank} vs {len(x)}")
-        (xs,), den = clear_denominators([x])
+        (xs,), den = clear_denominators([self._coords(x, "pairings")])
         return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self.gram)
 
     def to_json_dict(self) -> dict:

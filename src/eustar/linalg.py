@@ -1,12 +1,14 @@
-"""Small exact linear algebra over Fraction and int: what the rest of the package needs.
+"""Small exact linear algebra, every elimination in int: what the rest of the package needs.
 
-There is one elimination over Q, the fraction-free symmetric kernel
-``sym_elim``.  ``rank`` (of a Gram matrix of the rows) and ``invert`` are read
-off it; its rows also complete the square of a positive definite form in int,
-which is how ``eustar.certify`` enumerates lattice points.  A rational matrix
-reaches it through ``clear_denominators``, the one place that scales to int by
-the lcm of the denominators.  ``hnf_diagonal`` is the one other reduction:
-integer column operations, for a set of coset representatives.
+There is one elimination, the fraction-free symmetric kernel ``sym_elim``,
+which also carries right-hand-side columns through the same steps.  ``rank``
+(of a Gram matrix of the rows) and ``invert`` are read off it; its rows also
+complete the square of a positive definite form in int, which is how
+``eustar.certify`` enumerates lattice points.  A rational matrix reaches it
+through ``clear_denominators``, the one place that scales to int by the lcm of
+the denominators; ``invert`` returns one integer matrix over one denominator.
+``hnf_diagonal`` is the one other reduction: integer column operations, for a
+set of coset representatives.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence, Tuple
 
 Vec = Tuple[Q, ...]
 Mat = Tuple[Vec, ...]
+IntMat = Tuple[Tuple[int, ...], ...]
 
 
 def qvec(entries: Sequence) -> Vec:
@@ -61,7 +64,7 @@ def rank(m: Sequence[Sequence]) -> int:
 
 
 def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """Fraction-free symmetric elimination of an integer matrix; None iff m is not PSD.
+    """Fraction-free symmetric elimination of an integer [A | B]; None iff A is not PSD.
 
     Bareiss's integer-preserving elimination (Math. Comp. 22, 1968) with the
     diagonal pivots taken in order, on the upper triangle only.  Row k of the
@@ -71,49 +74,57 @@ def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
     is exact (Sylvester's identity).  While no pivot has been 0, r[k][k] is
     the leading (k+1)x(k+1) minor.  A symmetric matrix is PSD iff every
     pivot is >= 0 and every zero pivot has a zero row; such a pivot is skipped.
+
+    Rows longer than n carry the columns past the n x n block A, a right-hand
+    side B, through the same steps: Bareiss on [A | B], whose row i reads
+    sum_{j>=i} r[i][j] x_j = r[i][n+c] for every solution of A x = B[:, c].
     """
     rows = [list(row) for row in m]
     n = len(rows)
+    width = len(rows[0]) if rows else 0
     prev = 1
     for k in range(n):
         piv = rows[k]
         p = piv[k]
         if p <= 0:
-            if p < 0 or any(piv[k + 1:]):
+            if p < 0 or any(piv[k + 1:n]):
                 return None
             continue
         for i in range(k + 1, n):
             row, a = rows[i], piv[i]
-            for j in range(i, n):
+            for j in range(i, width):
                 row[j] = (p * row[j] - a * piv[j]) // prev
         prev = p
     return rows
 
 
-def invert(a: Sequence[Sequence]) -> Mat | None:
-    """Inverse of a symmetric matrix, or None if it is not positive definite.
+def invert(a: Sequence[Sequence]) -> tuple[IntMat, int] | None:
+    """(X, d) with a^-1 = X / d in lowest terms (d > 0), or None unless the
+    symmetric matrix a is positive definite.
 
-    With a = A / den and r = sym_elim(A), a = m^T diag(d) m for the unit upper
-    triangular m[i][j] = r[i][j] / r[i][i] and d[i] = r[i][i] / (r[i-1][i-1] den),
-    so a^-1 = w diag(d)^-1 w^T for w = m^-1, from one back substitution.
+    With a = A / den, sym_elim([A | den 1]) leaves det A as the last pivot
+    and an upper triangular system for den A^-1 = a^-1.  Its solution times
+    det A is integral (Cramer), so back substitution divides exactly; the
+    gcd of det A and that solution is then divided out.
     """
     n = len(a)
+    ints, den = clear_denominators(a)
     # sym_elim reads the upper triangle only, so an asymmetric a would be
     # inverted as a different matrix.
-    if any(len(row) != n for row in a) or \
-            any(Q(a[i][j]) != Q(a[j][i]) for i in range(n) for j in range(i)):
+    if any(len(row) != n for row in ints) or \
+            any(ints[i][j] != ints[j][i] for i in range(n) for j in range(i)):
         raise ValueError("invert expects a symmetric matrix")
-    ints, den = clear_denominators(a)
-    r = sym_elim(ints)
+    r = sym_elim([row + [den * (i == j) for j in range(n)] for i, row in enumerate(ints)])
     if r is None or any(r[i][i] == 0 for i in range(n)):
         return None
-    d = [Q(r[i][i], (r[i - 1][i - 1] if i else 1) * den) for i in range(n)]
-    w = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            w[i][j] = -sum((Q(r[i][k], r[i][i]) * w[k][j] for k in range(i + 1, j + 1)), Q(0))
-    return tuple(tuple(sum((w[i][k] * w[j][k] / d[k] for k in range(max(i, j), n)), Q(0))
-                       for j in range(n)) for i in range(n))
+    det = r[n - 1][n - 1] if n else 1
+    x: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = r[i]
+        x[i] = [(det * row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))) // row[i]
+                for c in range(n)]
+    g = math.gcd(det, *(v for row in x for v in row))
+    return tuple(tuple(v // g for v in row) for row in x), det // g
 
 
 def hnf_diagonal(m: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ every partial product, one integer addition per pair of terms, scans that
 stop at the cap, one decode at the end; see multiply.  A block puts the
 dense q-only eta power last, so no partial product carries its terms.  The
 heat, holomorphy and singular-shell checks evaluate (l, l) with the integer
-matrix e * dual_gram (e the lcm of its denominators) and build at most one
+matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one
 Fraction per term; reflections map exponents in int over one denominator.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
@@ -105,19 +105,21 @@ class FourierSeries:
                 f"z_den={self.z_den}, character={self.character_d})")
 
     def norm_of(self, w: Sequence[int]) -> Q:
-        """(l, l) for the stored exponent w: w^T dual_gram w / z_den^2."""
+        """(l, l) for the stored exponent w: w^T gram^-1 w / z_den^2."""
         form, den = self._norm_form()
+        if len(w) != len(form):
+            raise InputError(f"norm_of: w has length {len(w)}, expected {len(form)}")
         return Q(_quad(form, w), den)
 
     def _norm_form(self) -> tuple[list[list[int]], int]:
         """(M, D), M an int matrix, with (l, l) = w^T M w / D for every w.
 
-        M = e dual_gram for e the lcm of its denominators, and D = e z_den^2.
+        With dual_gram() = (gi, g), gram^-1 = gi / g: M = gi and D = g z_den^2.
         """
         if self.lattice is None:
             return [], 1
-        m, e = clear_denominators(self.lattice.dual_gram())
-        return m, e * self.z_den ** 2
+        gi, g = self.lattice.dual_gram()
+        return gi, g * self.z_den ** 2
 
     def trimmed(self, n24_max: int) -> "FourierSeries":
         if n24_max > self.n24_max:
@@ -144,58 +146,37 @@ def theta_factor(star: EutacticStar, j: int, n24_max: int = DEFAULT_ORDER) -> Fo
     return FourierSeries(star.lattice, 2, terms, n24_max, character_d=3 % 24)
 
 
-def _euler_coeffs(order: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 - q^n) up to q^order (pentagonal numbers)."""
-    e = [0] * (order + 1)
-    e[0] = 1
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > order and g2 > order:
-            break
-        s = 1 if j % 2 == 0 else -1
-        if g1 <= order:
-            e[g1] = s
-        if g2 <= order:
-            e[g2] = s
-        j += 1
-    return e
-
-
-def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for k, bk in enumerate(b):
-            if k + i > order:
-                break
-            if bk:
-                out[i + k] += ai * bk
+def _pentagonal(order: int) -> list[tuple[int, int]]:
+    """(i, e_i) for the nonzero e_i, 1 <= i <= order, of prod_{n>=1} (1 - q^n)
+    = sum e_i q^i, in increasing i: e_i = (-1)^j at i = j(3j -+ 1)/2 (Euler)."""
+    out = []
+    for j in range(1, math.isqrt(order) + 1):  # past it, j(3j - 1)/2 >= j^2 > order
+        sign = -1 if j % 2 else 1
+        out += [(i, sign) for i in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if i <= order]
     return out
 
 
-def _poly_inv(a: list[int], order: int) -> list[int]:
-    if a[0] != 1:
-        raise InternalError(f"power series inverse needs constant term 1, got {a[0]}")
-    inv = [0] * (order + 1)
-    inv[0] = 1
-    for n in range(1, order + 1):
-        inv[n] = -sum(a[i] * inv[n - i] for i in range(1, min(n, len(a) - 1) + 1))
-    return inv
-
-
 def eta_power(k: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
-    """eta^k = q^{k/24} prod (1-q^n)^k as a q-only series (lattice-free)."""
+    """eta^k = q^{k/24} prod (1-q^n)^k as a q-only series (lattice-free).
+
+    P = E^k for E = prod (1-q^n) = sum e_i q^i by J.C.P. Miller's recurrence
+    (Knuth, TAOCP 2, 4.7): P_0 = 1 and n P_n = sum_{1<=i<=n} ((k+1) i - n) e_i
+    P_{n-i}, where only the pentagonal i have e_i != 0.
+    """
     order = (n24_max - k) // 24
     if order < 0:
         return FourierSeries(None, 1, {}, n24_max, character_d=k % 24)
-    e = _euler_coeffs(order)
+    e = _pentagonal(order)
     p = [1] + [0] * order
-    base = e if k >= 0 else _poly_inv(e, order)
-    for _ in range(abs(k)):
-        p = _poly_mul(p, base, order)
+    for n in range(1, order + 1):
+        s = 0
+        for i, c in e:
+            if i > n:
+                break
+            s += ((k + 1) * i - n) * c * p[n - i]
+        p[n], rem = divmod(s, n)
+        if rem:
+            raise InternalError(f"eta^{k}: coefficient {n} is not an integer")
     terms = {(k + 24 * j, ()): c for j, c in enumerate(p) if c}
     return FourierSeries(None, 1, terms, n24_max, character_d=k % 24)
 

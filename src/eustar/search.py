@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .certify import certify_extremal
 from .lattice import InputError, Lattice, format_vector
-from .linalg import qvec, rank, sym_elim
+from .linalg import rank, sym_elim
 from .rootsys import recognize
 from .star import EutacticStar, star_from_pairings, support_set
 
@@ -104,7 +104,8 @@ def verify_theorem(lattice: Lattice) -> dict:
             continue
         support, _ = support_set(star)
         report = recognize(support, lattice)
-        span_ok = rank([qvec(v) for v in support]) == lattice.rank
+        # u_j = G s_j with G nonsingular, so the pairings span as the support does.
+        span_ok = rank(star.pairings) == lattice.rank
         entry = {
             "pairings": [list(u) for u in star.pairings],
             "vectors": [format_vector(v) for v in star.vectors],

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .lattice import (InputError, Lattice, format_vector, lattice_from_json_dict,
                       parse_vector)
-from .linalg import Vec, clear_denominators, dot, qvec
+from .linalg import Vec, dot, qvec
 
 
 class EutacticStar:
@@ -77,6 +77,8 @@ def embed(star: EutacticStar, x: Sequence) -> Vec:
     For a eutactic star this is the isometric embedding of L into Z^N.
     """
     x = qvec(x)
+    if len(x) != star.lattice.rank:
+        raise InputError(f"embed: x has length {len(x)}, expected {star.lattice.rank}")
     return tuple(dot(u, x) for u in star.pairings)
 
 
@@ -139,6 +141,6 @@ def dump_star(star: EutacticStar) -> str:
 
 def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
     """Build the star whose pairing vectors are the given integer tuples."""
-    gi, g = clear_denominators(lattice.dual_gram())  # G^-1 = gi / g
+    gi, g = lattice.dual_gram()  # G^-1 = gi / g
     vectors = [tuple(Q(sum(map(mul, row, u)), g) for row in gi) for u in pairings]
     return EutacticStar(lattice, vectors)

@@ -20,6 +20,12 @@ CORPUS_GRAMS = [
 ]
 
 
+def as_fractions(inverse):
+    """The matrix X / d for an inverse returned as (X, d)."""
+    x, d = inverse
+    return tuple(tuple(Q(v, d) for v in row) for row in x)
+
+
 def rational_point(rng, dim):
     """A random rational point with denominator up to 24, spanning a few periods."""
     den = rng.randrange(1, 25)

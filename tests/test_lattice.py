@@ -1,6 +1,7 @@
 """Lattice construction, rational parsing, the dual Gram matrix, JSON."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -10,6 +11,9 @@ from eustar import lattice
 from eustar.lattice import (InputError, InternalError, Lattice, format_rational,
                             format_vector, lattice_from_json_dict, load_lattice,
                             parse_rational, parse_vector)
+from eustar.rootsys import build_P_lattice, catalog, catalog_labels
+
+from conftest import as_fractions
 
 
 def test_parse_rational():
@@ -65,7 +69,7 @@ def test_inner_and_dual():
     assert lat.rank == 2
     assert lat.inner((1, 0), (1, 0)) == 2
     assert lat.inner((1, 0), (0, 1)) == 1
-    assert lat.dual_gram() == ((Q(2, 3), Q(-1, 3)), (Q(-1, 3), Q(2, 3)))
+    assert as_fractions(lat.dual_gram()) == ((Q(2, 3), Q(-1, 3)), (Q(-1, 3), Q(2, 3)))
     assert lat.pairings((Q(1, 3), Q(1, 3))) == (1, 1)
 
 
@@ -129,8 +133,22 @@ def test_dual_gram_under_unimodular_change_of_basis():
             b_inv[k] = [-x for x in b_inv[k]]
         moved = [[sum(b[p][i] * g[p][q] * b[q][j] for p in range(n) for q in range(n))
                   for j in range(n)] for i in range(n)]
-        d = Lattice(g).dual_gram()
+        d = as_fractions(Lattice(g).dual_gram())
         expect = tuple(tuple(sum(b_inv[i][p] * d[p][q] * b_inv[j][q]
                                  for p in range(n) for q in range(n))
                              for j in range(n)) for i in range(n))
-        assert Lattice(moved).dual_gram() == expect
+        assert as_fractions(Lattice(moved).dual_gram()) == expect
+
+
+def test_dual_gram_on_catalog_lattices():
+    # gi G = g 1 with gcd(g, gi) = 1: gi / g is G^-1 in lowest terms.
+    labels = catalog_labels()
+    assert len(labels) == 31
+    for label in labels:
+        lat = build_P_lattice(catalog(label))
+        gi, g = lat.dual_gram()
+        n = lat.rank
+        assert g > 0 and math.gcd(g, *(x for row in gi for x in row)) == 1, label
+        assert [[sum(gi[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[g * (i == j) for j in range(n)] for i in range(n)]
+        assert lat.dual_gram() is lat.dual_gram()  # computed once, then cached

@@ -6,9 +6,13 @@ from fractions import Fraction as Q
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eustar.linalg import (clear_denominators, dot, hnf_diagonal, invert, qvec, rank,
                            sym_elim)
+
+from conftest import as_fractions
 
 
 def det(m):
@@ -113,13 +117,13 @@ def test_rank_matches_gauss_jordan():
 
 def test_invert():
     a = [[2, 1], [1, 2]]
-    inv = invert(a)
+    inv = as_fractions(invert(a))
     assert mat_mul(a, inv) == identity(2)
     assert invert([[1, 1], [1, 1]]) is None  # semidefinite
     assert invert([[1, 2], [2, 1]]) is None  # indefinite
-    assert invert([[Q(1, 2), Q(1, 3)], [Q(1, 3), 1]]) == gauss_jordan_inverse(
+    assert as_fractions(invert([[Q(1, 2), Q(1, 3)], [Q(1, 3), 1]])) == gauss_jordan_inverse(
         [[Q(1, 2), Q(1, 3)], [Q(1, 3), 1]])
-    assert invert(()) == ()
+    assert invert(()) == ((), 1)
     with pytest.raises(ValueError):
         invert([[2, 1], [0, 2]])  # not symmetric
 
@@ -193,10 +197,81 @@ def test_random_inverse_consistency():
             singular += 1
             assert inv is None
         else:
+            inv = as_fractions(inv)
             assert inv == gauss_jordan_inverse(a)
             assert mat_mul(a, inv) == identity(n)
     assert singular >= 10
     assert invert([[2, 3, 0], [3, 2, 0], [0, 0, 1]]) is None  # indefinite, det -5
+
+
+@st.composite
+def symmetric_rationals(draw):
+    """A symmetric rational matrix, n <= 5: half of them B^T B + c 1, so that
+    positive definite, singular and indefinite cases all come up."""
+    n = draw(st.integers(1, 5))
+    q = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+    if draw(st.booleans()):
+        b = [[draw(q) for _ in range(n)] for _ in range(draw(st.integers(0, n + 1)))]
+        c = draw(st.sampled_from((0, 0, 1, Q(1, 2), -1)))
+        return [[sum((r[i] * r[j] for r in b), Q(0)) + c * (i == j) for j in range(n)]
+                for i in range(n)]
+    a = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(q)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_rationals())
+def test_invert_matches_gauss_jordan(a):
+    n = len(a)
+    # Sylvester's criterion, on the Leibniz reference determinant.
+    definite = all(det([row[:k] for row in a[:k]]) > 0 for k in range(1, n + 1))
+    inv = invert(a)
+    assert (inv is None) == (not definite)
+    if inv is None:
+        return
+    x, d = inv
+    assert d > 0 and math.gcd(d, *(v for row in x for v in row)) == 1
+    assert all(type(v) is int for row in x for v in row)
+    assert as_fractions(inv) == gauss_jordan_inverse(a)
+    assert mat_mul(a, x) == tuple(tuple(d * v for v in row) for row in identity(n))
+
+
+def test_sym_elim_carries_columns():
+    rng = random.Random(21)
+    full = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.5:  # B^T B: PSD, singular when B has few rows
+            b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+            a = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randrange(-2, 4)
+        # Extra columns leave the square block and the PSD verdict alone.
+        extra = rng.randrange(1, 4)
+        square = sym_elim(a)
+        wide = sym_elim([row + [rng.randrange(-5, 6) for _ in range(extra)] for row in a])
+        assert (wide is None) == (square is None), a
+        if square is not None:
+            assert [row[:n] for row in wide] == square
+        if det(a) == 0 or square is None:
+            continue
+        # With [A | 1], the carried columns b satisfy r x = det b for x = det A^-1.
+        full += 1
+        r = sym_elim([row + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+        d = r[n - 1][n - 1]
+        assert d == det(a)
+        x = [[d * v for v in row] for row in gauss_jordan_inverse(a)]
+        assert all(v.denominator == 1 for row in x for v in row)
+        for i in range(n):
+            for c in range(n):
+                assert sum(r[i][j] * x[j][c] for j in range(i, n)) == d * r[i][n + c]
+    assert full >= 50
 
 
 def test_clear_denominators():

@@ -117,6 +117,16 @@ def test_eta_times_inverse_is_one():
     assert prod.character_d == 0
 
 
+def test_eta_powers_multiply():
+    # eta^a eta^b = eta^(a+b), up to the product's cap.
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            prod = multiply(eta_power(a, 240), eta_power(b, 240))
+            want = eta_power(a + b, prod.n24_max)
+            assert prod.terms == want.terms, (a, b)
+            assert prod.character_d == want.character_d
+
+
 def test_constructor_normalization():
     lat = Lattice([[2, 1], [1, 2]])
     s = FourierSeries(lat, 4, {(0, (2, 2)): 1, (5, (0, 0)): 0}, 10)

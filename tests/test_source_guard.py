@@ -5,6 +5,8 @@ checks that raise, because ``python -O`` strips ``assert``.  So no module
 under src/eustar may hold an assert statement, a float literal or a call to
 float.  Every module-level import outside ``__init__.py`` (which re-exports)
 must be used, so a helper that stops needing a module drops its import.
+In linalg.py, Fraction is built only where rational values enter or leave:
+every elimination runs in int.
 """
 
 import ast
@@ -54,3 +56,26 @@ def _unused_imports(tree):
 def test_every_import_used(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# The functions of linalg.py that may build a Fraction.
+FRACTION_ENTRY_POINTS = {"qvec", "dot", "clear_denominators"}
+
+
+def _fraction_calls(tree):
+    """(function, line) for each call of Q or Fraction, by enclosing top-level function."""
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                base = f.value if isinstance(f, ast.Attribute) else f
+                if isinstance(base, ast.Name) and base.id in ("Q", "Fraction"):
+                    yield name, node.lineno
+
+
+def test_linalg_builds_fractions_only_at_its_edges():
+    path = next(p for p in SOURCES if p.name == "linalg.py")
+    calls = list(_fraction_calls(ast.parse(path.read_text(), filename=str(path))))
+    assert {name for name, _ in calls} <= FRACTION_ENTRY_POINTS, calls
+    assert calls  # the walk does see the entry points

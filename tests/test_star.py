@@ -8,7 +8,8 @@ import pytest
 
 from eustar.certify import deficiency
 from eustar.lattice import InputError, Lattice
-from eustar.rootsys import build_star, catalog, recognize
+from eustar.qseries import check_antisymmetry, reflect_series, theta_factor
+from eustar.rootsys import build_star, cartan_matrix, catalog, recognize
 from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, embed,
                          is_eutactic, load_star, star_from_json_dict,
                          star_from_pairings, support_set)
@@ -113,7 +114,17 @@ def test_rational_point_helper_shape():
     lambda: divisor_multiplicity(build_star(catalog("A2")), (1,)),
     lambda: recognize([(1, 0, 0), (-1, 0, 0)], Lattice([[2]])),
     lambda: recognize([(1,), (-1,)], Lattice([[2, 1], [1, 2]])),
-], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short"])
+    lambda: theta_factor(build_star(catalog("A2")), 0).norm_of((1,)),
+    lambda: Lattice([[2, 1], [1, 2]]).pairings((1,)),
+    lambda: Lattice([[2, 1], [1, 2]]).inner((1, 0), (1,)),
+    lambda: Lattice([[2, 1], [1, 2]]).inner((1,), (1, 0)),
+    lambda: reflect_series(theta_factor(build_star(catalog("A2")), 0, 60), (1,)),
+    lambda: check_antisymmetry(theta_factor(build_star(catalog("A2")), 0, 60), (1, 0, 0)),
+    lambda: cartan_matrix([(1, 0), (1,)], Lattice([[2, 1], [1, 2]])),
+    lambda: embed(build_star(catalog("A2")), (1,)),
+], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short",
+        "norm_of", "pairings", "inner_y", "inner_x", "reflect_series",
+        "check_antisymmetry", "cartan_matrix", "embed"])
 def test_wrong_length_vectors_rejected(call):
     # zip would truncate a long vector and indexing would fail on a short one.
     with pytest.raises(InputError, match="length"):
