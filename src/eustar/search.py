@@ -5,20 +5,29 @@ enumerating stars means enumerating such rank-one decompositions.  Vectors are
 chosen sign-normalized (first nonzero entry positive) in non-increasing
 lexicographic order, which makes the backtracking emit exactly one canonical
 representative per orbit under reordering and per-vector sign flips; the
-residual must stay positive semidefinite with non-negative diagonal at every
-step, which bounds entries by isqrt(gram_ii) and the length by the trace.  The
-PSD test is the integer Bareiss elimination ``linalg.sym_elim``, O(l^3) per
-residual.
+residual must stay positive semidefinite at every step, which bounds entries
+by isqrt(gram_ii) and the length by the trace.
+
+Two facts keep the backtracking on live branches.  The lead positions of the
+sorted alphabet never decrease, so a node only tries the vectors whose lead
+is its residual's first nonzero diagonal entry: an earlier lead would make a
+zero diagonal entry negative, and a later one, like every vector after it,
+can never clear that entry.  And R - u u^T is PSD iff the bordered matrix
+[[R, u], [u^T, 1]] is (it is the Schur complement of the 1), so one integer
+Bareiss elimination ``linalg.sym_elim`` of [R | u_1 .. u_m] per node tests
+every candidate, O(l) each, instead of one O(l^3) elimination per child.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import product
+from operator import le, mul
 from typing import Sequence
 
 from .certify import certify_extremal
-from .lattice import InputError, Lattice, format_vector
+from .lattice import InputError, InternalError, Lattice, format_vector
 from .linalg import rank, sym_elim
 from .rootsys import recognize
 from .star import EutacticStar, star_from_pairings, support_set
@@ -34,44 +43,77 @@ def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return tuple(sorted(normed, reverse=True))
 
 
+def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Indices j, ascending, with r - u_j u_j^T PSD, for a PSD integer matrix r.
+
+    A vector with some u_a^2 > r[a][a] fails on the diagonal and is dropped
+    first.  Bareiss on the bordered matrix [[r, u], [u^T, 1]] runs through
+    r's pivots and leaves u's column as sym_elim carries it on [r | u]; with
+    a zero pivot that column entry must be 0, and the corner, updated at
+    each positive pivot p as (p corner - y^2) // prev (exact, by Sylvester's
+    identity), must end >= 0.
+    """
+    l = len(r)
+    diag = [r[a][a] for a in range(l)]
+    live = [j for j, u in enumerate(vectors) if all(map(le, map(mul, u, u), diag))]
+    if not live:
+        return []
+    rows = sym_elim([list(r[i]) + [vectors[j][i] for j in live] for i in range(l)])
+    if rows is None:
+        raise InternalError("a residual of star enumeration is not positive semidefinite")
+    pivots = [(rows[k][k], rows[k]) for k in range(l)]
+    fit = []
+    for c, j in enumerate(live, l):
+        corner, prev = 1, 1
+        for p, row in pivots:
+            y = row[c]
+            if p:
+                corner = (p * corner - y * y) // prev
+                prev = p
+            elif y:
+                break
+        else:
+            if corner >= 0:
+                fit.append(j)
+    return fit
+
+
 def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
                     max_n: int | None = None) -> list[EutacticStar]:
     """All stars with sum_j u_j u_j^T = gram, complete and deterministic.
 
     With canonical_dedup, one representative per reorder/sign-flip orbit;
     without it, every distinct multiset of pairing vectors (sign variants
-    expanded).  max_n aborts enumeration once any branch needs more vectors.
+    expanded).  max_n aborts enumeration once a branch that can still reach
+    a zero residual needs more vectors; branches the lead-position cut
+    removes are never entered and do not count.
     """
     g = lattice.gram
     l = lattice.rank
     bound = [math.isqrt(g[i][i]) for i in range(l)]
-    alphabet = []
-    for u in product(*(range(-b, b + 1) for b in bound)):
-        lead = next((x for x in u if x != 0), 0)
-        if lead <= 0:
-            continue
-        resid = [[g[i][j] - u[i] * u[j] for j in range(l)] for i in range(l)]
-        if all(resid[i][i] >= 0 for i in range(l)) and sym_elim(resid) is not None:
-            alphabet.append(u)
-    alphabet.sort(reverse=True)
+    box = [u for u in product(*(range(-b, b + 1) for b in bound))
+           if next((x for x in u if x != 0), 0) > 0]
+    alphabet = sorted((box[j] for j in _fitting(g, box)), reverse=True)
+    # The alphabet vectors with lead position p are alphabet[begin[p]:begin[p + 1]].
+    leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
+    begin = [bisect_left(leads, p) for p in range(l + 1)]
 
     found: list[tuple[tuple[int, ...], ...]] = []
 
-    def backtrack(start: int, residual: list[list[int]], chosen: list) -> None:
-        if all(x == 0 for row in residual for x in row):
+    def backtrack(start: int, residual: Sequence[Sequence[int]], chosen: list) -> None:
+        # A PSD residual with a zero diagonal entry has a zero row there.
+        first = next((k for k in range(l) if residual[k][k] > 0), None)
+        if first is None:
             found.append(tuple(chosen))
             return
         if max_n is not None and len(chosen) >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
-        for i in range(start, len(alphabet)):
-            u = alphabet[i]
-            nxt = [[residual[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)]
-            if any(nxt[a][a] < 0 for a in range(l)):
-                continue
-            if sym_elim(nxt) is None:
-                continue
+        lo = max(start, begin[first])
+        for j in _fitting(residual, alphabet[lo:begin[first + 1]]):
+            u = alphabet[lo + j]
             chosen.append(u)
-            backtrack(i, nxt, chosen)
+            backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
+                               for a in range(l)], chosen)
             chosen.pop()
 
     backtrack(0, g, [])

@@ -15,9 +15,9 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
 
-from .lattice import (InputError, Lattice, format_vector, lattice_from_json_dict,
-                      parse_vector)
-from .linalg import Vec, dot, qvec
+from .lattice import (InputError, InternalError, Lattice, format_vector,
+                      lattice_from_json_dict, parse_vector)
+from .linalg import Vec, clear_denominators, dot, qvec
 
 
 class EutacticStar:
@@ -30,7 +30,6 @@ class EutacticStar:
     def __init__(self, lattice: Lattice, vectors: Sequence[Sequence]):
         if len(vectors) == 0:
             raise InputError("a star needs at least one vector")
-        self.lattice = lattice
         vecs = []
         pairings = []
         for j, v in enumerate(vectors):
@@ -45,9 +44,14 @@ class EutacticStar:
                                  f"(pairings {[str(x) for x in p]})")
             vecs.append(v)
             pairings.append(tuple(int(x) for x in p))
-        self.vectors: tuple[Vec, ...] = tuple(vecs)
+        self._fill(lattice, vecs, pairings)
+
+    def _fill(self, lattice: Lattice, vectors: Sequence[Vec],
+              pairings: Sequence[tuple[int, ...]]) -> None:
+        self.lattice = lattice
+        self.vectors: tuple[Vec, ...] = tuple(vectors)
         self.pairings: tuple[tuple[int, ...], ...] = tuple(pairings)
-        self.size = len(vecs)
+        self.size = len(self.vectors)
 
     def __repr__(self) -> str:
         return f"EutacticStar(N={self.size}, rank={self.lattice.rank})"
@@ -140,7 +144,30 @@ def dump_star(star: EutacticStar) -> str:
 
 
 def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
-    """Build the star whose pairing vectors are the given integer tuples."""
+    """Build the star whose pairing vectors are the given integer tuples.
+
+    Each vector G^-1 u = (gi u) / g is computed in int, and the tuples are
+    kept as the pairings rather than recomputed from the vectors; the checks
+    are EutacticStar's, plus gram (gi u) = g u in int.
+    """
+    if len(pairings) == 0:
+        raise InputError("a star needs at least one vector")
     gi, g = lattice.dual_gram()  # G^-1 = gi / g
-    vectors = [tuple(Q(sum(map(mul, row, u)), g) for row in gi) for u in pairings]
-    return EutacticStar(lattice, vectors)
+    vectors, ints = [], []
+    for j, u in enumerate(pairings):
+        if len(u) != lattice.rank:
+            raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
+        (row,), den = clear_denominators([u])
+        if den != 1:
+            raise InputError(f"vector {j}: not in the dual lattice "
+                             f"(pairings {[str(Q(x)) for x in u]})")
+        if not any(row):
+            raise InputError(f"vector {j}: zero vector not allowed")
+        w = [sum(map(mul, r, row)) for r in gi]
+        if any(sum(map(mul, r, w)) != g * x for r, x in zip(lattice.gram, row)):
+            raise InternalError(f"vector {j}: gram G^-1 u != u for u = {row}")
+        vectors.append(tuple(Q(x, g) for x in w))
+        ints.append(tuple(row))
+    star = EutacticStar.__new__(EutacticStar)
+    star._fill(lattice, vectors, ints)
+    return star

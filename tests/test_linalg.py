@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eustar import linalg
 from eustar.linalg import (clear_denominators, dot, hnf_diagonal, invert, qvec, rank,
                            sym_elim)
 
@@ -278,6 +279,31 @@ def test_clear_denominators():
     assert clear_denominators([[Q(1, 2), Q(-1, 3)], [2, "3/4"]]) == ([[6, -4], [24, 9]], 12)
     assert clear_denominators([[1, -2]]) == ([[1, -2]], 1)
     assert clear_denominators([]) == ([], 1)
+
+
+def fraction_clear_denominators(rows):
+    """Every entry through Fraction: the reference for clear_denominators."""
+    rows = [[Q(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def test_clear_denominators_int_rows_build_no_fraction(monkeypatch):
+    rng = random.Random(5)
+    for kind in ("int", "mixed", "rational"):
+        for _ in range(30):
+            rows = [[rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))]
+                    for _ in range(rng.randrange(1, 4))]
+            if kind == "mixed":
+                rows[0][0] = Q(rows[0][0])
+            elif kind == "rational":
+                rows = [[Q(x, rng.randrange(1, 7)) for x in row] for row in rows]
+            got = clear_denominators(rows)
+            assert got == fraction_clear_denominators(rows)
+            assert all(type(x) is int for row in got[0] for x in row)
+            assert all(a is not b for a, b in zip(got[0], rows))
+    monkeypatch.setattr(linalg, "Q", None)
+    assert clear_denominators([[3, -1], [0, 7]]) == ([[3, -1], [0, 7]], 1)
 
 
 def test_ldl_completes_the_square():

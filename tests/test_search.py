@@ -1,10 +1,18 @@
 """Complete star enumeration and the extremal-implies-root-system check."""
 
+import hashlib
+import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eustar.lattice import InputError, Lattice
+from eustar import search
+from eustar.lattice import InputError, InternalError, Lattice
+from eustar.linalg import sym_elim
+from eustar.rootsys import build_P_lattice, catalog
 from eustar.search import canonical_pairings, enumerate_stars, verify_theorem
 from eustar.star import is_eutactic
 
@@ -103,3 +111,136 @@ def test_extremal_entry_shape():
     assert entry["pairings"] == [[1, 1], [1, 0], [0, 1]]
     assert entry["certificate"]["min"] == "1/24"
     assert entry["certificate"]["witness"] == ["1/3", "1/3"]
+
+
+def oracle_pairings(gram, canonical_dedup=True):
+    """Pairing lists by plain backtracking: a fresh sym_elim on every child
+    residual and no lead-position cut.  The reference for enumerate_stars."""
+    l = len(gram)
+    alphabet = []
+    for u in product(*(range(-math.isqrt(gram[i][i]), math.isqrt(gram[i][i]) + 1)
+                       for i in range(l))):
+        if next((x for x in u if x != 0), 0) <= 0:
+            continue
+        resid = [[gram[i][j] - u[i] * u[j] for j in range(l)] for i in range(l)]
+        if all(resid[i][i] >= 0 for i in range(l)) and sym_elim(resid) is not None:
+            alphabet.append(u)
+    alphabet.sort(reverse=True)
+    found = []
+
+    def backtrack(start, residual, chosen):
+        if all(x == 0 for row in residual for x in row):
+            found.append(tuple(chosen))
+            return
+        for i in range(start, len(alphabet)):
+            u = alphabet[i]
+            nxt = [[residual[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)]
+            if any(nxt[a][a] < 0 for a in range(l)) or sym_elim(nxt) is None:
+                continue
+            chosen.append(u)
+            backtrack(i, nxt, chosen)
+            chosen.pop()
+
+    backtrack(0, gram, [])
+    if canonical_dedup:
+        return found
+    expanded = set()
+    for rep in found:
+        for signs in product((1, -1), repeat=len(rep)):
+            expanded.add(tuple(sorted(tuple(s * x for x in u) for s, u in zip(signs, rep))))
+    return sorted(expanded, reverse=True)
+
+
+@st.composite
+def pd_grams(draw, max_diag):
+    l = draw(st.integers(1, 3))
+    diag = [draw(st.integers(1, max_diag)) for _ in range(l)]
+    gram = [[0] * l for _ in range(l)]
+    for i in range(l):
+        gram[i][i] = diag[i]
+        for j in range(i):
+            b = math.isqrt(diag[i] * diag[j])
+            gram[i][j] = gram[j][i] = draw(st.integers(-b, b))
+    r = sym_elim(gram)
+    assume(r is not None and all(r[k][k] > 0 for k in range(l)))
+    return gram
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_grams(max_diag=9))
+def test_enumeration_matches_oracle(gram):
+    got = [s.pairings for s in enumerate_stars(Lattice(gram))]
+    assert got == oracle_pairings(gram)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pd_grams(max_diag=4))
+def test_sign_expanded_enumeration_matches_oracle(gram):
+    got = [s.pairings for s in enumerate_stars(Lattice(gram), canonical_dedup=False)]
+    assert got == oracle_pairings(gram, canonical_dedup=False)
+
+
+# Weight lattice -> (stars, sha256 of repr of the list of pairings in
+# enumeration order), recorded with the per-child backtracking of
+# oracle_pairings before the lead-position cut and the bordered PSD test.
+FROZEN_ENUMERATIONS = {
+    "B3": (63, "cda358944e315d39e734410c5a285ee8102d0548a514df48e6279fbead3764cb"),
+    "C3": (98, "5c09ce544e6738c2bc4f8731f4d2a9155a02adfb730882d4696dccf3b521d0db"),
+    "A4": (27, "4168d0e41c080e52381c4f02d8bc687178628122a3c631c4a2ff8ef8ad22476f"),
+    "D4": (209, "f9f784b9ac41228879f38efea8b5031fb50854439213bef3b60a783fe619a656"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FROZEN_ENUMERATIONS))
+def test_weight_lattice_enumerations_frozen(label):
+    pairings = [s.pairings for s in enumerate_stars(build_P_lattice(catalog(label)))]
+    digest = hashlib.sha256(repr(pairings).encode()).hexdigest()
+    assert (len(pairings), digest) == FROZEN_ENUMERATIONS[label]
+
+
+def test_d4_weight_enumeration_work_pinned(monkeypatch):
+    # One sym_elim for the alphabet and one per node that has a candidate
+    # left after the diagonal test.  A fresh elimination per child residual,
+    # with no lead-position cut, made 258,840 calls here.
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return sym_elim(m)
+
+    monkeypatch.setattr(search, "sym_elim", counted)
+    assert len(enumerate_stars(build_P_lattice(catalog("D4")))) == 209
+    assert len(calls) == 3076
+
+
+def random_unimodular(rng, l):
+    """A signed permutation times a few elementary column operations."""
+    b = [[int(i == j) for j in range(l)] for i in range(l)]
+    for _ in range(2):
+        i, j = rng.sample(range(l), 2)
+        c = rng.choice((1, -1))
+        for row in b:
+            row[j] += c * row[i]
+    perm = rng.sample(range(l), l)
+    return [[rng.choice((1, -1)) * row[p] for p in perm] for row in b]
+
+
+@pytest.mark.parametrize("label,seed", [("A3", 1), ("A3", 2), ("B3", 3), ("B3", 4)])
+def test_star_set_follows_unimodular_basis_change(label, seed):
+    # In the basis B, the Gram is B^T G B and a star's pairing vectors are B^T u.
+    lattice = build_P_lattice(catalog(label))
+    g, l = lattice.gram, lattice.rank
+    b = random_unimodular(random.Random(seed), l)
+    moved = Lattice([[sum(b[k][i] * g[k][m] * b[m][j] for k in range(l) for m in range(l))
+                      for j in range(l)] for i in range(l)])
+    stars = enumerate_stars(lattice)
+    moved_stars = enumerate_stars(moved)
+    assert len(moved_stars) == len(stars)
+    mapped = {canonical_pairings([[sum(b[k][i] * u[k] for k in range(l)) for i in range(l)]
+                                  for u in s.pairings]) for s in stars}
+    assert mapped == {canonical_pairings(s.pairings) for s in moved_stars}
+
+
+def test_non_psd_residual_raises_internal_error():
+    with pytest.raises(InternalError):
+        search._fitting([[1, 2], [2, 1]], [(1, 0)])

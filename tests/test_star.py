@@ -7,9 +7,10 @@ from fractions import Fraction as Q
 import pytest
 
 from eustar.certify import deficiency
-from eustar.lattice import InputError, Lattice
+from eustar.lattice import InputError, InternalError, Lattice
 from eustar.qseries import check_antisymmetry, reflect_series, theta_factor
-from eustar.rootsys import build_star, cartan_matrix, catalog, recognize
+from eustar.rootsys import build_P_lattice, build_star, cartan_matrix, catalog, recognize
+from eustar.search import enumerate_stars
 from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, embed,
                          is_eutactic, load_star, star_from_json_dict,
                          star_from_pairings, support_set)
@@ -86,6 +87,35 @@ def test_star_from_pairings(a2_star):
     assert rebuilt.vectors == a2_star.vectors
 
 
+@pytest.mark.parametrize("label", ["B3", "C3"])
+def test_star_from_pairings_matches_constructor(label):
+    # The pairings are taken as given; the constructor recomputes them from
+    # the vectors through Lattice.pairings.
+    lattice = build_P_lattice(catalog(label))
+    for star in enumerate_stars(lattice):
+        built = star_from_pairings(lattice, star.pairings)
+        ref = EutacticStar(lattice, built.vectors)
+        assert (built.vectors, built.pairings, built.size) == \
+            (ref.vectors, ref.pairings, ref.size)
+        assert all(type(x) is int for u in built.pairings for x in u)
+
+
+def test_star_from_pairings_validation():
+    lat = Lattice([[2, 1], [1, 2]])
+    for bad in ([], [(1, 0), (0, 0)], [(Q(1, 2), 0)]):
+        with pytest.raises(InputError):
+            star_from_pairings(lat, bad)
+    assert star_from_pairings(lat, [(Q(2), 1)]).pairings == ((2, 1),)
+
+
+def test_star_from_pairings_broken_inverse_raises_internal_error():
+    lat = Lattice([[2, 1], [1, 2]])
+    gi, g = lat.dual_gram()
+    lat._dual_gram = (((gi[0][0] + 1, gi[0][1]), gi[1]), g)
+    with pytest.raises(InternalError):
+        star_from_pairings(lat, [(1, 0)])
+
+
 def test_json_round_trip(tmp_path, g2_star):
     data = json.loads(dump_star(g2_star))
     again = star_from_json_dict(data)
@@ -122,9 +152,12 @@ def test_rational_point_helper_shape():
     lambda: check_antisymmetry(theta_factor(build_star(catalog("A2")), 0, 60), (1, 0, 0)),
     lambda: cartan_matrix([(1, 0), (1,)], Lattice([[2, 1], [1, 2]])),
     lambda: embed(build_star(catalog("A2")), (1,)),
+    lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 0, 0)]),
+    lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 1), (1,)]),
 ], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short",
         "norm_of", "pairings", "inner_y", "inner_x", "reflect_series",
-        "check_antisymmetry", "cartan_matrix", "embed"])
+        "check_antisymmetry", "cartan_matrix", "embed", "star_from_pairings_long",
+        "star_from_pairings_short"])
 def test_wrong_length_vectors_rejected(call):
     # zip would truncate a long vector and indexing would fail on a short one.
     with pytest.raises(InputError, match="length"):
