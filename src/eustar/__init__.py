@@ -12,7 +12,8 @@ from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
                       build_star, cartan_matrix, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
 from .star import (EutacticStar, divisor_multiplicity, dump_star, embed,
-                   is_eutactic, load_star, star_from_pairings, support_set)
+                   is_eutactic, load_star, star_from_pairings, star_from_vectors,
+                   support_set)
 
 __all__ = [
     "ExtremalityCertificate", "b_eval", "certify_extremal", "deficiency",
@@ -24,7 +25,7 @@ __all__ = [
     "build_P_lattice", "build_star", "cartan_matrix", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",
     "EutacticStar", "divisor_multiplicity", "dump_star", "embed", "is_eutactic",
-    "load_star", "star_from_pairings", "support_set",
+    "load_star", "star_from_pairings", "star_from_vectors", "support_set",
 ]
 
 __version__ = "0.1.0"

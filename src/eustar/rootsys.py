@@ -163,18 +163,12 @@ def build_P_lattice(desc: RootSystemDescriptor) -> Lattice:
 
 
 def build_star(desc: RootSystemDescriptor) -> EutacticStar:
-    """The star {r/h : r positive} on P; its pairing vectors are the roots."""
-    lat = build_P_lattice(desc)
-    h = desc.dual_coxeter
-    vectors = []
-    for r in desc.positive_roots:
-        mr = tuple(sum(desc.norm_gram[i][j] * r[j] for j in range(desc.rank)) / h
-                   for i in range(desc.rank))
-        vectors.append(mr)
-    star = EutacticStar(lat, vectors)
-    if star.pairings != desc.positive_roots:
-        raise InternalError(f"{desc.label}: the star's pairing vectors are not the roots")
-    return star
+    """The star {r/h : r positive} on P; its pairing vectors are the roots.
+
+    build_P_lattice proves pgram M = h I, so the derived vectors
+    pgram^-1 r are exactly M r / h.
+    """
+    return EutacticStar(build_P_lattice(desc), desc.positive_roots)
 
 
 def cartan_matrix(vectors: Sequence[Sequence], lattice: Lattice) -> tuple[tuple[Q, ...], ...]:

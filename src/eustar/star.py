@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction as Q
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -21,37 +22,44 @@ from .linalg import Vec, clear_denominators, dot, qvec
 
 
 class EutacticStar:
-    """A star of N nonzero dual-lattice vectors with cached integer pairings.
+    """A star on L, given by its integral pairing vectors u_j = gram s_j.
 
-    The name is aspirational: construction does not require eutaxy (is_eutactic
-    tests it), only that every vector is nonzero and lies in the dual lattice.
+    The pairings are the star's data; the vectors s_j = gram^-1 u_j are
+    derived, exactly, when first read.  The name is aspirational: construction
+    does not require eutaxy (is_eutactic tests it), only that every u_j is a
+    nonzero integer tuple of the lattice's rank, so that every s_j is a
+    nonzero vector of the dual lattice.
     """
 
-    def __init__(self, lattice: Lattice, vectors: Sequence[Sequence]):
-        if len(vectors) == 0:
+    def __init__(self, lattice: Lattice, pairings: Sequence[Sequence]):
+        if len(pairings) == 0:
             raise InputError("a star needs at least one vector")
-        vecs = []
-        pairings = []
-        for j, v in enumerate(vectors):
-            v = qvec(v)
-            if len(v) != lattice.rank:
-                raise InputError(f"vector {j}: length {len(v)}, expected {lattice.rank}")
-            if all(x == 0 for x in v):
-                raise InputError(f"vector {j}: zero vector not allowed")
-            p = lattice.pairings(v)
-            if any(x.denominator != 1 for x in p):
+        ints = []
+        for j, u in enumerate(pairings):
+            if len(u) != lattice.rank:
+                raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
+            (row,), den = clear_denominators([u])
+            if den != 1:
                 raise InputError(f"vector {j}: not in the dual lattice "
-                                 f"(pairings {[str(x) for x in p]})")
-            vecs.append(v)
-            pairings.append(tuple(int(x) for x in p))
-        self._fill(lattice, vecs, pairings)
-
-    def _fill(self, lattice: Lattice, vectors: Sequence[Vec],
-              pairings: Sequence[tuple[int, ...]]) -> None:
+                                 f"(pairings {[str(Q(x)) for x in u]})")
+            if not any(row):
+                raise InputError(f"vector {j}: zero vector not allowed")
+            ints.append(tuple(row))
         self.lattice = lattice
-        self.vectors: tuple[Vec, ...] = tuple(vectors)
-        self.pairings: tuple[tuple[int, ...], ...] = tuple(pairings)
-        self.size = len(self.vectors)
+        self.pairings: tuple[tuple[int, ...], ...] = tuple(ints)
+        self.size = len(ints)
+
+    @cached_property
+    def vectors(self) -> tuple[Vec, ...]:
+        """s_j = gram^-1 u_j = (gi u_j) / g, with gram (gi u_j) = g u_j checked in int."""
+        gi, g = self.lattice.dual_gram()
+        vectors = []
+        for j, u in enumerate(self.pairings):
+            w = [sum(map(mul, r, u)) for r in gi]
+            if any(sum(map(mul, r, w)) != g * x for r, x in zip(self.lattice.gram, u)):
+                raise InternalError(f"vector {j}: gram G^-1 u != u for u = {list(u)}")
+            vectors.append(tuple(Q(x, g) for x in w))
+        return tuple(vectors)
 
     def __repr__(self) -> str:
         return f"EutacticStar(N={self.size}, rank={self.lattice.rank})"
@@ -59,6 +67,21 @@ class EutacticStar:
     def to_json_dict(self) -> dict:
         return {"gram": self.lattice.to_json_dict()["gram"],
                 "vectors": [format_vector(v) for v in self.vectors]}
+
+
+def star_from_vectors(lattice: Lattice, vectors: Sequence[Sequence]) -> EutacticStar:
+    """The star of the given dual-lattice vectors s_j, through their pairings gram s_j.
+
+    gram is square, so a pairing tuple has its vector's length; a vector of
+    the wrong length is passed on as it is, for the constructor to report.
+    """
+    return EutacticStar(lattice, [lattice.pairings(v) if len(v) == lattice.rank else v
+                                  for v in vectors])
+
+
+def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
+    """The star whose pairing vectors are the given integer tuples."""
+    return EutacticStar(lattice, pairings)
 
 
 def is_eutactic(star: EutacticStar) -> bool:
@@ -87,22 +110,22 @@ def embed(star: EutacticStar, x: Sequence) -> Vec:
 
 
 def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
-    """Number of star vectors lying on the line through v (v nonzero)."""
+    """Number of star vectors lying on the line through v (v nonzero).
+
+    gram is nonsingular, so s_j lies on the line through v iff u_j = gram s_j
+    lies on the line through gram v: every 2x2 minor of u_j and w vanishes,
+    with w the pairings of v scaled to int.
+    """
     v = qvec(v)
     if len(v) != star.lattice.rank:
         raise InputError(f"divisor_multiplicity: v has length {len(v)}, "
                          f"expected {star.lattice.rank}")
     if all(x == 0 for x in v):
         raise InputError("divisor_multiplicity: v must be nonzero")
-    count = 0
-    for s in star.vectors:
-        # s parallel to v: all 2x2 minors of the pair vanish.
-        if all(s[i] * v[k] == s[k] * v[i] for i in range(len(v)) for k in range(i)):
-            # s nonzero by construction, so s = c v with c != 0.
-            i = next(i for i, x in enumerate(v) if x != 0)
-            if s[i] != 0:
-                count += 1
-    return count
+    (w,), _ = clear_denominators([star.lattice.pairings(v)])
+    l = len(w)
+    return sum(all(u[i] * w[k] == u[k] * w[i] for i in range(l) for k in range(i))
+               for u in star.pairings)
 
 
 def support_set(star: EutacticStar) -> tuple[list[Vec], list[tuple[Vec, int]]]:
@@ -127,7 +150,7 @@ def star_from_json_dict(data) -> EutacticStar:
     vectors = data["vectors"]
     if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
         raise InputError('"vectors" must be a list of vectors')
-    return EutacticStar(lat, [parse_vector(v) for v in vectors])
+    return star_from_vectors(lat, [parse_vector(v) for v in vectors])
 
 
 def load_star(path: str) -> EutacticStar:
@@ -142,32 +165,3 @@ def load_star(path: str) -> EutacticStar:
 def dump_star(star: EutacticStar) -> str:
     return json.dumps(star.to_json_dict(), sort_keys=True)
 
-
-def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
-    """Build the star whose pairing vectors are the given integer tuples.
-
-    Each vector G^-1 u = (gi u) / g is computed in int, and the tuples are
-    kept as the pairings rather than recomputed from the vectors; the checks
-    are EutacticStar's, plus gram (gi u) = g u in int.
-    """
-    if len(pairings) == 0:
-        raise InputError("a star needs at least one vector")
-    gi, g = lattice.dual_gram()  # G^-1 = gi / g
-    vectors, ints = [], []
-    for j, u in enumerate(pairings):
-        if len(u) != lattice.rank:
-            raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
-        (row,), den = clear_denominators([u])
-        if den != 1:
-            raise InputError(f"vector {j}: not in the dual lattice "
-                             f"(pairings {[str(Q(x)) for x in u]})")
-        if not any(row):
-            raise InputError(f"vector {j}: zero vector not allowed")
-        w = [sum(map(mul, r, row)) for r in gi]
-        if any(sum(map(mul, r, w)) != g * x for r, x in zip(lattice.gram, row)):
-            raise InternalError(f"vector {j}: gram G^-1 u != u for u = {row}")
-        vectors.append(tuple(Q(x, g) for x in w))
-        ints.append(tuple(row))
-    star = EutacticStar.__new__(EutacticStar)
-    star._fill(lattice, vectors, ints)
-    return star

@@ -6,7 +6,7 @@ import pytest
 
 from eustar.lattice import Lattice
 from eustar.rootsys import build_star, catalog
-from eustar.star import EutacticStar
+from eustar.star import star_from_vectors
 
 # Grams small enough that full star enumeration stays quick.
 CORPUS_GRAMS = [
@@ -55,7 +55,7 @@ def g2_star():
 @pytest.fixture
 def two_vector_star():
     # Two copies of 1/2 on the [[2]] lattice: eutactic but not extremal.
-    return EutacticStar(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
+    return star_from_vectors(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from eustar.qseries import (check_antisymmetry, check_holomorphic,
                             theta_factor)
 from eustar.rootsys import build_star, catalog, catalog_labels, recognize
 from eustar.search import enumerate_stars, verify_theorem
-from eustar.star import (EutacticStar, divisor_multiplicity, is_eutactic,
+from eustar.star import (divisor_multiplicity, is_eutactic, star_from_vectors,
                          support_set)
 
 from conftest import CORPUS_GRAMS, rational_point
@@ -87,7 +87,7 @@ def test_acceptance_2_root_star_certificates():
 
 
 def test_acceptance_3_non_extremal_rejection(tmp_path):
-    star = EutacticStar(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
+    star = star_from_vectors(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
     cert = certify_extremal(star)
     lib_ok = (not cert.is_extremal and cert.min_value == 0
               and cert.threshold == Q(1, 24))

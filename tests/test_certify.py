@@ -34,7 +34,7 @@ from eustar.lattice import InputError, InternalError, Lattice
 from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
-from eustar.star import EutacticStar, load_star
+from eustar.star import load_star, star_from_vectors
 
 from conftest import rational_point
 from test_linalg import det, gauss_jordan_inverse
@@ -185,7 +185,7 @@ def test_certificate_json(a2_star):
 def test_non_eutactic_star_rejected():
     # The coset formulation leans on eutaxy (U^T U = G is what turns the least
     # squares residual into the projection P), so other stars are refused.
-    star = EutacticStar(Lattice([[2]]), [(Q(1, 2),)])
+    star = star_from_vectors(Lattice([[2]]), [(Q(1, 2),)])
     with pytest.raises(InputError):
         min_deficiency(star)
     with pytest.raises(InputError):
@@ -315,7 +315,7 @@ METAMORPHIC_STARS = ("A2", "B2", "G2", "A3", "B3", "two_vector",
 
 def _metamorphic_star(name):
     if name == "two_vector":
-        return EutacticStar(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
+        return star_from_vectors(Lattice([[2]]), [(Q(1, 2),), (Q(1, 2),)])
     if name == "G2_weight_nonextremal":
         return load_star(str(BENCH_INPUTS / f"{name}.star.json"))
     return build_star(catalog(name))
@@ -355,7 +355,7 @@ def test_metamorphic_basis_order_signs(data):
                                max_size=star.size))
     vectors = [tuple(flip * sum(P_inv[i][a] * star.vectors[j][a] for a in range(l))
                      for i in range(l)) for j, flip in zip(order, flips)]
-    moved = EutacticStar(Lattice(gram), vectors)
+    moved = star_from_vectors(Lattice(gram), vectors)
 
     before, after = certify_extremal(star), certify_extremal(moved)
     assert after.min_value == before.min_value

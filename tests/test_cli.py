@@ -43,10 +43,6 @@ def test_check(a1_file, two_file, tmp_path, capsys):
 def test_check_bad_inputs(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"gram": [[2]], "vectors": [["1/3"]]}))
-    assert main(["check", str(bad)]) == 2
-    assert "not in the dual lattice" in capsys.readouterr().err
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["check", str(notjson)]) == 2
@@ -63,12 +59,19 @@ def test_extremal(a1_file, two_file, capsys):
     assert out["extremal"] is False and out["threshold"] == "1/24"
 
 
-def test_boolean_vector_entries_rejected(tmp_path, capsys):
-    star = tmp_path / "bool.json"
-    star.write_text(json.dumps({"gram": [[1]], "vectors": [[True]]}))
-    for command in ("check", "extremal"):
+@pytest.mark.parametrize("gram,vectors,message", [
+    ([[2]], [], "a star needs at least one vector"),
+    ([[2, 1], [1, 2]], [["1/3", "1/3"], ["0", "0"]], "vector 1: zero vector not allowed"),
+    ([[2, 1], [1, 2]], [["1/3", "1/3"], ["1", "0", "0"]], "vector 1: length 3, expected 2"),
+    ([[2]], [["1/3"]], "vector 0: not in the dual lattice (pairings ['2/3'])"),
+    ([[1]], [[True]], "expected a rational, got the boolean True"),
+], ids=["empty", "zero", "wrong_length", "non_dual", "boolean"])
+def test_bad_star_rejected(gram, vectors, message, tmp_path, capsys):
+    star = tmp_path / "bad.json"
+    star.write_text(json.dumps({"gram": gram, "vectors": vectors}))
+    for command in ("check", "extremal", "expand", "recognize"):
         assert main([command, str(star)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_extremal_catalog_type(capsys):

@@ -31,7 +31,7 @@ from eustar.qseries import (DEFAULT_ORDER, FourierSeries, add,
                             heat_apply, multiply, reflect_series, theta_block,
                             theta_factor)
 from eustar.rootsys import build_star, catalog
-from eustar.star import EutacticStar, support_set
+from eustar.star import star_from_vectors, support_set
 
 
 def product_side_theta(n24_max):
@@ -85,7 +85,7 @@ def test_theta_factor_frozen(a1_star):
 
 def test_theta_factor_scaled_exponents():
     # Pairing vector (2): exponents land on integers, so z_den normalizes to 1.
-    star = EutacticStar(Lattice([[4]]), [(Q(1, 2),)])
+    star = star_from_vectors(Lattice([[4]]), [(Q(1, 2),)])
     assert star.pairings == ((2,),)
     theta = theta_factor(star, 0, 60)
     assert theta.z_den == 1
@@ -243,7 +243,7 @@ def test_heat_keeps_off_shell_terms(two_vector_star):
 
 
 def test_non_eutactic_block_warns():
-    star = EutacticStar(Lattice([[2]]), [(Q(1, 2),)])
+    star = star_from_vectors(Lattice([[2]]), [(Q(1, 2),)])
     with pytest.warns(RuntimeWarning, match="non-eutactic"):
         block = theta_block(star, n24_max=60)
     assert not block.is_zero()
@@ -422,7 +422,7 @@ def test_theta_block_metamorphic_order_and_signs(label, data):
     flips = data.draw(st.lists(st.booleans(), min_size=star.size, max_size=star.size))
     vectors = [tuple(-x for x in star.vectors[j]) if flips[j] else star.vectors[j]
                for j in order]
-    moved = theta_block(EutacticStar(star.lattice, vectors), n24_max=240)
+    moved = theta_block(star_from_vectors(star.lattice, vectors), n24_max=240)
     sign = (-1) ** sum(flips)
     assert moved.terms == {k: sign * c for k, c in block.terms.items()}
     assert (moved.z_den, moved.n24_max, moved.character_d) == \

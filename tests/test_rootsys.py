@@ -117,6 +117,19 @@ def test_built_stars_are_eutactic_smalls():
         assert star.pairings == catalog(label).positive_roots
 
 
+@pytest.mark.parametrize("label", catalog_labels())
+def test_built_star_vectors_are_roots_over_h(label):
+    # The star {M r / h} on P, computed here in Fraction from the simple-root
+    # form M; build_star derives its vectors from the pairings instead.
+    desc = catalog(label)
+    n, h = desc.rank, desc.dual_coxeter
+    expected = tuple(tuple(sum(Q(desc.norm_gram[i][j]) * r[j] for j in range(n)) / h
+                           for i in range(n)) for r in desc.positive_roots)
+    star = build_star(desc)
+    assert star.pairings == desc.positive_roots
+    assert star.vectors == expected
+
+
 def test_cartan_matrix_of_vectors():
     lat = Lattice([[2, 1], [1, 2]])
     a = cartan_matrix([(1, 0), (0, 1)], lat)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -115,7 +116,8 @@ def test_extremal_entry_shape():
 
 def oracle_pairings(gram, canonical_dedup=True):
     """Pairing lists by plain backtracking: a fresh sym_elim on every child
-    residual and no lead-position cut.  The reference for enumerate_stars."""
+    residual and no lead-position cut, memoised on (start, residual).  The
+    reference for enumerate_stars."""
     l = len(gram)
     alphabet = []
     for u in product(*(range(-math.isqrt(gram[i][i]), math.isqrt(gram[i][i]) + 1)
@@ -126,22 +128,22 @@ def oracle_pairings(gram, canonical_dedup=True):
         if all(resid[i][i] >= 0 for i in range(l)) and sym_elim(resid) is not None:
             alphabet.append(u)
     alphabet.sort(reverse=True)
-    found = []
 
-    def backtrack(start, residual, chosen):
+    @cache
+    def completions(start, residual):
+        """Every non-increasing run of alphabet[start:] whose u u^T sum to residual."""
         if all(x == 0 for row in residual for x in row):
-            found.append(tuple(chosen))
-            return
+            return [()]
+        out = []
         for i in range(start, len(alphabet)):
             u = alphabet[i]
-            nxt = [[residual[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)]
+            nxt = tuple(tuple(residual[a][b] - u[a] * u[b] for b in range(l)) for a in range(l))
             if any(nxt[a][a] < 0 for a in range(l)) or sym_elim(nxt) is None:
                 continue
-            chosen.append(u)
-            backtrack(i, nxt, chosen)
-            chosen.pop()
+            out.extend((u,) + rest for rest in completions(i, nxt))
+        return out
 
-    backtrack(0, gram, [])
+    found = completions(0, tuple(map(tuple, gram)))
     if canonical_dedup:
         return found
     expanded = set()

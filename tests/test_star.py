@@ -6,14 +6,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eustar.certify import deficiency
+from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice
-from eustar.qseries import check_antisymmetry, reflect_series, theta_factor
+from eustar.qseries import check_antisymmetry, reflect_series, theta_block, theta_factor
 from eustar.rootsys import build_P_lattice, build_star, cartan_matrix, catalog, recognize
 from eustar.search import enumerate_stars
-from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, embed,
-                         is_eutactic, load_star, star_from_json_dict,
-                         star_from_pairings, support_set)
+from eustar.star import (divisor_multiplicity, dump_star, embed, is_eutactic,
+                         load_star, star_from_json_dict, star_from_pairings,
+                         star_from_vectors, support_set)
 
 from conftest import rational_point
 
@@ -21,13 +21,13 @@ from conftest import rational_point
 def test_construction_validation():
     lat = Lattice([[2, 1], [1, 2]])
     with pytest.raises(InputError):
-        EutacticStar(lat, [])
+        star_from_vectors(lat, [])
     with pytest.raises(InputError):
-        EutacticStar(lat, [(0, 0)])
+        star_from_vectors(lat, [(0, 0)])
     with pytest.raises(InputError):
-        EutacticStar(lat, [(1, 0, 0)])
+        star_from_vectors(lat, [(1, 0, 0)])
     with pytest.raises(InputError, match="vector 1"):
-        EutacticStar(lat, [(1, 0), (Q(1, 2), 0)])
+        star_from_vectors(lat, [(1, 0), (Q(1, 2), 0)])
 
 
 def test_pairings_are_integer_tuples(a2_star):
@@ -40,9 +40,9 @@ def test_is_eutactic(a2_star, two_vector_star):
     assert is_eutactic(a2_star)
     assert is_eutactic(two_vector_star)
     # Dropping a vector breaks the decomposition.
-    partial = EutacticStar(a2_star.lattice, a2_star.vectors[:-1])
+    partial = star_from_vectors(a2_star.lattice, a2_star.vectors[:-1])
     assert not is_eutactic(partial)
-    single = EutacticStar(Lattice([[2]]), [(Q(1, 2),)])
+    single = star_from_vectors(Lattice([[2]]), [(Q(1, 2),)])
     assert not is_eutactic(single)
 
 
@@ -89,12 +89,12 @@ def test_star_from_pairings(a2_star):
 
 @pytest.mark.parametrize("label", ["B3", "C3"])
 def test_star_from_pairings_matches_constructor(label):
-    # The pairings are taken as given; the constructor recomputes them from
-    # the vectors through Lattice.pairings.
+    # The pairings are taken as given; star_from_vectors recomputes them from
+    # the derived vectors through Lattice.pairings.
     lattice = build_P_lattice(catalog(label))
     for star in enumerate_stars(lattice):
         built = star_from_pairings(lattice, star.pairings)
-        ref = EutacticStar(lattice, built.vectors)
+        ref = star_from_vectors(lattice, built.vectors)
         assert (built.vectors, built.pairings, built.size) == \
             (ref.vectors, ref.pairings, ref.size)
         assert all(type(x) is int for u in built.pairings for x in u)
@@ -112,8 +112,22 @@ def test_star_from_pairings_broken_inverse_raises_internal_error():
     lat = Lattice([[2, 1], [1, 2]])
     gi, g = lat.dual_gram()
     lat._dual_gram = (((gi[0][0] + 1, gi[0][1]), gi[1]), g)
+    star = star_from_pairings(lat, [(1, 0)])
     with pytest.raises(InternalError):
-        star_from_pairings(lat, [(1, 0)])
+        star.vectors
+
+
+def test_vectors_derived_only_when_read():
+    # Enumeration, eutaxy, the certificate and the theta block read only the
+    # pairings, so no star pays for its Fraction vectors unless they are read.
+    stars = enumerate_stars(build_P_lattice(catalog("B3")))
+    for star in stars:
+        assert is_eutactic(star)
+        certify_extremal(star)
+        theta_block(star, n24_max=24)
+    assert not any("vectors" in star.__dict__ for star in stars)
+    assert stars[0].vectors is stars[0].vectors
+    assert "vectors" in stars[0].__dict__
 
 
 def test_json_round_trip(tmp_path, g2_star):
