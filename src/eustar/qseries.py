@@ -10,11 +10,13 @@ Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
 truncation error can first appear.  One packed-key kernel computes every
 product, of two series (multiply) or of a whole theta block: one radix for
 every partial product, one integer addition per pair of terms, scans that
-stop at the cap, one decode at the end; see multiply.  A block puts the
-dense q-only eta power last, so no partial product carries its terms.  The
-heat, holomorphy and singular-shell checks evaluate (l, l) with the integer
-matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one
-Fraction per term; reflections map exponents in int over one denominator.
+stop at the cap, one decode at the end; see multiply.  When every operand
+is odd or even in z, each partial product is stored by its w >= 0 half and
+the mirror half is folded in.  A block puts the dense q-only eta power last,
+so no partial product carries its terms.  The heat, holomorphy and
+singular-shell checks evaluate (l, l) with the integer matrix gi of
+dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one Fraction per
+term; reflections map exponents in int over one denominator.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
 variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
@@ -236,8 +238,54 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     min taken as the sum of the operands' mins, a lower bound, so each cap
     is sound.  Sums that cancel are dropped at once, and keys are decoded to
     (n24, w), into one FourierSeries, only at the end.
+
+    A key's w-part is wp = (key + bias) mod R^l - bias, with bias (R^l - 1)/2,
+    and the mirror term (n24, -w) of a key has key - 2 wp.  When every
+    operand has a parity, S(n, -w) = eps S(n, w) with eps = +-1 (theta
+    factors are odd, eta powers and lattice-free series even), every partial
+    product has one too, and the kernel stores only its keys with wp >= 0.
+    Each step multiplies the stored terms with w != 0 by the whole next
+    operand; the mirrored outer terms times the mirrored operand give the
+    mirror of each product times the running parity, so a product with
+    wp < 0 moves to its mirror key with that sign, and one with wp = 0 adds
+    to itself.  A stored term with w = 0 is its own mirror, and its products
+    are added on the keys with wp >= 0 only.  That halves the pairs, and the
+    decode emits both mirror terms.  If any operand has no parity, the same
+    loop runs with nothing filtered and nothing folded.
     """
     return _product([a, b] if len(a.terms) >= len(b.terms) else [b, a])
+
+
+def _parity(s: FourierSeries) -> int | None:
+    """eps in {+1, -1} with S(n, -w) = eps S(n, w) for every term, or None.
+
+    Theta factors are odd; eta powers, lattice-free series and the empty
+    series are even.  A term with w = 0 is its own mirror, so a series that
+    has one is even or has no parity.
+    """
+    eps = None
+    for (n24, w), c in s.terms.items():
+        m = s.terms.get((n24, tuple(-x for x in w)))
+        e = 1 if m == c else -1 if m == -c else None
+        if e is None or eps not in (None, e):
+            return None
+        eps = e
+    return eps or 1
+
+
+def _accumulate(out: dict, outer, inner: list, limit: int) -> None:
+    """out += outer * inner on packed keys up to limit; inner sorted, sums of 0 dropped."""
+    for k1, c1 in outer:
+        stop = limit - k1
+        for k2, c2 in inner:
+            if k2 > stop:
+                break
+            key = k1 + k2
+            v = out.get(key, 0) + c1 * c2
+            if v:
+                out[key] = v
+            else:
+                del out[key]
 
 
 def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
@@ -253,27 +301,43 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
     bias = (shift - 1) // 2
     chars = [s.character_d for s in factors]
     char = None if None in chars else sum(chars) % 24
+    parities = [_parity(s) for s in factors]
+    folded = None not in parities
     first = factors[0]
     cap, low = first.n24_max, first.min_n24
-    out = dict(_packed(first, scales[0], radix, shift))
-    for s, scale in zip(factors[1:], scales[1:]):
+    # With every parity known, a partial product keeps its keys with wp >= 0,
+    # and sign is its parity.
+    out = {k: c for k, c in _packed(first, scales[0], radix, shift)
+           if not folded or (k + bias) % shift >= bias}
+    sign = parities[0]
+    for s, scale, parity in zip(factors[1:], scales[1:], parities[1:]):
         cap = min(cap + s.min_n24, s.n24_max + low)
         low += s.min_n24
         inner = sorted(_packed(s, scale, radix, shift))
         limit = cap * shift + bias
         outer, out = out, {}
-        for k1, c1 in outer.items():
-            stop = limit - k1
-            for k2, c2 in inner:
-                if k2 > stop:
-                    break
-                key = k1 + k2
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+        # An odd partial product has no terms with w = 0.
+        w_zero = ([(k, c) for k, c in outer.items() if (k + bias) % shift == bias]
+                  if folded and sign == 1 else [])
+        for k, _ in w_zero:
+            del outer[k]
+        _accumulate(out, outer.items(), inner, limit)
         del outer
+        if not folded:
+            continue
+        # The unstored mirror half adds sign times the mirror of each product:
+        # one with wp < 0 moves to key - 2 wp, one with wp = 0 becomes c + sign c.
+        sign *= parity
+        for key, wp in [(k, wp) for k in out if (wp := (k + bias) % shift - bias) <= 0]:
+            c = out.pop(key)
+            mirror = key - 2 * wp
+            v = out.get(mirror, 0 if wp else c) + sign * c
+            if v:
+                out[mirror] = v
+            else:
+                out.pop(mirror, None)
+        # A w = 0 term is its own mirror, so it meets only the inner keys with wp >= 0.
+        _accumulate(out, w_zero, [t for t in inner if (t[0] + bias) % shift >= bias], limit)
     terms = {}
     for key, c in out.items():
         # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
@@ -283,6 +347,8 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
             rest, digit = divmod(rest, radix)
             w[i] = digit - half
         terms[(n24, tuple(w))] = c
+        if folded and any(w):
+            terms[(n24, tuple(-x for x in w))] = sign * c
     del out  # free the packed terms before the constructor copies the decoded ones
     return FourierSeries(lat, d, terms, cap, character_d=char)
 

@@ -9,7 +9,9 @@ prod (1 - q^n).
 multiply works on packed integer keys; reference_multiply below is the plain
 pairwise product on (n24, w) tuples, and the two must agree term for term.
 theta_block runs the same packed kernel over all its factors, eta last; its
-reference is an eta-first fold of reference_multiply.
+reference is an eta-first fold of reference_multiply.  When every operand is
+odd or even in z the kernel stores each partial product by its w >= 0 half;
+parity_series builds such operands, with and without w = 0 terms.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
 test-local inverse.
@@ -408,6 +410,92 @@ def test_product_kernel_matches_pairwise_fold(data):
     want = want.trimmed(got.n24_max)
     assert got.terms == want.terms
     assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
+
+
+@st.composite
+def parity_series(draw, lat):
+    """(s + eps s(q, -z), eps) for a random s: a series of parity eps.
+
+    The w are small, so that w = 0, its own mirror, turns up often; a
+    lattice-free series is even.
+    """
+    width = lat.rank if lat is not None else 0
+    char = draw(st.one_of(st.none(), st.integers(0, 23)))
+    if char is None:
+        n24s = st.integers(-30, 200)
+    else:
+        n24s = st.integers(-2, 8).map(lambda j: char + 24 * j)
+    ws = st.tuples(*[st.integers(-3, 3)] * width)
+    base = draw(st.dictionaries(st.tuples(n24s, ws), COEFFS, max_size=10))
+    eps = draw(st.sampled_from([1, -1])) if width else 1
+    terms = dict(base)
+    for (n, w), c in base.items():
+        key = (n, tuple(-x for x in w))
+        terms[key] = terms.get(key, 0) + eps * c
+    ns = sorted(n for n, _ in terms)
+    cap = draw(st.integers(ns[0], ns[-1]) if ns else n24s)
+    return FourierSeries(lat, draw(st.sampled_from([1, 2, 3, 6])), terms, cap, char), eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_half_plane_product_matches_pairwise_fold(data):
+    # With every operand odd or even, the kernel stores each partial product
+    # by its w >= 0 half; with one lopsided operand it stores both halves.
+    width = data.draw(st.integers(1, 2))
+    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)])
+    factors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        s, eps = data.draw(parity_series(None if data.draw(st.integers(0, 3)) == 0 else lat))
+        assert qseries._parity(s) == (eps if s.terms else 1)
+        factors.append(s)
+    if data.draw(st.booleans()):
+        lopsided = data.draw(random_series(lat))
+        factors.insert(data.draw(st.integers(0, len(factors))), lopsided)
+    got = qseries._product(factors)
+    want = factors[0]
+    cap, low = want.n24_max, want.min_n24
+    for s in factors[1:]:
+        want = reference_multiply(want, s)
+        cap = min(cap + s.min_n24, s.n24_max + low)
+        low += s.min_n24
+    # The kernel's cap follows the operands' mins (see multiply); the fold
+    # is exact at least that far.
+    assert got.n24_max == cap <= want.n24_max
+    want = want.trimmed(cap)
+    assert got.terms == want.terms
+    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
+    assert got.lattice is want.lattice
+
+
+def test_parity_of_factors(a2_star):
+    assert qseries._parity(theta_factor(a2_star, 0, 240)) == -1
+    assert qseries._parity(eta_power(-3, 240)) == 1
+    assert qseries._parity(eta_power(5, 240)) == 1
+    lat = a2_star.lattice
+    lopsided = FourierSeries(lat, 1, {(3, (1, 0)): 1, (3, (-1, 0)): 2}, 60)
+    assert qseries._parity(lopsided) is None
+    assert qseries._parity(FourierSeries(lat, 1, {(3, (1, 0)): 1}, 60)) is None
+    mixed = FourierSeries(lat, 1, {(3, (1, 0)): 1, (3, (-1, 0)): 1,
+                                   (27, (0, 1)): 1, (27, (0, -1)): -1}, 60)
+    assert qseries._parity(mixed) is None
+    # A w = 0 term is its own mirror: the series can only be even.
+    assert qseries._parity(FourierSeries(lat, 1, {(3, (0, 0)): 1}, 60)) == 1
+
+
+@pytest.mark.parametrize("vectors", [[(Q(1, 2),), (Q(1, 2),)], [(Q(1, 2),), (Q(-1, 2),)]],
+                         ids=["u,u", "u,-u"])
+def test_theta_block_with_w_zero_terms_matches_pairwise_reference(vectors):
+    # theta(u) theta(+-u) has terms with w = 0, which the half-plane kernel
+    # keeps once, unmirrored.
+    star = star_from_vectors(Lattice([[2]]), vectors)
+    block = theta_block(star, n24_max=480)
+    want, _ = eta_first_fold(star, 480, star.lattice.rank, reference_multiply)
+    want = want.trimmed(480)
+    assert any(not any(w) for _, w in block.terms)
+    assert block.terms == want.terms
+    assert (block.z_den, block.n24_max, block.character_d) == \
+        (want.z_den, want.n24_max, want.character_d)
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "A3"])

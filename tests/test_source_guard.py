@@ -6,7 +6,8 @@ under src/eustar may hold an assert statement, a float literal or a call to
 float.  Every module-level import outside ``__init__.py`` (which re-exports)
 must be used, so a helper that stops needing a module drops its import.
 In linalg.py, Fraction is built only where rational values enter or leave:
-every elimination runs in int.
+every elimination runs in int.  The product kernel of qseries.py works on
+packed integer keys and builds no Fraction.
 """
 
 import ast
@@ -79,3 +80,16 @@ def test_linalg_builds_fractions_only_at_its_edges():
     calls = list(_fraction_calls(ast.parse(path.read_text(), filename=str(path))))
     assert {name for name, _ in calls} <= FRACTION_ENTRY_POINTS, calls
     assert calls  # the walk does see the entry points
+
+
+# The product kernel of qseries.py: parity scan, packing, pair loop, fold.
+PRODUCT_KERNEL = {"_parity", "_packed", "_accumulate", "_product"}
+
+
+def test_product_kernel_builds_no_fractions():
+    path = next(p for p in SOURCES if p.name == "qseries.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert PRODUCT_KERNEL <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    calls = list(_fraction_calls(tree))
+    assert calls  # the walk does see the series' own Fraction calls
+    assert not [(name, line) for name, line in calls if name in PRODUCT_KERNEL], calls
