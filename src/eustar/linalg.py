@@ -36,7 +36,7 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(ints, den) with rows = ints / den, den the lcm of the entries' denominators."""
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows], 1
-    rows = [[Q(x) for x in row] for row in rows]
+    rows = [[x if type(x) is Q else Q(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice
@@ -106,11 +106,16 @@ def _close_under_reflections(cartan, n: int) -> set[tuple[int, ...]]:
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simple)
     frontier = list(simple)
+    cols = list(zip(*cartan))
     while frontier:
         r = frontier.pop()
-        for i in range(n):
-            pairing = sum(r[j] * cartan[j][i] for j in range(n))
-            img = tuple(r[j] - (pairing if j == i else 0) for j in range(n))
+        for i, col in enumerate(cols):
+            pairing = sum(map(mul, r, col))
+            if pairing == 0:
+                continue
+            img = list(r)
+            img[i] -= pairing
+            img = tuple(img)
             if img not in roots:
                 roots.add(img)
                 frontier.append(img)
@@ -132,13 +137,15 @@ def catalog(label: str) -> RootSystemDescriptor:
         raise InternalError(f"{label}: a root is neither positive nor negative")
     positive = sorted((r for r in roots if all(c >= 0 for c in r)),
                       key=lambda r: (sum(r), r))
-    # Dual Coxeter number via (sum_{r>0} r r^T) M = h I.
-    s = [[sum(r[i] * r[j] for r in positive) for j in range(n)] for i in range(n)]
-    c = [[sum(Q(s[i][k]) * gram[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)]
-    h = c[0][0]
-    if any(c[i][j] != (h if i == j else 0) for i in range(n) for j in range(n)):
+    # Dual Coxeter number via (sum_{r>0} r r^T) M = h I, in int: with
+    # M = gm / den, (sum_{r>0} r r^T) gm = (h den) I.
+    cols = list(zip(*positive))
+    gm, den = clear_denominators(gram)
+    s = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    c = [[sum(map(mul, row, col)) for col in zip(*gm)] for row in s]
+    if any(c[i][j] != (c[0][0] if i == j else 0) for i in range(n) for j in range(n)):
         raise InternalError(f"{label}: sum of root squares is not a multiple of the form")
+    h = Q(c[0][0], den)
     if h.denominator != 1 or h <= 0:
         raise InternalError(f"{label}: dual Coxeter number {h} is not a positive integer")
     return RootSystemDescriptor(label=f"{family}{n}", rank=n, cartan=cartan,
@@ -210,39 +217,46 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
 
     S is scaled to int by a common denominator, and every check runs in int:
     only parallel vectors are compared for integer multiples, and a reflection
-    image is y - c x with c = 2(x, y)/(x, x).  The one exception is a pair with
-    c not an integer, whose image is tested in Fraction; no root system has one.
+    image is y - c x with c = 2(x, y)/(x, x), looked up by a packed integer
+    key.  The one exception is a pair with c not an integer, whose image is
+    tested in Fraction; no root system has one.
+
+    The last two checks and everything after them run on a quarter of the
+    pairs.  Once S = -S and its vectors are distinct, x -> -x is an involution
+    of the indices without a fixed point.  Since s_{-x} = s_x and
+    s_x(-y) = -s_x(y), the pair (x, y) fails closure, or integrality, exactly
+    when (-x, y), (x, -y) and (-x, -y) do.  So the first failing pair in index
+    order is a pair of representatives, indices that come before their
+    negation's, and only those pairs are scanned and paired.
+
+    Past the four checks S is a reduced crystallographic root system.  Its
+    positive roots, taken in increasing order of a generic functional f, are
+    each simple iff they pair <= 0 with every simple root found before them:
+    distinct simple roots pair <= 0, and a positive root that is not simple
+    pairs > 0 with some simple root of its support, each of which has smaller
+    f (Humphreys, *Introduction to Lie algebras and representation theory*,
+    sections 10.1 and 10.2).  This is the simple system, which is unique for
+    the positive system; the orthogonal components come from the same pair
+    matrix.
     """
     if len(S) == 0:
         raise InputError("recognize: S is empty")
-    orig = [qvec(v) for v in S]
-    for j, v in enumerate(orig):
+    # Clear denominators once; every later check is ratio-based, so a common
+    # integer rescaling changes nothing and keeps the arithmetic in int.
+    ints, den = clear_denominators(S)
+    scaled = [tuple(v) for v in ints]
+    for j, v in enumerate(scaled):
         if len(v) != lattice.rank:
             raise InputError(f"recognize: vector {j} has length {len(v)}, "
                              f"expected {lattice.rank}")
-        if all(x == 0 for x in v):
+        if not any(v):
             raise InputError(f"recognize: vector {j} is zero")
-    oset = set(orig)
-    for v in orig:
-        if tuple(-x for x in v) not in oset:
+    sset = set(scaled)
+    for j, v in enumerate(scaled):
+        if tuple([-x for x in v]) not in sset:
             raise InputError(f"recognize: S is not symmetric under negation "
-                             f"(missing -{[str(x) for x in v]})")
-
-    # Clear denominators once; every later check is ratio-based, so a common
-    # integer rescaling changes nothing and keeps the arithmetic in int.
-    scaled = [tuple(v) for v in clear_denominators(orig)[0]]
-    back = {s: o for s, o in zip(scaled, orig)}
+                             f"(missing -{[str(x) for x in qvec(S[j])]})")
     n = len(scaled)
-    g = lattice.gram
-    l = lattice.rank
-
-    # pair[i][j] = (v_i, v_j): one G v_j per vector, one triangle of dot products.
-    gs = [[sum(map(mul, row, v)) for row in g] for v in scaled]
-    pair = [[0] * n for _ in range(n)]
-    for i, x in enumerate(scaled):
-        row = pair[i]
-        for j in range(i + 1):
-            row[j] = pair[j][i] = sum(map(mul, x, gs[j]))
 
     # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
     # with p_i primitive and its first nonzero entry positive, so v_j is an
@@ -267,80 +281,113 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
         if v in seen:
             return _fail("distinct", (S[seen[v]], S[i]))
         seen[v] = i
-    sset = set(scaled)
+
+    # Representatives: the indices before their negation's, which negs holds.
+    # rep[i] is the position among them of i or of its negation.
+    reps, negs, rep = [], [], [0] * n
+    for i, v in enumerate(scaled):
+        j = seen[tuple([-x for x in v])]
+        if i < j:
+            rep[i] = rep[j] = len(reps)
+            reps.append(i)
+            negs.append(j)
+    vs = [scaled[i] for i in reps]
+    m, l = len(vs), lattice.rank
+
+    # pair[p][q] = (v_p, v_q) on the representatives; every other entry of the
+    # full matrix is one of these up to sign.
+    g = lattice.gram
+    gs = [[sum(map(mul, row, v)) for row in g] for v in vs]
+    pair = [[0] * m for _ in range(m)]
+    for p, x in enumerate(vs):
+        row = pair[p]
+        for q in range(p + 1):
+            row[q] = pair[q][p] = sum(map(mul, x, gs[q]))
+
+    # An image y - c x with integer c is looked up by its key, sum_a v_a R^a:
+    # key is linear, so key(y - c x) = key(y) - c key(x).  By Cauchy-Schwarz,
+    # c^2 <= 4 (y, y) / (x, x), so |c| <= cmax, and every entry of y - c x - w
+    # for w in S is at most (2 + cmax) times the largest entry of S, which is
+    # less than R; then equal keys mean equal vectors.
+    norms = [pair[p][p] for p in range(m)]
+    cmax = math.isqrt(4 * max(norms) // min(norms))
+    R = (2 + cmax) * max(abs(a) for v in vs for a in v) + 1
+    powers = [R ** a for a in range(l)]
+    keys = [sum(map(mul, v, powers)) for v in vs]
+    kset = set(keys) | {-k for k in keys}
     integral = True
-    for i, x in enumerate(scaled):
-        nii = pair[i][i]
-        for j, y in enumerate(scaled):
-            t = 2 * pair[i][j]
+    for p, kx in enumerate(keys):
+        npp, row = norms[p], pair[p]
+        for q, ky in enumerate(keys):
+            t = 2 * row[q]
             if t == 0:
                 continue
-            c, r = divmod(t, nii)
+            c, r = divmod(t, npp)
             if r == 0:
-                if tuple([b - c * a for a, b in zip(x, y)]) in sset:
+                if ky - c * kx in kset:
                     continue
-                return _fail("reflection-closure", (S[i], S[j]))
+                return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
             integral = False
-            q = Q(t, nii)
-            img = tuple(Q(b) - q * a for a, b in zip(x, y))
+            k = Q(t, npp)
+            img = tuple(Q(b) - k * a for a, b in zip(vs[p], vs[q]))
             if any(z.denominator != 1 for z in img) or \
                     tuple(int(z) for z in img) not in sset:
-                return _fail("reflection-closure", (S[i], S[j]))
+                return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
     # Unless some pair took the Fraction path, every 2(x, y)/(x, x) was an integer.
     if not integral:
-        for i in range(n):
-            for j in range(n):
-                if (2 * pair[i][j]) % pair[i][i] != 0:
-                    return _fail("cartan-integrality", (S[i], S[j]))
+        for p in range(m):
+            for q in range(m):
+                if (2 * pair[p][q]) % pair[p][p] != 0:
+                    return _fail("cartan-integrality", (S[reps[p]], S[reps[q]]))
 
-    # Orthogonal components.
-    comp = list(range(n))
-
-    def find(a):
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
-
-    for i in range(n):
-        for j in range(i):
-            if pair[i][j] != 0:
-                comp[find(i)] = find(j)
+    # Orthogonal components, on the representatives; v and -v share one.
+    # comp[p] is the first representative of p's component.
+    comp = [-1] * m
+    for p in range(m):
+        if comp[p] < 0:
+            comp[p] = p
+            stack = [p]
+            while stack:
+                for q, x in enumerate(pair[stack.pop()]):
+                    if x and comp[q] < 0:
+                        comp[q] = p
+                        stack.append(q)
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(comp[rep[i]], []).append(i)
 
-    # Positive system from a generic linear functional (1, t, t^2, ...).
+    # Positive system from a generic linear functional (1, t, t^2, ...):
+    # sign[p] = +-1 makes sign[p] v_p the positive one of +-v_p, and
+    # sign[p] sign[q] pair[p][q] is the pairing of the two positive ones.
     t = 1
     while True:
-        if all(sum(v[a] * t ** a for a in range(l)) != 0 for v in scaled):
+        f = [sum(v[a] * t ** a for a in range(l)) for v in vs]
+        if all(f):
             break
         t += 1
-    positive = [i for i in range(n) if sum(scaled[i][a] * t ** a for a in range(l)) > 0]
-    pos_set = {scaled[i] for i in positive}
-    sums = set()
-    for a in pos_set:
-        for b in pos_set:
-            sums.add(tuple(map(add, a, b)))
-    simple = [i for i in positive if scaled[i] not in sums]
+    sign = [1 if x > 0 else -1 for x in f]
+    positive = [i if s > 0 else j for i, j, s in zip(reps, negs, sign)]
+    simple: list[int] = []
+    for p in sorted(range(m), key=lambda p: sign[p] * f[p]):
+        row, s = pair[p], sign[p]
+        if all(s * sign[q] * row[q] <= 0 for q in simple):
+            simple.append(p)
 
     components = []
-    for root_ids in groups.values():
-        ids = set(root_ids)
-        simp = [i for i in simple if i in ids]
+    for head, root_ids in groups.items():
+        simp = sorted((p for p in simple if comp[p] == head), key=positive.__getitem__)
+        ids = [positive[p] for p in simp]
         r = len(simp)
-        span_rank = rank([scaled[i] for i in root_ids])
-        if r != span_rank or rank([scaled[i] for i in simp]) != r:
-            return _fail("simple-system", tuple(S[i] for i in simp))
-        a = [[2 * pair[x][y] // pair[y][y] for y in simp] for x in simp]
-        if any(a[p][q] > 0 for p in range(r) for q in range(r) if p != q):
-            return _fail("simple-system", tuple(S[i] for i in simp))
+        span_rank = rank([vs[p] for p in range(m) if comp[p] == head])
+        if r != span_rank or rank([vs[p] for p in simp]) != r:
+            return _fail("simple-system", tuple(S[i] for i in ids))
+        a = [[2 * sign[x] * sign[y] * pair[x][y] // pair[y][y] for y in simp] for x in simp]
         label = _match_type(a, len(root_ids))
         if label is None:
-            return _fail("unrecognized-component", tuple(S[i] for i in simp))
+            return _fail("unrecognized-component", tuple(S[i] for i in ids))
         components.append({
             "label": label,
-            "simple_roots": sorted(back[scaled[i]] for i in simp),
+            "simple_roots": sorted(tuple(Q(x, den) for x in scaled[i]) for i in ids),
             "cartan": tuple(tuple(row) for row in a),
         })
     components.sort(key=lambda c: (c["label"], c["simple_roots"]))

@@ -50,16 +50,22 @@ class EutacticStar:
         self.size = len(ints)
 
     @cached_property
-    def vectors(self) -> tuple[Vec, ...]:
-        """s_j = gram^-1 u_j = (gi u_j) / g, with gram (gi u_j) = g u_j checked in int."""
+    def _dual_coords(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(W, g) with s_j = W_j / g: W_j = gi u_j, with gram W_j == g u_j checked in int."""
         gi, g = self.lattice.dual_gram()
-        vectors = []
+        ws = []
         for j, u in enumerate(self.pairings):
-            w = [sum(map(mul, r, u)) for r in gi]
+            w = tuple([sum(map(mul, r, u)) for r in gi])
             if any(sum(map(mul, r, w)) != g * x for r, x in zip(self.lattice.gram, u)):
                 raise InternalError(f"vector {j}: gram G^-1 u != u for u = {list(u)}")
-            vectors.append(tuple(Q(x, g) for x in w))
-        return tuple(vectors)
+            ws.append(w)
+        return tuple(ws), g
+
+    @cached_property
+    def vectors(self) -> tuple[Vec, ...]:
+        """s_j = gram^-1 u_j = W_j / g, exactly."""
+        ws, g = self._dual_coords
+        return tuple(tuple(Q(x, g) for x in w) for w in ws)
 
     def __repr__(self) -> str:
         return f"EutacticStar(N={self.size}, rank={self.lattice.rank})"
@@ -72,11 +78,26 @@ class EutacticStar:
 def star_from_vectors(lattice: Lattice, vectors: Sequence[Sequence]) -> EutacticStar:
     """The star of the given dual-lattice vectors s_j, through their pairings gram s_j.
 
-    gram is square, so a pairing tuple has its vector's length; a vector of
-    the wrong length is passed on as it is, for the constructor to report.
+    With D the lcm of the vectors' denominators, each pairing is gram (D s_j) / D,
+    computed in int; a pairing tuple that is not integral is passed on in
+    Fraction, and a vector of the wrong length as it is, for the constructor
+    to report.
     """
-    return EutacticStar(lattice, [lattice.pairings(v) if len(v) == lattice.rank else v
-                                  for v in vectors])
+    l = lattice.rank
+    ints, den = clear_denominators([v for v in vectors if len(v) == l])
+    rows = iter(ints)
+    pairings = []
+    for v in vectors:
+        if len(v) != l:
+            pairings.append(v)
+            continue
+        xs = next(rows)
+        u = [sum(map(mul, r, xs)) for r in lattice.gram]
+        if all(x % den == 0 for x in u):
+            pairings.append([x // den for x in u])
+        else:
+            pairings.append([Q(x, den) for x in u])
+    return EutacticStar(lattice, pairings)
 
 
 def star_from_pairings(lattice: Lattice, pairings: Sequence[Sequence[int]]) -> EutacticStar:
@@ -122,7 +143,8 @@ def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
                          f"expected {star.lattice.rank}")
     if all(x == 0 for x in v):
         raise InputError("divisor_multiplicity: v must be nonzero")
-    (w,), _ = clear_denominators([star.lattice.pairings(v)])
+    (xs,), _ = clear_denominators([v])
+    w = [sum(map(mul, r, xs)) for r in star.lattice.gram]
     l = len(w)
     return sum(all(u[i] * w[k] == u[k] * w[i] for i in range(l) for k in range(i))
                for u in star.pairings)
@@ -132,15 +154,21 @@ def support_set(star: EutacticStar) -> tuple[list[Vec], list[tuple[Vec, int]]]:
     """The set {±s_j}, sorted, plus a report of repeated family members.
 
     The report lists (vector, multiplicity) for each exact repeat in the family;
-    an antipodal pair s, -s is two distinct members and is not a repeat.
+    an antipodal pair s, -s is two distinct members and is not a repeat.  Both
+    are found on the integer tuples W_j = g s_j, which sort as the s_j do
+    since g > 0; only the returned vectors are built in Fraction.
     """
-    counts = Counter(star.vectors)
-    support = set()
-    for s in star.vectors:
-        support.add(s)
-        support.add(tuple(-x for x in s))
-    duplicates = sorted((v, c) for v, c in counts.items() if c > 1)
-    return sorted(support), duplicates
+    ws, g = star._dual_coords
+    counts = Counter(ws)
+    support = set(ws)
+    support.update(tuple([-x for x in w]) for w in ws)
+    q = {x: Q(x, g) for x in {x for w in support for x in w}}
+
+    def vec(w):
+        return tuple(map(q.__getitem__, w))
+
+    duplicates = [(vec(w), c) for w, c in sorted(counts.items()) if c > 1]
+    return [vec(w) for w in sorted(support)], duplicates
 
 
 def star_from_json_dict(data) -> EutacticStar:

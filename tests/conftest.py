@@ -32,6 +32,33 @@ def rational_point(rng, dim):
     return tuple(Q(rng.randrange(-2 * den, 2 * den + 1), den) for _ in range(dim))
 
 
+def random_unimodular(rng, l, steps=4):
+    """(P, P^-1) for P a random signed permutation times up to `steps`
+    elementary matrices I + c e_ij, c = +-1."""
+    perm = list(range(l))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(l)]
+    P = [[signs[j] if i == perm[j] else 0 for j in range(l)] for i in range(l)]
+    P_inv = [list(col) for col in zip(*P)]  # P^-1 = P^T for a signed permutation
+    for _ in range(rng.randrange(steps + 1) if l > 1 else 0):
+        i, j = rng.sample(range(l), 2)
+        c = rng.choice((1, -1))
+        for row in P:  # P <- P (I + c e_ij)
+            row[j] += c * row[i]
+        # P^-1 <- (I - c e_ij) P^-1
+        P_inv[i] = [x - c * y for x, y in zip(P_inv[i], P_inv[j])]
+    return P, P_inv
+
+
+def change_basis(gram, vectors, P, P_inv):
+    """(P^T G P, [P^-1 v]): the same vectors and form in the basis of P's columns."""
+    l = len(gram)
+    moved = [[sum(P[a][i] * gram[a][b] * P[b][j] for a in range(l) for b in range(l))
+              for j in range(l)] for i in range(l)]
+    return moved, [tuple(sum(P_inv[i][a] * v[a] for a in range(l)) for i in range(l))
+                   for v in vectors]
+
+
 @pytest.fixture
 def a1_star():
     return build_star(catalog("A1"))

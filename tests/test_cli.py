@@ -64,8 +64,10 @@ def test_extremal(a1_file, two_file, capsys):
     ([[2, 1], [1, 2]], [["1/3", "1/3"], ["0", "0"]], "vector 1: zero vector not allowed"),
     ([[2, 1], [1, 2]], [["1/3", "1/3"], ["1", "0", "0"]], "vector 1: length 3, expected 2"),
     ([[2]], [["1/3"]], "vector 0: not in the dual lattice (pairings ['2/3'])"),
+    ([[2, 1], [1, 2]], [["1", "0"], ["1/2", "0"]],
+     "vector 1: not in the dual lattice (pairings ['1', '1/2'])"),
     ([[1]], [[True]], "expected a rational, got the boolean True"),
-], ids=["empty", "zero", "wrong_length", "non_dual", "boolean"])
+], ids=["empty", "zero", "wrong_length", "non_dual", "half_dual", "boolean"])
 def test_bad_star_rejected(gram, vectors, message, tmp_path, capsys):
     star = tmp_path / "bad.json"
     star.write_text(json.dumps({"gram": gram, "vectors": vectors}))

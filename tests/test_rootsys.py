@@ -7,6 +7,8 @@ closed-form tables below are the independent cross-check.
 """
 
 import dataclasses
+import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -20,6 +22,7 @@ from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
                             parse_label, recognize)
 from eustar.star import is_eutactic, support_set
 
+from conftest import change_basis, random_unimodular
 from test_linalg import det, gauss_jordan_rank
 
 
@@ -285,8 +288,38 @@ def supports(draw):
     return gram, draw(st.permutations(S))
 
 
+DAMAGED_LABELS = ("A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4")
+
+
+@st.composite
+def damaged_root_sets(draw):
+    """A catalog root set of rank 2-4 with one +-pair +-r removed, or replaced
+    by +-w, w = a + b for two roots a != -b, shuffled and moved by a signed
+    permutation: up to 24 vectors.  At times the vectors orthogonal to r and
+    w come first.  Only a reflection in a vector that pairs with r or w can
+    map a root onto +-r or move +-w, so the first failure then comes late in
+    the index order."""
+    star = build_star(catalog(draw(st.sampled_from(DAMAGED_LABELS))))
+    support, _ = support_set(star)
+    rng = draw(st.randoms(use_true_random=False))
+    damaged = [rng.choice(star.vectors)]
+    S = [v for v in support if v not in (damaged[0], tuple(-x for x in damaged[0]))]
+    if draw(st.booleans()):
+        a = rng.choice(support)
+        b = rng.choice([v for v in support if v != tuple(-x for x in a)])
+        damaged.append(tuple(x + y for x, y in zip(a, b)))
+        S += [damaged[1], tuple(-x for x in damaged[1])]
+    rng.shuffle(S)
+    g = star.lattice.gram
+    l = len(g)
+    if draw(st.booleans()):
+        S.sort(key=lambda v: any(sum(v[i] * g[i][j] * d[j] for i in range(l) for j in range(l))
+                                 for d in damaged))
+    return change_basis(g, S, *random_unimodular(rng, l, steps=0))
+
+
 @settings(max_examples=300, deadline=None)
-@given(supports())
+@given(st.one_of(supports(), damaged_root_sets()))
 def test_recognize_matches_fraction_reference(case):
     """recognize reports the same first failing axiom and witness as the
     Fraction reference, and labels exactly the supports that pass it: their
@@ -328,25 +361,80 @@ def test_recognize_label_invariant_under_basis_change(label, data):
     star = build_star(catalog(label))
     support, _ = support_set(star)
     l = star.lattice.rank
-    perm = data.draw(st.permutations(range(l)))
-    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
-    P = [[signs[j] if i == perm[j] else 0 for j in range(l)] for i in range(l)]
-    P_inv = [list(col) for col in zip(*P)]  # P^-1 = P^T for a signed permutation
-    if l > 1:
-        pairs = [(i, j) for i in range(l) for j in range(l) if i != j]
-        for _ in range(data.draw(st.integers(0, 4))):
-            i, j = data.draw(st.sampled_from(pairs))
-            c = data.draw(st.sampled_from((1, -1)))
-            for row in P:  # P <- P (I + c e_ij)
-                row[j] += c * row[i]
-            # P^-1 <- (I - c e_ij) P^-1
-            P_inv[i] = [x - c * y for x, y in zip(P_inv[i], P_inv[j])]
+    P, P_inv = random_unimodular(data.draw(st.randoms(use_true_random=False)), l)
     assert [[sum(P[i][a] * P_inv[a][j] for a in range(l)) for j in range(l)]
             for i in range(l)] == [[int(i == j) for j in range(l)] for i in range(l)]
-    g = star.lattice.gram
-    gram = [[int(sum(P[a][i] * g[a][b] * P[b][j] for a in range(l) for b in range(l)))
-             for j in range(l)] for i in range(l)]
-    moved = [tuple(sum(P_inv[i][a] * v[a] for a in range(l)) for i in range(l))
-             for v in data.draw(st.permutations(support))]
+    gram, moved = change_basis(star.lattice.gram, data.draw(st.permutations(support)),
+                               P, P_inv)
     report = recognize(moved, Lattice(gram))
     assert report.ok and report.label == label
+
+
+def reference_simple_roots(S, gram):
+    """{sorted simple roots: Cartan matrix} per component, by the rule
+    "positive roots that are not a sum of two positive roots".
+
+    The positive system is that of recognize: f(v) > 0 for f(v) =
+    sum_a v_a t^a with the least t >= 1 such that no f(v) is 0.  Components
+    are the classes of simple roots joined by nonzero inner products, and each
+    Cartan matrix A_ij = 2(a_i, a_j)/(a_j, a_j) lists its roots in S's order.
+    """
+    vs = [tuple(Q(x) for x in v) for v in S]
+    den = math.lcm(*(x.denominator for v in vs for x in v))
+    ints = [tuple(int(x * den) for x in v) for v in vs]
+    l = len(gram)
+    t = 1
+    while any(sum(v[a] * t ** a for a in range(l)) == 0 for v in ints):
+        t += 1
+    positive = [i for i, v in enumerate(ints) if sum(v[a] * t ** a for a in range(l)) > 0]
+    sums = {tuple(a + b for a, b in zip(ints[i], ints[j])) for i in positive for j in positive}
+    simple = [i for i in positive if ints[i] not in sums]
+
+    def ip(i, j):
+        return sum(vs[i][a] * gram[a][b] * vs[j][b] for a in range(l) for b in range(l))
+
+    out = {}
+    left = list(simple)
+    while left:
+        comp = [left.pop(0)]
+        for i in comp:
+            joined = [j for j in left if ip(i, j) != 0]
+            comp += joined
+            left = [j for j in left if j not in joined]
+        comp.sort()
+        out[tuple(sorted(vs[i] for i in comp))] = tuple(
+            tuple(2 * ip(i, j) / ip(j, j) for j in comp) for i in comp)
+    return out
+
+
+def orthogonal_sum(labels):
+    """The block-diagonal Gram of the labels' weight lattices and the union of
+    their root stars' supports, each padded with zeros."""
+    blocks = [build_star(catalog(lab)) for lab in labels]
+    l = sum(b.lattice.rank for b in blocks)
+    gram = [[0] * l for _ in range(l)]
+    S, at = [], 0
+    for b in blocks:
+        k = b.lattice.rank
+        for i in range(k):
+            gram[at + i][at:at + k] = b.lattice.gram[i]
+        S += [(Q(0),) * at + v + (Q(0),) * (l - at - k) for v in support_set(b)[0]]
+        at += k
+    return gram, S
+
+
+@pytest.mark.parametrize("labels", [(lab,) for lab in catalog_labels()]
+                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1")],
+                         ids=lambda labels: "x".join(labels))
+def test_simple_roots_match_sum_rule(labels):
+    """recognize's simple roots, read off the pair matrix, and each component's
+    Cartan matrix are those of the sum rule, in a moved and shuffled basis."""
+    gram, S = orthogonal_sum(labels)
+    rng = random.Random("x".join(labels))
+    gram, S = change_basis(gram, S, *random_unimodular(rng, len(gram)))
+    rng.shuffle(S)
+    report = recognize(S, Lattice(gram))
+    assert report.ok
+    assert report.label == " x ".join(sorted(labels))
+    assert {tuple(c["simple_roots"]): c["cartan"] for c in report.components} == \
+        reference_simple_roots(S, gram)

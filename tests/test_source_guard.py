@@ -7,7 +7,11 @@ float.  Every module-level import outside ``__init__.py`` (which re-exports)
 must be used, so a helper that stops needing a module drops its import.
 In linalg.py, Fraction is built only where rational values enter or leave:
 every elimination runs in int.  The product kernel of qseries.py works on
-packed integer keys and builds no Fraction.
+packed integer keys and builds no Fraction.  star.py never calls
+``Lattice.pairings``: it derives pairings, vectors and support sets from
+integer tuples and builds a Fraction only for a vector it returns or an
+error it reports, so loading a star file never round-trips through Fraction
+pairings.
 """
 
 import ast
@@ -93,3 +97,14 @@ def test_product_kernel_builds_no_fractions():
     calls = list(_fraction_calls(tree))
     assert calls  # the walk does see the series' own Fraction calls
     assert not [(name, line) for name, line in calls if name in PRODUCT_KERNEL], calls
+
+
+def test_star_never_calls_lattice_pairings():
+    path = next(p for p in SOURCES if p.name == "star.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    attributes = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "pairings"]
+    assert attributes  # the walk does see the stars' own pairings
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "pairings"]
+    assert not calls, calls

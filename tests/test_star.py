@@ -9,13 +9,15 @@ import pytest
 from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.qseries import check_antisymmetry, reflect_series, theta_block, theta_factor
-from eustar.rootsys import build_P_lattice, build_star, cartan_matrix, catalog, recognize
+from eustar.rootsys import (build_P_lattice, build_star, cartan_matrix, catalog,
+                            catalog_labels, recognize)
 from eustar.search import enumerate_stars
 from eustar.star import (divisor_multiplicity, dump_star, embed, is_eutactic,
                          load_star, star_from_json_dict, star_from_pairings,
                          star_from_vectors, support_set)
 
-from conftest import rational_point
+from conftest import change_basis, random_unimodular, rational_point
+from test_linalg import gauss_jordan_inverse
 
 
 def test_construction_validation():
@@ -80,6 +82,29 @@ def test_support_set(a2_star, two_vector_star):
     support, repeats = support_set(two_vector_star)
     assert support == [(Q(-1, 2),), (Q(1, 2),)]
     assert repeats == [((Q(1, 2),), 2)]
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+def test_int_derivation_matches_fraction_inverse(label):
+    """In a moved basis, the vectors and the support set derived in int equal
+    gram^-1 u computed here in Fraction, repeats included, and both the
+    vectors and the star's JSON load back to the same pairings."""
+    star = build_star(catalog(label))
+    P, P_inv = random_unimodular(random.Random(label), star.lattice.rank)
+    gram, _ = change_basis(star.lattice.gram, [], P, P_inv)
+    # Pairings are covectors: u' = P^T u.
+    pairings = [tuple(sum(P[a][i] * u[a] for a in range(len(u))) for i in range(len(u)))
+                for u in star.pairings + star.pairings[:2]]
+    moved = star_from_pairings(Lattice(gram), pairings)
+    inv = gauss_jordan_inverse(gram)
+    expected = tuple(tuple(sum(row[k] * u[k] for k in range(len(u))) for row in inv)
+                     for u in pairings)
+    assert moved.vectors == expected
+    negated = {tuple(-x for x in v) for v in expected}
+    assert support_set(moved) == (sorted(set(expected) | negated),
+                                  sorted((v, expected.count(v)) for v in set(expected[-2:])))
+    assert star_from_vectors(moved.lattice, expected).pairings == moved.pairings
+    assert star_from_json_dict(json.loads(dump_star(moved))).pairings == moved.pairings
 
 
 def test_star_from_pairings(a2_star):
