@@ -7,16 +7,26 @@ vector l whose pairing with a lattice point x is (w . x)/z_den, so the norm
 (l, l) is w^T dual_gram w / z_den^2.  A series is exact for all n24 up to
 n24_max: terms above the cap are unknown, absent terms at or below it are zero.
 Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
-truncation error can first appear.  One packed-key kernel computes every
-product, of two series (multiply) or of a whole theta block: one radix for
-every partial product, one integer addition per pair of terms, scans that
-stop at the cap, one decode at the end; see multiply.  When every operand
-is odd or even in z, each partial product is stored by its w >= 0 half and
-the mirror half is folded in.  A block puts the dense q-only eta power last,
-so no partial product carries its terms.  The heat, holomorphy and
-singular-shell checks evaluate (l, l) with the integer matrix gi of
-dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one Fraction per
-term; reflections map exponents in int over one denominator.
+truncation error can first appear.  One row kernel computes every product,
+of two series (multiply) or of a whole theta block.  A partial product maps
+the packed key of each z-exponent w to one int, its row, that holds the
+whole q-polynomial of that w by Kronecker substitution in q: slot j holds
+the coefficient of n24 = low + stride j in balanced digits, with stride 24
+when every operand has a character, 1 otherwise.  The slots are
+bitlength(B) + 1 bits wide, B the product of the operands' coefficient
+1-norms, which bounds every partial sum of every coefficient, so no slot
+carries into the next.  A theta factor's rows are single monomials and the
+eta power is one dense row, so each pair of rows is one big-int multiply
+and a shift.  A pair is skipped when the lowest slots of its two rows,
+read off v & -v, already sum past the cap, and each row is cut at the cap
+by one balanced mask as the next step reads it; see multiply.  When every operand is odd or even in
+z, each partial product stores only its rows with w >= 0 and the mirror
+rows are folded in times the running parity.  A block puts the dense
+q-only eta power last, so no partial product carries its terms.  The heat,
+holomorphy and singular-shell checks evaluate (l, l) with the integer
+matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one
+Fraction per term; reflections map exponents in int over one denominator.
+Coefficients are int or Fraction, never float.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
 variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
@@ -45,13 +55,20 @@ DEFAULT_ORDER = 480
 
 
 def _norm_coeff(c):
-    if isinstance(c, Q) and c.denominator == 1:
-        return int(c)
-    return c
+    """c as an int or a Fraction with denominator > 1; any other type is an error."""
+    if isinstance(c, int):
+        return c
+    if not isinstance(c, Q):
+        raise InputError(f"coefficient {c!r} is not an int or a Fraction")
+    return int(c) if c.denominator == 1 else c
 
 
 class FourierSeries:
-    """Truncated series with exact integer (or, after heat, rational) terms."""
+    """Truncated series with exact integer (or, after heat, rational) terms.
+
+    Coefficients are int or Fraction; a float, Decimal or complex one is an
+    InputError, since no verdict may rest on an inexact number.
+    """
 
     def __init__(self, lattice: Lattice | None, z_den: int,
                  terms: dict, n24_max: int, character_d: int | None = None):
@@ -204,54 +221,83 @@ def _widen(w: tuple, scale: int, width: int) -> tuple:
     return tuple(x * scale for x in w)
 
 
-def _packed(s: FourierSeries, scale: int, radix: int, shift: int):
-    """Yield (key, coeff) per term, key = n24 R^l + sum_i scale w_i R^(l-1-i).
+def _packed(s: FourierSeries, scale: int, radix: int, den: int, stride: int, bits: int):
+    """Yield (key, row) per w: key = sum_i scale w_i R^(l-1-i), row = sum_j c_j X^j.
 
-    shift is R^l; a lattice-free series (w = ()) has all its w_i zero.
+    X = 2^bits, and slot j of the row holds den times the coefficient of
+    n24 = s.min_n24 + stride j; den clears every coefficient's denominator.
+    A lattice-free series (w = ()) has the one key 0.
     """
+    rows: dict = {}
+    base = s.min_n24
     for (n24, w), c in s.terms.items():
-        key = n24
+        key = 0
         for x in w:
             key = key * radix + x * scale
-        yield (key if w else n24 * shift), c
+        c = c.numerator * (den // c.denominator)
+        rows[key] = rows.get(key, 0) + (c << (n24 - base) // stride * bits)
+    yield from rows.items()
 
 
 def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     """Exact truncated product; cap = min(a.cap + b.min, b.cap + a.min).
 
     This is the product kernel on two operands, the larger one outer.  The
-    kernel multiplies a list of series as packed integers (Kronecker
-    substitution).  With every operand widened once to the common z_den,
-    each exponent (n24, w) of width l becomes the base-R number with balanced
-    digits
+    kernel multiplies a list of series as rows of packed integers.  With
+    every operand widened once to the common z_den, a z-exponent w of width l
+    becomes the base-R number with balanced digits
 
-        key = n24 R^l + w_1 R^(l-1) + ... + w_l,
+        key = w_1 R^(l-1) + ... + w_l,
 
     with one radix R = 2 (sum over operands of max|w|) + 1, maxima taken
-    after widening.  The map is linear, so a product term has key k1 + k2.
-    Every digit of every partial product is at most (R-1)/2 in absolute
-    value, so keys decode uniquely, and they order terms as (n24, w) order
-    lexicographically.  Hence n24 <= cap iff key <= cap R^l + (R^l - 1)/2.
-    The kernel folds left: each operand is packed once, and the next one is
-    sorted by key as the inner list, so each scan stops at the first partner
-    past the step's cap.  The caps follow the rule above with the running
-    min taken as the sum of the operands' mins, a lower bound, so each cap
-    is sound.  Sums that cancel are dropped at once, and keys are decoded to
-    (n24, w), into one FourierSeries, only at the end.
+    after widening.  Every digit of every partial product is at most (R-1)/2
+    in absolute value, so keys decode uniquely, key(w1 + w2) = key(w1) +
+    key(w2), key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
 
-    A key's w-part is wp = (key + bias) mod R^l - bias, with bias (R^l - 1)/2,
-    and the mirror term (n24, -w) of a key has key - 2 wp.  When every
-    operand has a parity, S(n, -w) = eps S(n, w) with eps = +-1 (theta
-    factors are odd, eta powers and lattice-free series even), every partial
-    product has one too, and the kernel stores only its keys with wp >= 0.
-    Each step multiplies the stored terms with w != 0 by the whole next
-    operand; the mirrored outer terms times the mirrored operand give the
-    mirror of each product times the running parity, so a product with
-    wp < 0 moves to its mirror key with that sign, and one with wp = 0 adds
-    to itself.  A stored term with w = 0 is its own mirror, and its products
-    are added on the keys with wp >= 0 only.  That halves the pairs, and the
-    decode emits both mirror terms.  If any operand has no parity, the same
-    loop runs with nothing filtered and nothing folded.
+    A partial product maps each key to one int, its row: the q-polynomial
+    of that w by Kronecker substitution, sum_j c_j X^j with X = 2^bits,
+    where slot j holds the coefficient of n24 = low + stride j.  low is the
+    sum of the operands' lowest exponents, so no slot index is negative,
+    and stride is 24 when every operand has a character (all its exponents
+    are congruent mod 24), 1 otherwise.  Slots are balanced: each c_j lies
+    in [-2^(bits-1), 2^(bits-1)), and a row is the exact integer sum of its
+    slots, so rows add and multiply as the polynomials do.  Rational
+    operands are scaled to int by the lcm of their denominators, and the
+    product is divided by the product of those scales once, at the end.
+
+    Slot width.  Let B be the product over operands of max(||s||_1, 1),
+    ||s||_1 the sum of |c| over the scaled terms.  Every partial sum that
+    the kernel forms for a coefficient is a sum of distinct products c_1 ...
+    c_k of operand terms, so its absolute value is at most B; with bits =
+    bitlength(B) + 1 it is below 2^(bits-1), the slot never carries, and
+    the balanced digits decode to the true coefficients.
+
+    Each step multiplies every stored row by every row of the next operand,
+    packed once: a theta factor's rows are single monomials c X^t and the
+    dense eta power is one row, so each pair is one big-int multiply and a
+    shift by t slots.  The next operand's rows are sorted by their lowest
+    slot t, read off v & -v, and each scan stops at the first t that puts
+    the pair's lowest slot past the step's cap: no slot of that product is
+    kept.  The caps follow the rule above with the running min taken as the
+    sum of the operands' mins, a lower bound, so each cap is sound, and a
+    step's last slot top is never above the one before.  Slots past top are
+    left in the rows unread: the next step cuts each row after its own top
+    by one balanced mask as it reads it, and skips the rows that the cut
+    leaves 0.  That cut is exact whatever the slots past top hold, since
+    they are multiples of X^(top+1).  Keys and rows are decoded to terms
+    (n24, w), up to the last cap, into one FourierSeries, only at the end.
+
+    When every operand has a parity, S(n, -w) = eps S(n, w) with eps = +-1
+    (theta factors are odd, eta powers and lattice-free series even), every
+    partial product has one too, and the kernel stores only its rows with
+    key >= 0.  Each step multiplies the stored rows with w != 0 by every row
+    of the next operand; the mirrored outer rows times the mirrored operand
+    give the mirror of each product times the running parity, so a product
+    row with key < 0 moves to key -key with that sign, and one with key 0
+    adds to itself.  A stored row with w = 0 is its own mirror, and its
+    products are added on the keys >= 0 only.  That halves the pairs, and
+    the decode emits both mirror terms.  If any operand has no parity, the
+    same loop runs with nothing filtered and nothing folded.
     """
     return _product([a, b] if len(a.terms) >= len(b.terms) else [b, a])
 
@@ -273,23 +319,61 @@ def _parity(s: FourierSeries) -> int | None:
     return eps or 1
 
 
-def _accumulate(out: dict, outer, inner: list, limit: int) -> None:
-    """out += outer * inner on packed keys up to limit; inner sorted, sums of 0 dropped."""
-    for k1, c1 in outer:
-        stop = limit - k1
-        for k2, c2 in inner:
-            if k2 > stop:
+def _low_slot(v: int, bits: int) -> int:
+    """The index of the lowest nonzero slot of a nonzero row.
+
+    The lowest set bit of v lies in that slot, since a nonzero balanced
+    slot is below 2^bits in absolute value."""
+    return ((v & -v).bit_length() - 1) // bits
+
+
+def _slots(v: int, top: int, bits: int):
+    """Yield (j, c_j) for the nonzero balanced slots j <= top of the row v."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    j = _low_slot(v, bits)
+    v >>= j * bits
+    while v and j <= top:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            yield j, c
+        v = (v - c) >> bits
+        j += 1
+
+
+def _accumulate(out: dict, outer, inner: list, top: int, bits: int) -> None:
+    """out += outer * inner on rows, with slots past top unknown.
+
+    Each outer row is first cut after slot top: its kept slots, balanced,
+    sum to a number in [-M/2, M/2) for M = 2^(bits (top + 1)), the residue
+    of the row mod M (M = 1 cuts every row to 0 when top < 0).  inner holds
+    (t, key, v, t bits) for the rows v X^t, sorted by t, and a pair is
+    skipped when its lowest slot is past top.
+    """
+    m = 1 << bits * max(top + 1, 0)
+    get = out.get
+    for k1, v1 in outer:
+        v1 &= m - 1
+        if not v1:
+            continue
+        if v1 >= m >> 1:
+            v1 -= m
+        stop = top - ((v1 & -v1).bit_length() - 1) // bits  # top - _low_slot(v1)
+        for t, k2, v2, shift in inner:
+            if t > stop:
                 break
             key = k1 + k2
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+            out[key] = get(key, 0) + ((v1 * v2) << shift)
+
+
+def _rational(terms: dict, den: int) -> dict:
+    """The terms divided by den, the product of the operands' scales."""
+    return terms if den == 1 else {k: Q(c, den) for k, c in terms.items()}
 
 
 def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
-    """The truncated product of the factors, folded left on packed keys; see multiply."""
+    """The truncated product of the factors, folded left on rows; see multiply."""
     lat = _join_lattice(*factors)
     width = lat.rank if lat is not None else 0
     d = math.lcm(*(s.z_den for s in factors))
@@ -297,60 +381,68 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
     half = sum(max((abs(x) for _, w in s.terms for x in w), default=0) * scale
                for s, scale in zip(factors, scales))
     radix = 2 * half + 1
-    shift = radix ** width
-    bias = (shift - 1) // 2
     chars = [s.character_d for s in factors]
     char = None if None in chars else sum(chars) % 24
+    stride = 1 if char is None else 24
+    dens = [math.lcm(*(c.denominator for c in s.terms.values())) for s in factors]
+    bound = math.prod(max(sum(abs(c.numerator) * (den // c.denominator)
+                              for c in s.terms.values()), 1)
+                      for s, den in zip(factors, dens))
+    bits = bound.bit_length() + 1
     parities = [_parity(s) for s in factors]
     folded = None not in parities
     first = factors[0]
     cap, low = first.n24_max, first.min_n24
-    # With every parity known, a partial product keeps its keys with wp >= 0,
+    top = (cap - low) // stride
+    # With every parity known, a partial product keeps its rows with key >= 0,
     # and sign is its parity.
-    out = {k: c for k, c in _packed(first, scales[0], radix, shift)
-           if not folded or (k + bias) % shift >= bias}
+    out = {k: v for k, v in _packed(first, scales[0], radix, dens[0], stride, bits)
+           if not folded or k >= 0}
     sign = parities[0]
-    for s, scale, parity in zip(factors[1:], scales[1:], parities[1:]):
+    for s, scale, den, parity in zip(factors[1:], scales[1:], dens[1:], parities[1:]):
         cap = min(cap + s.min_n24, s.n24_max + low)
         low += s.min_n24
-        inner = sorted(_packed(s, scale, radix, shift))
-        limit = cap * shift + bias
+        top = (cap - low) // stride
+        # The next operand's rows as v X^t with t their lowest slot, by t.
+        inner = []
+        for k, v in _packed(s, scale, radix, den, stride, bits):
+            t = _low_slot(v, bits)
+            inner.append((t, k, v >> t * bits, t * bits))
+        inner.sort()
+        # An odd partial product has no row with w = 0.
+        w_zero = out.pop(0, 0) if folded else 0
         outer, out = out, {}
-        # An odd partial product has no terms with w = 0.
-        w_zero = ([(k, c) for k, c in outer.items() if (k + bias) % shift == bias]
-                  if folded and sign == 1 else [])
-        for k, _ in w_zero:
-            del outer[k]
-        _accumulate(out, outer.items(), inner, limit)
+        _accumulate(out, outer.items(), inner, top, bits)
         del outer
-        if not folded:
-            continue
-        # The unstored mirror half adds sign times the mirror of each product:
-        # one with wp < 0 moves to key - 2 wp, one with wp = 0 becomes c + sign c.
-        sign *= parity
-        for key, wp in [(k, wp) for k in out if (wp := (k + bias) % shift - bias) <= 0]:
-            c = out.pop(key)
-            mirror = key - 2 * wp
-            v = out.get(mirror, 0 if wp else c) + sign * c
-            if v:
-                out[mirror] = v
-            else:
-                out.pop(mirror, None)
-        # A w = 0 term is its own mirror, so it meets only the inner keys with wp >= 0.
-        _accumulate(out, w_zero, [t for t in inner if (t[0] + bias) % shift >= bias], limit)
+        if folded:
+            # The unstored mirror half adds sign times the mirror of each row:
+            # one with key < 0 moves to -key, one with key 0 becomes v + sign v.
+            sign *= parity
+            for key in [k for k in out if k <= 0]:
+                v = out.pop(key)
+                out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
+            # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
+            if w_zero:
+                _accumulate(out, [(0, w_zero)], [r for r in inner if r[1] >= 0], top, bits)
     terms = {}
-    for key, c in out.items():
+    bias = (radix ** width - 1) // 2
+    for key, v in out.items():
+        if not v:
+            continue
         # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
-        n24, rest = divmod(key + bias, shift)
-        w = [0] * width
+        rest, w = key + bias, [0] * width
         for i in range(width - 1, -1, -1):
             rest, digit = divmod(rest, radix)
             w[i] = digit - half
-        terms[(n24, tuple(w))] = c
-        if folded and any(w):
-            terms[(n24, tuple(-x for x in w))] = sign * c
-    del out  # free the packed terms before the constructor copies the decoded ones
-    return FourierSeries(lat, d, terms, cap, character_d=char)
+        w = tuple(w)
+        mirror = tuple(-x for x in w) if folded and key else None
+        for j, c in _slots(v, top, bits):
+            n24 = low + stride * j
+            terms[(n24, w)] = c
+            if mirror:
+                terms[(n24, mirror)] = sign * c
+    del out  # free the rows before the constructor copies the decoded terms
+    return FourierSeries(lat, d, _rational(terms, math.prod(dens)), cap, character_d=char)
 
 
 def add(a: FourierSeries, b: FourierSeries) -> FourierSeries:

@@ -139,10 +139,7 @@ def catalog(label: str) -> RootSystemDescriptor:
                       key=lambda r: (sum(r), r))
     # Dual Coxeter number via (sum_{r>0} r r^T) M = h I, in int: with
     # M = gm / den, (sum_{r>0} r r^T) gm = (h den) I.
-    cols = list(zip(*positive))
-    gm, den = clear_denominators(gram)
-    s = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    c = [[sum(map(mul, row, col)) for col in zip(*gm)] for row in s]
+    _, c, den = _root_square_sum(positive, gram)
     if any(c[i][j] != (c[0][0] if i == j else 0) for i in range(n) for j in range(n)):
         raise InternalError(f"{label}: sum of root squares is not a multiple of the form")
     h = Q(c[0][0], den)
@@ -153,17 +150,25 @@ def catalog(label: str) -> RootSystemDescriptor:
                                 dual_coxeter=int(h))
 
 
+def _root_square_sum(positive: Sequence[Sequence[int]], gram: Mat):
+    """(S, S gm, den) for S = sum_{r>0} r r^T and gram = gm / den, all in int."""
+    cols = list(zip(*positive))
+    gm, den = clear_denominators(gram)
+    s = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    return s, [[sum(map(mul, row, col)) for col in zip(*gm)] for row in s], den
+
+
 def build_P_lattice(desc: RootSystemDescriptor) -> Lattice:
     """The lattice P = {x : <x, r> in Z for all roots r} with form h<,>.
 
     On the basis dual to the simple roots the Gram matrix is h M^{-1}, which
-    equals sum_{r>0} r r^T and is therefore integral.
+    equals sum_{r>0} r r^T and is therefore integral.  The check pgram M = h I
+    runs in int, as pgram gm = (h den) I for M = gm / den.
     """
     n = desc.rank
-    pgram = [[sum(r[i] * r[j] for r in desc.positive_roots) for j in range(n)]
-             for i in range(n)]
-    if any(sum(pgram[i][k] * desc.norm_gram[k][j] for k in range(n))
-           != (desc.dual_coxeter if i == j else 0) for i in range(n) for j in range(n)):
+    pgram, c, den = _root_square_sum(desc.positive_roots, desc.norm_gram)
+    hd = desc.dual_coxeter * den
+    if any(c[i][j] != (hd if i == j else 0) for i in range(n) for j in range(n)):
         raise InternalError(f"{desc.label}: sum of r r^T over the positive roots "
                             "is not h M^-1")
     return Lattice(pgram)

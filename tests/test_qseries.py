@@ -19,6 +19,7 @@ test-local inverse.
 
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -144,6 +145,18 @@ def test_constructor_normalization():
         FourierSeries(lat, 1, {(0, (1,)): 1}, 10)
     with pytest.raises(InputError):
         FourierSeries(lat, 1, {(1, (0, 0)): 1}, 10, character_d=0)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("1"), Decimal("0.5"), 1 + 0j, 1j],
+                         ids=["float", "float-integral", "Decimal-integral", "Decimal",
+                              "complex-real", "complex"])
+def test_constructor_rejects_inexact_coefficients(c):
+    lat = Lattice([[2]])
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        FourierSeries(lat, 1, {(0, (1,)): c}, 10)
+    # Also above the cap, where the term itself would be dropped.
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        FourierSeries(lat, 1, {(0, (1,)): 1, (24, (1,)): c}, 10)
 
 
 def test_trimming():
@@ -329,7 +342,7 @@ def random_series(draw, lat):
 def mirrored(s):
     """s(q, -z): each odd-z term of s * mirrored(s) cancels to zero."""
     return FourierSeries(s.lattice, s.z_den,
-                         {(n, w): c * (-1) ** sum(w) for (n, w), c in s.terms.items()},
+                         {(n, w): -c if sum(w) % 2 else c for (n, w), c in s.terms.items()},
                          s.n24_max, s.character_d)
 
 
@@ -556,6 +569,166 @@ def test_theta_block_dump_digest_frozen(label, order, size, z_den, digest):
     block = theta_block(build_star(catalog(label)), n24_max=order)
     assert (len(block.terms), block.z_den) == (size, z_den)
     assert hashlib.sha256(dump_series(block).encode()).hexdigest() == digest
+
+
+def test_a4_theta_block_dump_digest_frozen():
+    # Frozen sha256 of the A4@720 dump, recorded with the per-term packed
+    # kernel that the row kernel replaced: ten theta factors, then eta^-6.
+    block = theta_block(build_star(catalog("A4")), n24_max=720)
+    assert (len(block.terms), block.z_den, block.n24_max) == (38760, 1, 720)
+    assert hashlib.sha256(dump_series(block).encode()).hexdigest() == \
+        "3116579bf0c4344db3825afd005a74469da023f3c9358cede29599205d10bb8e"
+
+
+def assert_kernel_matches_fold(factors):
+    """_product against the pairwise fold, up to the kernel's cap."""
+    got = qseries._product(factors)
+    want = factors[0]
+    for s in factors[1:]:
+        want = reference_multiply(want, s)
+    assert got.n24_max <= want.n24_max
+    want = want.trimmed(got.n24_max)
+    assert got.terms == want.terms
+    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
+    assert got.lattice is next((s.lattice for s in factors if s.lattice is not None), None)
+    return got
+
+
+def with_mirror(s, eps):
+    """s + eps s(q, -z): a series of parity eps."""
+    terms = dict(s.terms)
+    for (n, w), c in s.terms.items():
+        key = (n, tuple(-x for x in w))
+        terms[key] = terms.get(key, 0) + eps * c
+    return FourierSeries(s.lattice, s.z_den, terms, s.n24_max, s.character_d)
+
+
+LINE = Lattice([[2]])
+
+
+@pytest.mark.parametrize("c", [2, -2, 3, 2 ** 100 - 1, -(2 ** 100)])
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_single_term_powers_reach_the_slot_bound(c, k):
+    # The product of k copies of c zeta has the one coefficient c^k, which is
+    # the bound prod ||s||_1 itself: the widest value a slot must hold.
+    s = FourierSeries(LINE, 1, {(24, (1,)): c}, 48, character_d=0)
+    got = assert_kernel_matches_fold([s] * k)
+    assert got.terms == {(24 * k, (k,)): c ** k}
+
+
+@pytest.mark.parametrize("char", [None, 0])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_binomial_powers_match_pairwise_fold(char, k):
+    # (1 + zeta)(1 + q) and its even part: all-positive products, whose
+    # coefficients C(k, a) C(k, b) sum to the bound, with no cancellation.
+    step = 1 if char is None else 24
+    s = FourierSeries(LINE, 1, {(0, (0,)): 1, (0, (1,)): 1, (step, (0,)): 1, (step, (1,)): 1},
+                      10 * step, character_d=char)
+    got = assert_kernel_matches_fold([s] * k)
+    assert got.terms[(k // 2 * step, (k // 2,))] == math.comb(k, k // 2) ** 2
+    assert sum(got.terms.values()) == 4 ** k
+    even = with_mirror(FourierSeries(LINE, 1, {(0, (1,)): 1, (step, (2,)): 1},
+                                     10 * step, character_d=char), 1)
+    assert qseries._parity(even) == 1
+    assert_kernel_matches_fold([even] * k)
+
+
+BIG_COEFFS = st.one_of(
+    st.integers(2 ** 100 - 4, 2 ** 100 + 4),
+    st.integers(1, 2 ** 100),
+    st.builds(Q, st.integers(1, 2 ** 64),
+              st.sampled_from([2 ** 61 - 1, 2 ** 31 - 1, 10007, 3 ** 40])))
+
+
+@st.composite
+def big_series(draw, lat):
+    """All-positive (or all-negative) coefficients near 2^100, or Fractions
+    with large coprime denominators; with a random parity, or none."""
+    width = lat.rank if lat is not None else 0
+    char = draw(st.one_of(st.none(), st.integers(0, 23)))
+    n24s = (st.integers(-30, 60) if char is None
+            else st.integers(-2, 3).map(lambda j: char + 24 * j))
+    ws = st.tuples(*[st.integers(-3, 3)] * width)
+    terms = draw(st.dictionaries(st.tuples(n24s, ws), BIG_COEFFS, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms = {k: -c for k, c in terms.items()}
+    ns = sorted(n for n, _ in terms)
+    s = FourierSeries(lat, draw(st.sampled_from([1, 2])), terms,
+                      draw(st.integers(ns[0], ns[-1] + 30)), char)
+    eps = draw(st.sampled_from([None, 1, -1])) if width else None
+    return with_mirror(s, eps) if eps else s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_big_coefficient_products_match_pairwise_fold(data):
+    width = data.draw(st.integers(0, 2))
+    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
+    factors = [data.draw(big_series(None if data.draw(st.integers(0, 3)) == 0 else lat))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    assert_kernel_matches_fold(factors)
+    if len(factors) == 2:
+        got, want = multiply(*factors), reference_multiply(*factors)
+        assert got.terms == want.terms
+        assert (got.z_den, got.n24_max, got.character_d) == \
+            (want.z_den, want.n24_max, want.character_d)
+
+
+def test_stride_one_with_mixed_residues_and_negative_exponents():
+    # No character: exponents of every residue mod 24, some below 0, so the
+    # rows step by 1 in n24.
+    a = FourierSeries(LINE, 1, {(-7, (1,)): 3, (-1, (1,)): -2, (0, (0,)): 5,
+                                (5, (-1,)): 1, (13, (2,)): -4}, 20)
+    b = FourierSeries(LINE, 2, {(-30, (1,)): 1, (-29, (-1,)): 7, (2, (3,)): -1}, 10)
+    eta = eta_power(-1, 47)
+    for factors in ([a, b], [b, a], [a, b, eta], [eta, a, a], [a, eta, b]):
+        got = assert_kernel_matches_fold(factors)
+        assert got.character_d is None
+        assert min(n for n, _ in got.terms) < 0
+        assert len({n % 24 for n, _ in got.terms}) > 1
+
+
+def test_caps_cut_rows_midway():
+    # a has one row on slots 0..5; times (1 + q^3) its product row runs to
+    # slot 8 and the cap keeps slots 0..5 of it.  Every cap from below the
+    # lowest slot to past the top cuts the same row at another place.
+    b = FourierSeries(LINE, 1, {(0, (1,)): 1, (72, (1,)): 1}, 200, character_d=0)
+    for cap_a in range(-24, 150, 24):
+        a = FourierSeries(LINE, 1, {(24 * j, (1,)): j + 1 for j in range(6)}, cap_a,
+                          character_d=0)
+        for x, y in ((a, b), (b, a)):
+            got, want = multiply(x, y), reference_multiply(x, y)
+            assert got.terms == want.terms
+            assert got.n24_max == want.n24_max
+        odd = with_mirror(a, -1)
+        assert_kernel_matches_fold([odd, with_mirror(b, -1), odd])
+    a = FourierSeries(LINE, 1, {(24 * j, (1,)): j + 1 for j in range(6)}, 120, character_d=0)
+    got = multiply(a, b)
+    assert got.n24_max == 120
+    assert got.terms[(120, (2,))] == 6 + 3
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("lattice_free_empty", [False, True])
+def test_empty_and_lattice_free_operands_in_every_position(position, lattice_free_empty):
+    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 240)
+    lopsided = FourierSeries(LINE, 1, {(3, (1,)): 1, (27, (-2,)): 2}, 200, character_d=3)
+    eta = eta_power(-1, 240)
+    empty = FourierSeries(None if lattice_free_empty else LINE, 1, {}, 100, character_d=5)
+    for base in ([theta, theta, eta], [theta, lopsided, eta], [lopsided, theta, theta]):
+        for extra in (eta, empty):
+            factors = list(base)
+            factors.insert(position, extra)
+            got = assert_kernel_matches_fold(factors)
+            assert got.is_zero() == (extra is empty)
+    for extra in (eta, empty):
+        assert_kernel_matches_fold([extra])
+        for other in (theta, lopsided, eta):
+            for pair in ((extra, other), (other, extra)):
+                got, want = multiply(*pair), reference_multiply(*pair)
+                assert got.terms == want.terms
+                assert (got.z_den, got.n24_max, got.character_d) == \
+                    (want.z_den, want.n24_max, want.character_d)
 
 
 def fraction_inverse(m):

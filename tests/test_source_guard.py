@@ -86,8 +86,9 @@ def test_linalg_builds_fractions_only_at_its_edges():
     assert calls  # the walk does see the entry points
 
 
-# The product kernel of qseries.py: parity scan, packing, pair loop, fold.
-PRODUCT_KERNEL = {"_parity", "_packed", "_accumulate", "_product"}
+# The product kernel of qseries.py: parity scan, row packing, lowest slot,
+# row pair loop, fold and truncation, slot decode.
+PRODUCT_KERNEL = {"_parity", "_packed", "_low_slot", "_accumulate", "_product", "_slots"}
 
 
 def test_product_kernel_builds_no_fractions():
