@@ -15,17 +15,21 @@ the coefficient of n24 = low + stride j in balanced digits, with stride 24
 when every operand has a character, 1 otherwise.  The slots are
 bitlength(B) + 1 bits wide, B the product of the operands' coefficient
 1-norms, which bounds every partial sum of every coefficient, so no slot
-carries into the next.  A theta factor's rows are single monomials and the
-eta power is one dense row, so each pair of rows is one big-int multiply
-and a shift.  A pair is skipped when the lowest slots of its two rows,
-read off v & -v, already sum past the cap, and each row is cut at the cap
-by one balanced mask as the next step reads it; see multiply.  When every operand is odd or even in
+carries into the next.  A theta factor's rows are monomials +-X^t, two
+on each t, so a row meets each t with one shared shift, added to or
+subtracted from two keys.  The eta power is one dense row, cut for each
+row it meets after the last slot that can reach the cap.  A pair is
+skipped when the lowest slots of its rows, read off v & -v, sum past the
+cap, and each row is cut at the cap by one balanced mask when it is next
+read; the decode then steps from one set slot to the next, one step per
+kept coefficient.  See multiply.  When every operand is odd or even in
 z, each partial product stores only its rows with w >= 0 and the mirror
 rows are folded in times the running parity.  A block puts the dense
 q-only eta power last, so no partial product carries its terms.  The heat,
-holomorphy and singular-shell checks evaluate (l, l) with the integer
-matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build at most one
-Fraction per term; reflections map exponents in int over one denominator.
+holomorphy and singular-shell checks evaluate the integer 12 D (2n - (l, l))
+with the matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build a
+Fraction only off the shell; reflections map exponents in int over one
+denominator.
 Coefficients are int or Fraction, never float.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction as Q
+from operator import mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice, format_rational
@@ -202,7 +207,7 @@ def eta_power(k: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
 
 def _quad(form: list[list[int]], w: Sequence[int]) -> int:
     """w^T form w."""
-    return sum(x * sum(m * y for m, y in zip(row, w)) for x, row in zip(w, form))
+    return sum(x * sum(map(mul, row, w)) for x, row in zip(w, form))
 
 
 def _join_lattice(*series: FourierSeries) -> Lattice | None:
@@ -273,19 +278,26 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     the balanced digits decode to the true coefficients.
 
     Each step multiplies every stored row by every row of the next operand,
-    packed once: a theta factor's rows are single monomials c X^t and the
-    dense eta power is one row, so each pair is one big-int multiply and a
-    shift by t slots.  The next operand's rows are sorted by their lowest
-    slot t, read off v & -v, and each scan stops at the first t that puts
-    the pair's lowest slot past the step's cap: no slot of that product is
-    kept.  The caps follow the rule above with the running min taken as the
-    sum of the operands' mins, a lower bound, so each cap is sound, and a
-    step's last slot top is never above the one before.  Slots past top are
+    packed once and grouped by lowest slot t, read off v & -v: a row v1
+    meets a group of rows v2 X^t through one shift x = v1 X^t, added to
+    each key as +x, -x or x v2.  A theta factor's rows are monomials +-X^t,
+    the +odd and -odd ones on one t, so each group costs one shift and no
+    multiply.  The scan of groups stops at the first t that puts the pair's
+    lowest slot past the step's cap: no slot of that product is kept.  The
+    dense eta power is one row, so the eta step is one big-int multiply per
+    row, by the eta row cut after the last slot that can reach the cap
+    from v1's lowest slot: no eta slot that lands only past the cap enters
+    the multiply.  Those prefix cuts are formed once per step.  The caps
+    follow the rule above with the running min taken as the sum of the
+    operands' mins, a lower bound, so each cap is sound, and a step's last
+    slot top is never above the one before.  Slots past top are
     left in the rows unread: the next step cuts each row after its own top
     by one balanced mask as it reads it, and skips the rows that the cut
     leaves 0.  That cut is exact whatever the slots past top hold, since
     they are multiples of X^(top+1).  Keys and rows are decoded to terms
-    (n24, w), up to the last cap, into one FourierSeries, only at the end.
+    (n24, w), up to the last cap, into one FourierSeries, only at the end:
+    each row is cut at top, and the decode reads the slot of its lowest set
+    bit and subtracts it, one step per nonzero coefficient.
 
     When every operand has a parity, S(n, -w) = eps S(n, w) with eps = +-1
     (theta factors are odd, eta powers and lattice-free series even), every
@@ -327,44 +339,76 @@ def _low_slot(v: int, bits: int) -> int:
     return ((v & -v).bit_length() - 1) // bits
 
 
-def _slots(v: int, top: int, bits: int):
-    """Yield (j, c_j) for the nonzero balanced slots j <= top of the row v."""
+def _cut(v: int, m: int) -> int:
+    """The row v cut after slot top, for m = 2^(bits (top + 1)) (m = 1: none kept).
+
+    The kept slots lie below 2^(bits-1) in absolute value, so they sum into
+    (-m/2, m/2) and are the balanced residue of v mod m."""
+    v &= m - 1
+    return v - m if v and v >= m >> 1 else v
+
+
+def _slots(v: int, bits: int):
+    """Yield (j, c_j) for the nonzero balanced slots of the row v, lowest first:
+    each step reads the slot of the lowest set bit and subtracts it."""
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    j = _low_slot(v, bits)
-    v >>= j * bits
-    while v and j <= top:
-        c = v & mask
+    while v:
+        j = _low_slot(v, bits)
+        c = v >> j * bits & mask
         if c >= half:
             c -= mask + 1
-        if c:
-            yield j, c
-        v = (v - c) >> bits
-        j += 1
+        yield j, c
+        v -= c << j * bits
 
 
-def _accumulate(out: dict, outer, inner: list, top: int, bits: int) -> None:
-    """out += outer * inner on rows, with slots past top unknown.
+def _groups(rows, bits: int) -> list:
+    """The rows v X^t of the next operand by lowest slot: (t, t bits, [(key, v)]) by t."""
+    groups: dict = {}
+    for k, v in rows:
+        t = _low_slot(v, bits)
+        groups.setdefault(t, []).append((k, v >> t * bits))
+    return sorted((t, t * bits, group) for t, group in groups.items())
 
-    Each outer row is first cut after slot top: its kept slots, balanced,
-    sum to a number in [-M/2, M/2) for M = 2^(bits (top + 1)), the residue
-    of the row mod M (M = 1 cuts every row to 0 when top < 0).  inner holds
-    (t, key, v, t bits) for the rows v X^t, sorted by t, and a pair is
-    skipped when its lowest slot is past top.
+
+def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
+    """out += outer * groups on rows, with slots past top unknown.
+
+    Each outer row v1 is cut after slot top (see _cut), and a pair is
+    skipped when its lowest slot is past top.  A group of rows v2 X^t
+    shares one shift x = v1 X^t, which adds to each key as +x, -x or x v2.
+    One dense row, as the eta power is, is cut after the last slot that can
+    reach top from v1's lowest slot; the cuts are kept by that slot.
     """
     m = 1 << bits * max(top + 1, 0)
     get = out.get
+    dense = len(groups) == 1 and len(groups[0][2]) == 1
+    if dense:
+        [(t_d, shift_d, [(k_d, v_d)])] = groups
+        cuts: dict = {}  # stop -> v_d cut after slot stop - t_d
     for k1, v1 in outer:
-        v1 &= m - 1
+        v1 = _cut(v1, m)
         if not v1:
             continue
-        if v1 >= m >> 1:
-            v1 -= m
-        stop = top - ((v1 & -v1).bit_length() - 1) // bits  # top - _low_slot(v1)
-        for t, k2, v2, shift in inner:
+        stop = top - _low_slot(v1, bits)
+        if dense:
+            if stop >= t_d:
+                if stop not in cuts:
+                    cuts[stop] = _cut(v_d, 1 << bits * (stop - t_d + 1))
+                key = k1 + k_d
+                out[key] = get(key, 0) + (v1 * cuts[stop] << shift_d)
+            continue
+        for t, shift, group in groups:
             if t > stop:
                 break
-            key = k1 + k2
-            out[key] = get(key, 0) + ((v1 * v2) << shift)
+            x = v1 << shift
+            for k2, v2 in group:
+                key = k1 + k2
+                if v2 == 1:
+                    out[key] = get(key, 0) + x
+                elif v2 == -1:
+                    out[key] = get(key, 0) - x
+                else:
+                    out[key] = get(key, 0) + x * v2
 
 
 def _rational(terms: dict, den: int) -> dict:
@@ -403,16 +447,11 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
         cap = min(cap + s.min_n24, s.n24_max + low)
         low += s.min_n24
         top = (cap - low) // stride
-        # The next operand's rows as v X^t with t their lowest slot, by t.
-        inner = []
-        for k, v in _packed(s, scale, radix, den, stride, bits):
-            t = _low_slot(v, bits)
-            inner.append((t, k, v >> t * bits, t * bits))
-        inner.sort()
+        rows = list(_packed(s, scale, radix, den, stride, bits))
         # An odd partial product has no row with w = 0.
         w_zero = out.pop(0, 0) if folded else 0
         outer, out = out, {}
-        _accumulate(out, outer.items(), inner, top, bits)
+        _accumulate(out, outer.items(), _groups(rows, bits), top, bits)
         del outer
         if folded:
             # The unstored mirror half adds sign times the mirror of each row:
@@ -423,10 +462,13 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
                 out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
             # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
             if w_zero:
-                _accumulate(out, [(0, w_zero)], [r for r in inner if r[1] >= 0], top, bits)
+                _accumulate(out, [(0, w_zero)], _groups([r for r in rows if r[0] >= 0], bits),
+                            top, bits)
     terms = {}
     bias = (radix ** width - 1) // 2
+    m = 1 << bits * max(top + 1, 0)
     for key, v in out.items():
+        v = _cut(v, m)
         if not v:
             continue
         # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
@@ -436,7 +478,7 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
             w[i] = digit - half
         w = tuple(w)
         mirror = tuple(-x for x in w) if folded and key else None
-        for j, c in _slots(v, top, bits):
+        for j, c in _slots(v, bits):
             n24 = low + stride * j
             terms[(n24, w)] = c
             if mirror:
@@ -488,22 +530,27 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
     # The dense q-only eta power goes last, so no partial product carries it.
     factors = [theta_factor(star, j, n24_max - total_min + 3) for j in range(n)]
     factors.append(eta_power(eta_min, n24_max - total_min + eta_min))
-    series = _product(factors)
-    if series.n24_max < n24_max:
-        raise InternalError(f"product exact only to n24 {series.n24_max} < {n24_max}")
-    out = series.trimmed(n24_max)
+    # Each theta factor starts at 3 and eta at eta_min, so the kernel's cap
+    # is n24_max itself and the product is the block as it stands.
+    out = _product(factors)
+    if out.n24_max != n24_max:
+        raise InternalError(f"product exact to n24 {out.n24_max}, not {n24_max}")
     if out.character_d != want:
         raise InternalError(f"block character {out.character_d}, expected {want}")
     return out
 
 
 def heat_apply(s: FourierSeries) -> FourierSeries:
-    """Multiply each term by n - (l, l)/2; coefficients become exact rationals."""
+    """Multiply each term by n - (l, l)/2; coefficients become exact rationals.
+
+    A term on the shell 2n = (l, l) goes to 0 without building a Fraction."""
     form, den = s._norm_form()
     out = {}
     for (n24, w), c in s.terms.items():
         # n - (l, l)/2 = (n24 D - 12 w^T M w) / (24 D), see _norm_form.
-        out[(n24, w)] = Q(n24 * den - 12 * _quad(form, w), 24 * den) * c
+        gap = n24 * den - 12 * _quad(form, w)
+        if gap:
+            out[(n24, w)] = Q(gap * c.numerator, 24 * den * c.denominator)
     return FourierSeries(s.lattice, s.z_den, out, s.n24_max, s.character_d)
 
 
@@ -556,5 +603,6 @@ def dump_series(s: FourierSeries) -> str:
     for (n24, w) in sorted(s.terms):
         c = s.terms[(n24, w)]
         wtxt = ",".join(str(x) for x in w)
-        lines.append(f"{n24} {wtxt}/{s.z_den} {format_rational(Q(c))}")
+        ctxt = str(c) if type(c) is int else format_rational(c)
+        lines.append(f"{n24} {wtxt}/{s.z_den} {ctxt}")
     return "\n".join(lines)

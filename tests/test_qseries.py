@@ -12,6 +12,8 @@ theta_block runs the same packed kernel over all its factors, eta last; its
 reference is an eta-first fold of reference_multiply.  When every operand is
 odd or even in z the kernel stores each partial product by its w >= 0 half;
 parity_series builds such operands, with and without w = 0 terms.
+The kernel's set-bit decode is compared against reference_decode, which
+reads a row one slot at a time from slot 0.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
 test-local inverse.
@@ -23,7 +25,7 @@ from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eustar import qseries
@@ -255,6 +257,34 @@ def test_heat_keeps_off_shell_terms(two_vector_star):
     # 5/24 - (1/2)/2 = -1/24 on the violating term.
     assert heated.terms[(5, (-1,))] == Q(-1, 24)
     assert (5, (0,)) in heated.terms
+
+
+class CountingFraction(Q):
+    """A Fraction that counts its constructions."""
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def test_heat_builds_no_fraction_on_the_shell(monkeypatch, two_vector_star):
+    block = theta_block(build_star(catalog("A3")), n24_max=720)
+    monkeypatch.setattr(qseries, "Q", CountingFraction)
+    CountingFraction.made = 0
+    assert heat_apply(block).is_zero()
+    assert CountingFraction.made == 0
+    # Off the shell, each term keeps its exact value n - (l, l)/2 times c,
+    # with (l, l) = w^2 / (2 z_den^2) on the lattice [[2]]; every term of
+    # this block is off it, since 12 (l, l) = 6 w^2 and n24 = 5 mod 24.
+    block = theta_block(two_vector_star, n24_max=480)
+    heated = heat_apply(block)
+    want = {(n24, w): (Q(n24, 24) - Q(w[0] ** 2, 4 * block.z_den ** 2)) * c
+            for (n24, w), c in block.terms.items()}
+    assert heated.terms == {k: c for k, c in want.items() if c}
+    assert heated.z_den == block.z_den
+    assert len(heated.terms) == len(block.terms) > 0
+    assert CountingFraction.made == len(heated.terms)
 
 
 def test_non_eutactic_block_warns():
@@ -580,6 +610,27 @@ def test_a4_theta_block_dump_digest_frozen():
         "3116579bf0c4344db3825afd005a74469da023f3c9358cede29599205d10bb8e"
 
 
+@pytest.mark.parametrize("label, order, steps", [
+    ("A3", 720, 1464), ("B3", 480, 1176), ("G2", 1440, 324),
+], ids=["A3@720", "B3@480", "G2@1440"])
+def test_decode_takes_one_step_per_kept_coefficient(monkeypatch, label, order, steps):
+    # Each decode step yields one nonzero slot at or below the cap, and the
+    # decode emits each stored row's mirror term too: half the block's terms.
+    # Stepping through the zero slots between them cost 18,444, 10,128 and
+    # 9,972 steps on these blocks.
+    yielded = []
+    slots = qseries._slots
+
+    def counting(v, bits):
+        for j, c in slots(v, bits):
+            yielded.append(j)
+            yield j, c
+
+    monkeypatch.setattr(qseries, "_slots", counting)
+    block = theta_block(build_star(catalog(label)), n24_max=order)
+    assert len(yielded) == steps == len(block.terms) // 2
+
+
 def assert_kernel_matches_fold(factors):
     """_product against the pairwise fold, up to the kernel's cap."""
     got = qseries._product(factors)
@@ -731,6 +782,86 @@ def test_empty_and_lattice_free_operands_in_every_position(position, lattice_fre
                     (want.z_den, want.n24_max, want.character_d)
 
 
+def reference_decode(v, top, bits):
+    """(j, c_j) for the nonzero balanced slots j <= top of v, one slot at a time."""
+    out = []
+    for j in range(top + 1):
+        c = v & ((1 << bits) - 1)
+        if c >= 1 << (bits - 1):
+            c -= 1 << bits
+        if c:
+            out.append((j, c))
+        v = (v - c) >> bits
+    return out
+
+
+@st.composite
+def balanced_row(draw):
+    """(v, top, bits, slots): a row of balanced slots up to top, mostly zero and
+    often extreme, plus arbitrary slots past top.
+
+    The slot width keeps every coefficient below 2^(bits-1) in absolute
+    value, and the cut after top relies on that for the highest nonzero
+    slot it keeps: below it, a slot may also hold -2^(bits-1).
+    """
+    bits = draw(st.integers(2, 70))
+    half = 1 << (bits - 1)
+    digit = st.one_of(st.just(0), st.just(0), st.sampled_from([half - 1, -(half - 1), -half]),
+                      st.integers(-half, half - 1))
+    slots = draw(st.lists(digit, max_size=12))
+    top = draw(st.integers(-3, len(slots) + 2))
+    highest = max((j for j, c in enumerate(slots) if c and j <= top), default=None)
+    if highest is not None and slots[highest] == -half:
+        slots[highest] = -(half - 1)
+    v = sum(c << j * bits for j, c in enumerate(slots))
+    v += draw(st.integers(-2 ** 200, 2 ** 200)) << bits * max(top + 1, 0)
+    kept = [(j, c) for j, c in enumerate(slots) if c and j <= top]
+    return v, top, bits, kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_row())
+def test_set_bit_decode_matches_slot_by_slot_reference(row):
+    # The decode cuts a row after top, then steps from one set slot to the
+    # next: one step per nonzero coefficient, whatever lies past top.
+    v, top, bits, kept = row
+    got = list(qseries._slots(qseries._cut(v, 1 << bits * max(top + 1, 0)), bits))
+    assert got == reference_decode(v, top, bits) == kept
+
+
+@pytest.mark.parametrize("w", [(), (1,)], ids=["eta-like", "lattice-row"])
+def test_dense_last_row_at_every_cap(w):
+    # One dense row as the last operand, as the eta power is: the kernel cuts
+    # it after the last slot each outer row can reach.  Its cap runs from
+    # below its lowest slot to past its top, and the outer rows start at
+    # several slots, so the cuts fall at every place in the row.
+    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 480)
+    lopsided = FourierSeries(LINE, 1, {(3, (1,)): 1, (27, (-2,)): 2, (99, (1,)): -3}, 300,
+                             character_d=3)
+    coeffs = [1, -3, 0, 0, 5, -1, 0, 2, 7, -4]
+    for cap in range(5 - 24, 5 + 24 * len(coeffs) + 24, 24):
+        dense = FourierSeries(LINE if w else None, 1,
+                              {(5 + 24 * j, w): c for j, c in enumerate(coeffs)}, cap,
+                              character_d=5)
+        for outer in ([theta, theta], [theta, lopsided], [lopsided]):
+            assert_kernel_matches_fold(outer + [dense])
+
+
+def test_group_of_non_monomial_rows_on_one_slot():
+    # b has two rows with lowest slot 0, neither a monomial: one group whose
+    # shared shift is multiplied by each row.
+    b = FourierSeries(LINE, 1, {(0, (1,)): 1, (24, (1,)): 2, (0, (-1,)): 3, (48, (-1,)): -1,
+                                (72, (2,)): -1}, 120, character_d=0)
+    rows = list(qseries._packed(b, 1, 5, 1, 24, 8))
+    groups = qseries._groups(rows, 8)
+    assert [(t, sorted(k for k, _ in group)) for t, _, group in groups] == [(0, [-1, 1]), (3, [2])]
+    assert all(v not in (1, -1) for k, v in groups[0][2])
+    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 240)
+    for factors in ([theta, b], [b, b], [theta, theta, b, eta_power(-1, 240)],
+                    [b, with_mirror(b, -1), theta]):
+        assert_kernel_matches_fold(factors)
+
+
 def fraction_inverse(m):
     """Gauss-Jordan inverse over Fraction of a nonsingular square matrix."""
     n = len(m)
@@ -766,23 +897,40 @@ def non_unimodular_lattice(draw):
     return lat, inv
 
 
-@settings(max_examples=60, deadline=None)
-@given(non_unimodular_lattice(), st.data())
-def test_norm_checks_match_fraction_reference(lat_inv, data):
-    lat, inv = lat_inv
-    n = lat.rank
-    terms = data.draw(st.dictionaries(
-        st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * n)),
+@st.composite
+def norm_check_case(draw):
+    """(lattice, test-local inverse, terms, z_den) for a non-unimodular lattice."""
+    lat, inv = draw(non_unimodular_lattice())
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * lat.rank)),
         COEFFS, max_size=10))
-    s = FourierSeries(lat, data.draw(st.integers(1, 6)), terms, 100)
+    return lat, inv, terms, draw(st.integers(1, 6))
+
+
+def rational_exponents(s):
+    """The terms of s keyed by (n24, w / z_den), free of the stored z_den."""
+    return {(n24, tuple(Q(x, s.z_den) for x in w)): c for (n24, w), c in s.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm_check_case())
+# Only (0, (0, 2)) survives the heat operator, and the constructor then stores
+# it as (0, (0, 1)) over z_den 3.
+@example((Lattice([[6, 1], [1, 1]]), [[Q(1, 5), Q(-1, 5)], [Q(-1, 5), Q(6, 5)]],
+          {(0, (0, 2)): 1, (2, (-4, 1)): 1}, 6))
+def test_norm_checks_match_fraction_reference(case):
+    lat, inv, terms, z_den = case
+    n = lat.rank
+    s = FourierSeries(lat, z_den, terms, 100)
 
     def norm(w, z_den):
         return sum(Q(w[i]) * inv[i][j] * w[j] for i in range(n) for j in range(n)) / z_den ** 2
 
     for _, w in s.terms:
         assert s.norm_of(w) == norm(w, s.z_den)
-    assert heat_apply(s).terms == {
-        (n24, w): (Q(n24, 24) - norm(w, s.z_den) / 2) * c
+    # heat_apply drops the terms that reach 0, which may shrink z_den.
+    assert rational_exponents(heat_apply(s)) == {
+        (n24, tuple(Q(x, s.z_den) for x in w)): (Q(n24, 24) - norm(w, s.z_den) / 2) * c
         for (n24, w), c in s.terms.items() if Q(n24, 24) != norm(w, s.z_den) / 2}
     assert check_holomorphic(s) == sorted(
         (n24, w, Q(n24, 12) - norm(w, s.z_den)) for (n24, w) in s.terms

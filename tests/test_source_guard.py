@@ -63,6 +63,12 @@ def test_every_import_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def test_unused_import_check_sees_functions_passed_as_arguments():
+    # qseries passes operator.mul to map without calling it by name.
+    assert _unused_imports(ast.parse("from operator import mul\nx = 1\n")) == [(1, "mul")]
+    assert _unused_imports(ast.parse("from operator import mul\nx = map(mul, a, b)\n")) == []
+
+
 # The functions of linalg.py that may build a Fraction.
 FRACTION_ENTRY_POINTS = {"qvec", "dot", "clear_denominators"}
 
@@ -87,8 +93,10 @@ def test_linalg_builds_fractions_only_at_its_edges():
 
 
 # The product kernel of qseries.py: parity scan, row packing, lowest slot,
-# row pair loop, fold and truncation, slot decode.
-PRODUCT_KERNEL = {"_parity", "_packed", "_low_slot", "_accumulate", "_product", "_slots"}
+# balanced cut, rows grouped by lowest slot, row pair loop, fold and
+# truncation, set-bit slot decode.
+PRODUCT_KERNEL = {"_parity", "_packed", "_low_slot", "_cut", "_groups", "_accumulate",
+                  "_product", "_slots"}
 
 
 def test_product_kernel_builds_no_fractions():
