@@ -9,7 +9,7 @@ from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
                       multiply, reflect_series, theta_block, theta_factor)
 from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
-                      build_star, cartan_matrix, catalog, catalog_labels, recognize)
+                      build_star, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
 from .star import (EutacticStar, divisor_multiplicity, dump_star, embed,
                    is_eutactic, load_star, star_from_pairings, star_from_vectors,
@@ -22,7 +22,7 @@ __all__ = [
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
     "dump_series", "eta_power", "heat_apply", "multiply", "reflect_series",
     "theta_block", "theta_factor", "RecognitionReport", "RootSystemDescriptor",
-    "build_P_lattice", "build_star", "cartan_matrix", "catalog", "catalog_labels",
+    "build_P_lattice", "build_star", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",
     "EutacticStar", "divisor_multiplicity", "dump_star", "embed", "is_eutactic",
     "load_star", "star_from_pairings", "star_from_vectors", "support_set",

@@ -11,11 +11,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction as Q
 
 from . import qseries, rootsys, search
 from .certify import certify_extremal
-from .lattice import InputError, format_rational, load_lattice
+from .lattice import InputError, format_rational, format_vector, load_lattice
 from .star import EutacticStar, dump_star, is_eutactic, load_star, support_set
 
 
@@ -110,7 +109,7 @@ def cmd_recognize(args) -> int:
     if report.ok:
         print(report.label)
         return 0
-    witness = [[format_rational(Q(x)) for x in v] for v in report.failure["witness"]]
+    witness = [format_vector(v) for v in report.failure["witness"]]
     print(json.dumps({"axiom": report.failure["axiom"], "witness": witness},
                      sort_keys=True))
     return 1

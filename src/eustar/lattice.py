@@ -7,6 +7,7 @@ rational span are coordinate tuples of Fraction relative to that fixed basis.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -21,18 +22,32 @@ class InternalError(RuntimeError):
     """A broken internal invariant: a bug in eustar, never a property of the input."""
 
 
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*\Z", re.ASCII)
+
+
 def parse_rational(s) -> Q:
-    """Parse 'p/q' or 'n' into an exact rational; reject anything else."""
+    """Parse 'p/q' or 'n' into an exact rational; reject anything else.
+
+    p and n are ASCII decimal integers with an optional sign, q is a nonzero
+    one without a sign, and ASCII whitespace may surround the whole: no
+    decimal point, exponent or underscore.
+    """
     if isinstance(s, bool):
         raise InputError(f"expected a rational, got the boolean {s!r}")
     if isinstance(s, int):
         return Q(s)
     if not isinstance(s, str):
         raise InputError(f"expected a rational string, got {type(s).__name__}")
+    m = _RATIONAL_RE.match(s)
+    if m is None:
+        raise InputError(f"bad rational {s!r}: expected 'p/q' or 'n'")
     try:
-        return Q(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(m[1]), int(m[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
         raise InputError(f"bad rational {s!r}: {exc}") from None
+    if q == 0:
+        raise InputError(f"bad rational {s!r}: zero denominator")
+    return Q(p, q)
 
 
 def format_rational(x: Q) -> str:
@@ -124,10 +139,19 @@ def lattice_from_json_dict(data) -> Lattice:
     return Lattice(gram)
 
 
-def load_lattice(path: str) -> Lattice:
+def _read_json(path: str, what: str):
+    """The JSON value in the UTF-8 file at path.
+
+    A file that cannot be opened or decoded, is not JSON, nests too deeply
+    or holds an integer with more digits than int() converts is an
+    InputError, so the command line exits 2.
+    """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read lattice file {path}: {exc}") from None
-    return lattice_from_json_dict(data)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def load_lattice(path: str) -> Lattice:
+    return lattice_from_json_dict(_read_json(path, "lattice"))

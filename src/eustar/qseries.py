@@ -8,28 +8,11 @@ vector l whose pairing with a lattice point x is (w . x)/z_den, so the norm
 n24_max: terms above the cap are unknown, absent terms at or below it are zero.
 Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
 truncation error can first appear.  One row kernel computes every product,
-of two series (multiply) or of a whole theta block.  A partial product maps
-the packed key of each z-exponent w to one int, its row, that holds the
-whole q-polynomial of that w by Kronecker substitution in q: slot j holds
-the coefficient of n24 = low + stride j in balanced digits, with stride 24
-when every operand has a character, 1 otherwise.  The slots are
-bitlength(B) + 1 bits wide, B the product of the operands' coefficient
-1-norms, which bounds every partial sum of every coefficient, so no slot
-carries into the next.  A theta factor's rows are monomials +-X^t, two
-on each t, so a row meets each t with one shared shift, added to or
-subtracted from two keys.  The eta power is one dense row, cut for each
-row it meets after the last slot that can reach the cap.  A pair is
-skipped when the lowest slots of its rows, read off v & -v, sum past the
-cap, and each row is cut at the cap by one balanced mask when it is next
-read; the decode then steps from one set slot to the next, one step per
-kept coefficient.  See multiply.  When every operand is odd or even in
-z, each partial product stores only its rows with w >= 0 and the mirror
-rows are folded in times the running parity.  A block puts the dense
-q-only eta power last, so no partial product carries its terms.  The heat,
-holomorphy and singular-shell checks evaluate the integer 12 D (2n - (l, l))
-with the matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g, and build a
-Fraction only off the shell; reflections map exponents in int over one
-denominator.
+of two series (multiply) or of a whole theta block; multiply describes it.
+The heat, holomorphy and singular-shell checks evaluate the integer
+12 D (2n - (l, l)) with the matrix gi of dual_gram() = (gi, g),
+gram^-1 = gi / g, and build a Fraction only off the shell; reflections map
+exponents in int over one denominator.
 Coefficients are int or Fraction, never float.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
@@ -218,12 +201,6 @@ def _join_lattice(*series: FourierSeries) -> Lattice | None:
         elif s.lattice is not None and s.lattice != lat:
             raise InputError("series live on different lattices")
     return lat
-
-
-def _widen(w: tuple, scale: int, width: int) -> tuple:
-    if not w:
-        return (0,) * width
-    return tuple(x * scale for x in w)
 
 
 def _packed(s: FourierSeries, scale: int, radix: int, den: int, stride: int, bits: int):
@@ -487,27 +464,6 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
     return FourierSeries(lat, d, _rational(terms, math.prod(dens)), cap, character_d=char)
 
 
-def add(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    lat = _join_lattice(a, b)
-    width = lat.rank if lat is not None else 0
-    d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
-    sa, sb = d // a.z_den, d // b.z_den
-    cap = min(a.n24_max, b.n24_max)
-    char = a.character_d if a.character_d == b.character_d else None
-    out: dict = {}
-    for series, s in ((a, sa), (b, sb)):
-        for (n, w), c in series.terms.items():
-            if n > cap:
-                continue
-            key = (n, _widen(w, s, width))
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return FourierSeries(lat, d, out, cap, character_d=char)
-
-
 def theta_block(star: EutacticStar, eta_exponent: int | None = None,
                 n24_max: int = DEFAULT_ORDER) -> FourierSeries:
     """eta^(eta_exponent - N) times the product of all N theta factors.
@@ -574,13 +530,18 @@ def check_singular_support(s: FourierSeries) -> bool:
 def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:
     """Pull the series back along the reflection through v's orthogonal wall.
 
-    With a = e v and b = e G v in int for one common e, the image of w is
-    ((a . b) w - 2 (a . w) b) / (a . b), so every image shares one denominator.
+    With a = e v in int, e the lcm of v's denominators, and b = G a, the
+    image of w is ((a . b) w - 2 (a . w) b) / (a . b), so every image shares
+    one denominator.
     """
-    if s.lattice is None:
+    lat = s.lattice
+    if lat is None:
         raise InputError("reflect_series needs a lattice-bearing series")
-    (a, b), _ = clear_denominators([v, s.lattice.pairings(v)])
-    ab = sum(x * y for x, y in zip(a, b))
+    if len(v) != lat.rank:
+        raise InputError(f"reflect_series: v has length {len(v)}, expected {lat.rank}")
+    (a,), _ = clear_denominators([v])
+    b = [sum(map(mul, row, a)) for row in lat.gram]
+    ab = sum(map(mul, a, b))
     if ab == 0:
         raise InputError("reflect_series: v must be nonzero")
     new = {}
@@ -591,8 +552,13 @@ def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:
 
 
 def check_antisymmetry(s: FourierSeries, v: Sequence) -> bool:
-    """True iff the series is odd under the reflection through v's wall."""
-    return add(reflect_series(s, v), s).is_zero()
+    """True iff the series is odd under the reflection through v's wall.
+
+    Every series is stored in canonical form, z_den over the common content
+    of its exponents, so two series with the same rational exponents have
+    the same (z_den, terms)."""
+    r = reflect_series(s, v)
+    return r.z_den == s.z_den and r.terms == {k: -c for k, c in s.terms.items()}
 
 
 def dump_series(s: FourierSeries) -> str:

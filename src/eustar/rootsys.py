@@ -142,12 +142,13 @@ def catalog(label: str) -> RootSystemDescriptor:
     _, c, den = _root_square_sum(positive, gram)
     if any(c[i][j] != (c[0][0] if i == j else 0) for i in range(n) for j in range(n)):
         raise InternalError(f"{label}: sum of root squares is not a multiple of the form")
-    h = Q(c[0][0], den)
-    if h.denominator != 1 or h <= 0:
-        raise InternalError(f"{label}: dual Coxeter number {h} is not a positive integer")
+    h, r = divmod(c[0][0], den)
+    if r or h <= 0:
+        raise InternalError(f"{label}: dual Coxeter number {c[0][0]}/{den} "
+                            "is not a positive integer")
     return RootSystemDescriptor(label=f"{family}{n}", rank=n, cartan=cartan,
                                 norm_gram=gram, positive_roots=tuple(positive),
-                                dual_coxeter=int(h))
+                                dual_coxeter=h)
 
 
 def _root_square_sum(positive: Sequence[Sequence[int]], gram: Mat):
@@ -183,17 +184,6 @@ def build_star(desc: RootSystemDescriptor) -> EutacticStar:
     return EutacticStar(build_P_lattice(desc), desc.positive_roots)
 
 
-def cartan_matrix(vectors: Sequence[Sequence], lattice: Lattice) -> tuple[tuple[Q, ...], ...]:
-    """A_ij = 2(v_i, v_j)/(v_j, v_j) for the given vectors, exact."""
-    vs = [qvec(v) for v in vectors]
-    inner = [[lattice.inner(x, y) for y in vs] for x in vs]
-    for i, x in enumerate(vs):
-        if inner[i][i] == 0:
-            raise InputError(f"cartan_matrix: vector {i} is isotropic or zero")
-    return tuple(tuple(2 * inner[i][j] / inner[j][j] for j in range(len(vs)))
-                 for i in range(len(vs)))
-
-
 @dataclass
 class RecognitionReport:
     ok: bool
@@ -223,8 +213,8 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     S is scaled to int by a common denominator, and every check runs in int:
     only parallel vectors are compared for integer multiples, and a reflection
     image is y - c x with c = 2(x, y)/(x, x), looked up by a packed integer
-    key.  The one exception is a pair with c not an integer, whose image is
-    tested in Fraction; no root system has one.
+    key.  A pair with c = t/(x, x) not an integer, which no root system has,
+    has the image ((x, x) y - t x)/(x, x), tested on its integer numerators.
 
     The last two checks and everything after them run on a quarter of the
     pairs.  Once S = -S and its vectors are distinct, x -> -x is an involution
@@ -333,12 +323,10 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
                     continue
                 return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
             integral = False
-            k = Q(t, npp)
-            img = tuple(Q(b) - k * a for a, b in zip(vs[p], vs[q]))
-            if any(z.denominator != 1 for z in img) or \
-                    tuple(int(z) for z in img) not in sset:
+            img = [npp * b - t * a for a, b in zip(vs[p], vs[q])]
+            if any(z % npp for z in img) or tuple([z // npp for z in img]) not in sset:
                 return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
-    # Unless some pair took the Fraction path, every 2(x, y)/(x, x) was an integer.
+    # Unless some pair had c not an integer, every 2(x, y)/(x, x) was one.
     if not integral:
         for p in range(m):
             for q in range(m):

@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .lattice import (InputError, InternalError, Lattice, format_vector,
+from .lattice import (InputError, InternalError, Lattice, _read_json, format_vector,
                       lattice_from_json_dict, parse_vector)
 from .linalg import Vec, clear_denominators, dot, qvec
 
@@ -182,12 +182,7 @@ def star_from_json_dict(data) -> EutacticStar:
 
 
 def load_star(path: str) -> EutacticStar:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read star file {path}: {exc}") from None
-    return star_from_json_dict(data)
+    return star_from_json_dict(_read_json(path, "star"))
 
 
 def dump_star(star: EutacticStar) -> str:

@@ -202,3 +202,28 @@ def test_recognize(a1_file, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["axiom"] == "integer-multiple"
     assert "witness" in out
+
+
+# Malformed files, as star files and as lattice files: each must end in exit 2
+# with one error line, never a traceback.
+DIGITS = "1" * 5000  # more digits than int() converts
+MALFORMED = {
+    "not_utf8": (b'\xff\xfe{"gram": [[1]], "vectors": [["1"]]}', b'\xff\xfe{"gram": [[1]]}'),
+    "deeply_nested": (b"[" * 100000, b"[" * 100000),
+    "5000_digits": (f'{{"gram": [[{DIGITS}]], "vectors": [["1"]]}}'.encode(),
+                    f'{{"gram": [[{DIGITS}]]}}'.encode()),
+    "exponent": (b'{"gram": [[1]], "vectors": [["1e3000000"]]}', b'{"gram": [[1e3000000]]}'),
+    "decimal": (b'{"gram": [[1]], "vectors": [["1.5"]]}', b'{"gram": [[1.5]]}'),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "extremal", "expand", "recognize", "search"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_file_exits_2(command, kind, tmp_path, capsys):
+    star, lattice = MALFORMED[kind]
+    p = tmp_path / "bad.json"
+    p.write_bytes(lattice if command == "search" else star)
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err

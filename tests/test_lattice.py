@@ -23,8 +23,15 @@ def test_parse_rational():
     assert parse_rational(5) == 5
     with pytest.raises(InputError):
         parse_rational("abc")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="zero denominator"):
         parse_rational("1/0")
+    # Only 'p/q' and 'n' in ASCII digits: no decimal point, exponent,
+    # underscore, other digits or signed denominator.
+    for text in ("1.5", "1e3", "1_0", "\u0661", "1/-2", "1e3000000"):
+        with pytest.raises(InputError, match="bad rational"):
+            parse_rational(text)
+    with pytest.raises(InputError, match="bad rational"):
+        parse_rational("1" * 5000)  # more digits than int() converts
     with pytest.raises(InputError):
         parse_rational(None)
     for flag in (True, False):  # bool is an int subclass, but not a rational

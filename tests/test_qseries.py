@@ -30,11 +30,10 @@ from hypothesis import strategies as st
 
 from eustar import qseries
 from eustar.lattice import InputError, Lattice
-from eustar.qseries import (DEFAULT_ORDER, FourierSeries, add,
-                            check_antisymmetry, check_holomorphic,
-                            check_singular_support, dump_series, eta_power,
-                            heat_apply, multiply, reflect_series, theta_block,
-                            theta_factor)
+from eustar.qseries import (DEFAULT_ORDER, FourierSeries, check_antisymmetry,
+                            check_holomorphic, check_singular_support, dump_series,
+                            eta_power, heat_apply, multiply, reflect_series,
+                            theta_block, theta_factor)
 from eustar.rootsys import build_star, catalog
 from eustar.star import star_from_vectors, support_set
 
@@ -186,14 +185,6 @@ def test_multiply_commutes(a1_star):
     assert ab.terms == ba.terms
     assert ab.z_den == ba.z_den == 2
     assert ab.character_d == 5
-
-
-def test_add_cancellation(a1_star):
-    theta = theta_factor(a1_star, 0, 120)
-    minus = FourierSeries(theta.lattice, theta.z_den,
-                          {k: -c for k, c in theta.terms.items()}, 120, 3)
-    assert add(theta, minus).is_zero()
-    assert add(theta, theta).terms == {k: 2 * c for k, c in theta.terms.items()}
 
 
 def test_mismatched_lattices_rejected(a1_star, a2_star):
@@ -979,3 +970,70 @@ def test_reflect_series_fractional_image():
     s = FourierSeries(Lattice([[1, 0], [0, 2]]), 3, {(0, (1, 0)): 1}, 10)
     image = reflect_series(s, (1, 1))
     assert (image.z_den, image.terms) == (9, {(0, (1, -4)): 1})
+
+
+def fraction_reflection(lat, v):
+    """l -> l - 2 (l, v)/(v, v) v on rational exponents l, v with pairings G v."""
+    gv = [sum(Q(g) * x for g, x in zip(row, v)) for row in lat.gram]
+    vv = sum(x * y for x, y in zip(v, gv))
+
+    def reflect(e):
+        t = 2 * sum(x * y for x, y in zip(e, v)) / vv
+        return tuple(x - t * y for x, y in zip(e, gv))
+    return reflect
+
+
+def reference_antisymmetry(s, v):
+    """The series plus its reflection, on rational exponents, sums to 0."""
+    reflect = fraction_reflection(s.lattice, v)
+    total = {}
+    for (n24, e), c in rational_exponents(s).items():
+        for key in ((n24, e), (n24, reflect(e))):
+            total[key] = total.get(key, 0) + c
+    return not any(total.values())
+
+
+@st.composite
+def antisymmetry_case(draw):
+    """A series and a rational v: random terms, or f - f o s_v for random f,
+    which is odd under s_v, at times with one coefficient then moved off."""
+    lat, _ = draw(non_unimodular_lattice())
+    n = lat.rank
+    v = draw(st.tuples(*[st.integers(-2, 2).map(Q) | st.fractions(-2, 2, max_denominator=3)]
+                       * n).filter(any))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * n)),
+        COEFFS, min_size=1, max_size=8))
+    z_den = draw(st.sampled_from([1, 2, 3, 6]))
+    if draw(st.booleans()):
+        reflect = fraction_reflection(lat, v)
+        odd = {}
+        for (n24, w), c in terms.items():
+            e = tuple(Q(x, z_den) for x in w)
+            for key, x in (((n24, e), c), ((n24, reflect(e)), -c)):
+                odd[key] = odd.get(key, 0) + x
+        odd = {k: c for k, c in odd.items() if c}
+        if odd and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(odd)))
+            odd[key] += 1
+        z_den = math.lcm(*(x.denominator for _, e in odd for x in e))
+        terms = {(n24, tuple(int(x * z_den) for x in e)): c for (n24, e), c in odd.items()}
+    return FourierSeries(lat, z_den, terms, 100), v
+
+
+@settings(max_examples=100, deadline=None)
+@given(antisymmetry_case())
+# The empty series is odd.
+@example((FourierSeries(Lattice([[2]]), 1, {}, 100), (Q(1),)))
+# G = diag(1, 2), v = (1, 1): the image of (1, 0) over 3 lies over 9, so the
+# lone term is not odd; with its image at the opposite sign the series is.
+@example((FourierSeries(Lattice([[1, 0], [0, 2]]), 3, {(0, (1, 0)): 1}, 100), (Q(1), Q(1))))
+@example((FourierSeries(Lattice([[1, 0], [0, 2]]), 9, {(0, (3, 0)): 1, (0, (1, -4)): -1}, 100),
+          (Q(1), Q(1))))
+# The B2 block is odd under the reflection in a root, not under (1, 1).
+@example((theta_block(build_star(catalog("B2")), n24_max=120), (Q(1), Q(0))))
+@example((theta_block(build_star(catalog("B2")), n24_max=120), (Q(1), Q(1))))
+def test_check_antisymmetry_matches_fraction_reference(case):
+    s, v = case
+    assert check_antisymmetry(s, v) == reference_antisymmetry(s, v)
+

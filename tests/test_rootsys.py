@@ -12,14 +12,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eustar import rootsys
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
-                            cartan_matrix, catalog, catalog_labels,
-                            parse_label, recognize)
+                            catalog, catalog_labels, parse_label, recognize)
 from eustar.star import is_eutactic, support_set
 
 from conftest import change_basis, random_unimodular
@@ -131,15 +130,6 @@ def test_built_star_vectors_are_roots_over_h(label):
     star = build_star(desc)
     assert star.pairings == desc.positive_roots
     assert star.vectors == expected
-
-
-def test_cartan_matrix_of_vectors():
-    lat = Lattice([[2, 1], [1, 2]])
-    a = cartan_matrix([(1, 0), (0, 1)], lat)
-    # Both basis vectors have norm 2 and inner product 1.
-    assert a == ((2, 1), (1, 2))
-    with pytest.raises(InputError):
-        cartan_matrix([(0, 0)], lat)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A4", "B2", "B3", "C3", "D4",
@@ -320,6 +310,13 @@ def damaged_root_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(supports(), damaged_root_sets()))
+# c = 2(3, 2)/(3, 3) = 4/3 is not an integer, but the image 2 - 4 = -2 is in
+# S, so only integrality fails.
+@example(([[2]], [(2,), (-2,), (3,), (-3,)]))
+# c = 2/5 for x = (1, 2), y = (1, 0): the image (3/5, -4/5) is not integral.
+@example(([[1, 0], [0, 1]], [(1, 2), (-1, -2), (1, 0), (-1, 0)]))
+# c = 4/3 for x = (3, 0), y = (2, 1): the image (-2, 1) is integral, not in S.
+@example(([[1, 0], [0, 1]], [(3, 0), (-3, 0), (2, 1), (-2, -1)]))
 def test_recognize_matches_fraction_reference(case):
     """recognize reports the same first failing axiom and witness as the
     Fraction reference, and labels exactly the supports that pass it: their

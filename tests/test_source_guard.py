@@ -69,32 +69,90 @@ def test_unused_import_check_sees_functions_passed_as_arguments():
     assert _unused_imports(ast.parse("from operator import mul\nx = map(mul, a, b)\n")) == []
 
 
-# The functions of linalg.py that may build a Fraction.
-FRACTION_ENTRY_POINTS = {"qvec", "dot", "clear_denominators"}
+# The functions and methods of each module that may build a Fraction: those
+# that read, return or print rationals.  Every other function works in int.
+FRACTION_EDGES = {
+    "__init__.py": set(),
+    "certify.py": {"b_eval", "deficiency", "min_deficiency", "certify_extremal"},
+    "cli.py": set(),
+    "lattice.py": {"parse_rational", "format_rational", "Lattice.pairings"},
+    "linalg.py": {"qvec", "dot", "clear_denominators"},
+    "qseries.py": {"FourierSeries.norm_of", "_rational", "heat_apply", "check_holomorphic"},
+    "rootsys.py": {"_norms", "catalog", "recognize"},
+    "search.py": set(),
+    "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "star_from_vectors",
+                "support_set"},
+}
 
 
-def _fraction_calls(tree):
-    """(function, line) for each call of Q or Fraction, by enclosing top-level function."""
+def _owners(tree):
+    """(name, node) for each top-level function and each method, as Class.method;
+    any other top-level statement is owned by None, a class's own by the class."""
     for top in tree.body:
-        name = top.name if isinstance(top, ast.FunctionDef) else None
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield (f"{top.name}.{node.name}" if isinstance(node, ast.FunctionDef)
+                       else top.name), node
+        else:
+            yield None, top
+
+
+def _fraction_uses(tree):
+    """(owner, line) for each use of Q or Fraction as a value: a call, or the
+    name passed on, as in map(Q, xs).  Type annotations and subscripts and
+    the class argument of isinstance build nothing and are skipped."""
+    types = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if a is not None and a.annotation is not None:
+                    types.update(ast.walk(a.annotation))
+            if node.returns is not None:
+                types.update(ast.walk(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            types.update(ast.walk(node.annotation))
+        elif isinstance(node, ast.Subscript):
+            types.update(ast.walk(node.slice))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            types.update(ast.walk(node.args[1]))
+    for owner, top in _owners(tree):
         for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                f = node.func
-                base = f.value if isinstance(f, ast.Attribute) else f
-                if isinstance(base, ast.Name) and base.id in ("Q", "Fraction"):
-                    yield name, node.lineno
+            if isinstance(node, ast.Name) and node.id in ("Q", "Fraction") \
+                    and node not in types:
+                yield owner, node.lineno
 
 
-def test_linalg_builds_fractions_only_at_its_edges():
-    path = next(p for p in SOURCES if p.name == "linalg.py")
-    calls = list(_fraction_calls(ast.parse(path.read_text(), filename=str(path))))
-    assert {name for name, _ in calls} <= FRACTION_ENTRY_POINTS, calls
-    assert calls  # the walk does see the entry points
+def test_fraction_edges_cover_every_module():
+    assert set(FRACTION_EDGES) == {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_fractions_only_at_the_edges(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    edges = FRACTION_EDGES[path.name]
+    # Every listed function exists and builds a Fraction, so the table
+    # cannot go stale; no other code builds one.
+    assert edges <= {name for name, _ in _owners(tree)}
+    uses = list(_fraction_uses(tree))
+    assert {name for name, _ in uses} == edges, uses
+
+
+def test_fraction_uses_sees_calls_and_names_passed_on():
+    code = ("from fractions import Fraction as Q\n"
+            "V = tuple[Q, ...]\n"
+            "def f(x: Q) -> Q:\n    return isinstance(x, Q)\n"
+            "def g(xs):\n    return list(map(Q, xs))\n"
+            "class C:\n    y: Q\n    def h(self):\n        return Q.from_float(0)\n")
+    assert [name for name, _ in _fraction_uses(ast.parse(code))] == ["g", "C.h"]
 
 
 # The product kernel of qseries.py: parity scan, row packing, lowest slot,
 # balanced cut, rows grouped by lowest slot, row pair loop, fold and
-# truncation, set-bit slot decode.
+# truncation, set-bit slot decode.  It works on packed integer keys.
 PRODUCT_KERNEL = {"_parity", "_packed", "_low_slot", "_cut", "_groups", "_accumulate",
                   "_product", "_slots"}
 
@@ -103,9 +161,7 @@ def test_product_kernel_builds_no_fractions():
     path = next(p for p in SOURCES if p.name == "qseries.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     assert PRODUCT_KERNEL <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
-    calls = list(_fraction_calls(tree))
-    assert calls  # the walk does see the series' own Fraction calls
-    assert not [(name, line) for name, line in calls if name in PRODUCT_KERNEL], calls
+    assert not PRODUCT_KERNEL & FRACTION_EDGES["qseries.py"]
 
 
 def test_star_never_calls_lattice_pairings():

@@ -9,8 +9,8 @@ import pytest
 from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.qseries import check_antisymmetry, reflect_series, theta_block, theta_factor
-from eustar.rootsys import (build_P_lattice, build_star, cartan_matrix, catalog,
-                            catalog_labels, recognize)
+from eustar.rootsys import (build_P_lattice, build_star, catalog, catalog_labels,
+                            recognize)
 from eustar.search import enumerate_stars
 from eustar.star import (divisor_multiplicity, dump_star, embed, is_eutactic,
                          load_star, star_from_json_dict, star_from_pairings,
@@ -189,13 +189,12 @@ def test_rational_point_helper_shape():
     lambda: Lattice([[2, 1], [1, 2]]).inner((1,), (1, 0)),
     lambda: reflect_series(theta_factor(build_star(catalog("A2")), 0, 60), (1,)),
     lambda: check_antisymmetry(theta_factor(build_star(catalog("A2")), 0, 60), (1, 0, 0)),
-    lambda: cartan_matrix([(1, 0), (1,)], Lattice([[2, 1], [1, 2]])),
     lambda: embed(build_star(catalog("A2")), (1,)),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 0, 0)]),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 1), (1,)]),
 ], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short",
         "norm_of", "pairings", "inner_y", "inner_x", "reflect_series",
-        "check_antisymmetry", "cartan_matrix", "embed", "star_from_pairings_long",
+        "check_antisymmetry", "embed", "star_from_pairings_long",
         "star_from_pairings_short"])
 def test_wrong_length_vectors_rejected(call):
     # zip would truncate a long vector and indexing would fail on a short one.
