@@ -3,7 +3,7 @@ eutaxy checks, extremality certificates, theta block expansions, root system
 catalog and recognition, and complete star enumeration."""
 
 from .certify import (ExtremalityCertificate, b_eval, certify_extremal,
-                      deficiency, min_deficiency)
+                      certify_if_extremal, deficiency, min_deficiency)
 from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
@@ -16,8 +16,8 @@ from .star import (EutacticStar, divisor_multiplicity, dump_star, embed,
                    support_set)
 
 __all__ = [
-    "ExtremalityCertificate", "b_eval", "certify_extremal", "deficiency",
-    "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
+    "ExtremalityCertificate", "b_eval", "certify_extremal", "certify_if_extremal",
+    "deficiency", "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
     "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
     "dump_series", "eta_power", "heat_apply", "multiply", "reflect_series",

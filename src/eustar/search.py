@@ -16,6 +16,22 @@ can never clear that entry.  And R - u u^T is PSD iff the bordered matrix
 [[R, u], [u^T, 1]] is (it is the Schur complement of the 1), so one integer
 Bareiss elimination ``linalg.sym_elim`` of [R | u_1 .. u_m] per node tests
 every candidate, O(l) each, instead of one O(l^3) elimination per child.
+
+The backtracking runs in coordinates of its own choosing.  They are sorted by
+the Gram diagonal, ascending, ties by index: small diagonal entries come
+first, so the rows that every node clears first have the smallest boxes and
+the fewest alphabet vectors.  Their signs are the flips that make the Gram's
+upper triangle, read row by row, lexicographically least, so the search does
+not depend on the signs of the basis vectors, nor on their order where the
+diagonal entries differ.  Each star is mapped back to the lattice's basis and
+put in canonical form.  The DFS emits its stars in descending lexicographic
+order and no star is a prefix of another, so sorting the mapped stars in
+descending order gives the same list, in the same order, as a search in the
+lattice's own coordinates.
+
+The alphabet is drawn from the box prod_i [-isqrt(G_ii), isqrt(G_ii)], which
+is sized before it is built: past MAX_BOX_VECTORS the lattice is refused as
+InputError.
 """
 
 from __future__ import annotations
@@ -26,11 +42,15 @@ from itertools import product
 from operator import le, mul
 from typing import Sequence
 
-from .certify import certify_extremal
+from .certify import certify_if_extremal
 from .lattice import InputError, InternalError, Lattice, format_vector
 from .linalg import rank, sym_elim
 from .rootsys import recognize
 from .star import EutacticStar, star_from_pairings, support_set
+
+# The most vectors the alphabet box prod_i (2 isqrt(G_ii) + 1) may hold; the
+# B4 weight lattice has 14,641.
+MAX_BOX_VECTORS = 10 ** 6
 
 
 def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -86,17 +106,33 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
     without it, every distinct multiset of pairing vectors (sign variants
     expanded).  max_n aborts enumeration once a branch that can still reach
     a zero residual needs more vectors; branches the lead-position cut
-    removes are never entered and do not count.
+    removes are never entered and do not count.  The search runs in sorted,
+    sign-normalized coordinates (see the module docstring); the stars come
+    back in the lattice's basis.
     """
-    g = lattice.gram
-    l = lattice.rank
-    bound = [math.isqrt(g[i][i]) for i in range(l)]
+    gram, l = lattice.gram, lattice.rank
+    order = sorted(range(l), key=lambda i: (gram[i][i], i))
+    bound = [math.isqrt(gram[i][i]) for i in order]
+    if math.prod(2 * b + 1 for b in bound) > MAX_BOX_VECTORS:
+        raise InputError(f"the alphabet box of this Gram matrix has more than "
+                         f"{MAX_BOX_VECTORS} vectors")
+    # Search coordinate a is signs[a] times lattice coordinate order[a].  The
+    # box holds at least 3^l vectors, so the 2^(l-1) sign choices are few.
+    signs = min(product((1,), *[(1, -1)] * (l - 1)),
+                key=lambda s: [s[a] * s[b] * gram[order[a]][order[b]]
+                               for a in range(l) for b in range(a + 1, l)])
+    g = [[signs[a] * signs[b] * gram[i][j] for b, j in enumerate(order)]
+         for a, i in enumerate(order)]
     box = [u for u in product(*(range(-b, b + 1) for b in bound))
            if next((x for x in u if x != 0), 0) > 0]
     alphabet = sorted((box[j] for j in _fitting(g, box)), reverse=True)
     # The alphabet vectors with lead position p are alphabet[begin[p]:begin[p + 1]].
     leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
     begin = [bisect_left(leads, p) for p in range(l + 1)]
+    # Pairing order[a] in the lattice's basis is signs[a] times pairing a in the
+    # search's; each alphabet vector is mapped back, sign-normalized, once.
+    back = sorted(range(l), key=order.__getitem__)
+    mapped = [canonical_pairings([[signs[a] * u[a] for a in back]])[0] for u in alphabet]
 
     found: list[tuple[tuple[int, ...], ...]] = []
 
@@ -104,26 +140,27 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
         # A PSD residual with a zero diagonal entry has a zero row there.
         first = next((k for k in range(l) if residual[k][k] > 0), None)
         if first is None:
-            found.append(tuple(chosen))
+            found.append(tuple(sorted(chosen, reverse=True)))
             return
         if max_n is not None and len(chosen) >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
         lo = max(start, begin[first])
         for j in _fitting(residual, alphabet[lo:begin[first + 1]]):
             u = alphabet[lo + j]
-            chosen.append(u)
+            chosen.append(mapped[lo + j])
             backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
                                for a in range(l)], chosen)
             chosen.pop()
 
     backtrack(0, g, [])
+    found.sort(reverse=True)
 
     if not canonical_dedup:
         expanded = set()
         for rep in found:
-            for signs in product((1, -1), repeat=len(rep)):
+            for flips in product((1, -1), repeat=len(rep)):
                 star = tuple(sorted(tuple(s * x for x in u)
-                                    for s, u in zip(signs, rep)))
+                                    for s, u in zip(flips, rep)))
                 expanded.add(star)
         found = sorted(expanded, reverse=True)
 
@@ -135,14 +172,15 @@ def verify_theorem(lattice: Lattice) -> dict:
 
     A counterexample would be an extremal star whose support set fails root
     system recognition or does not span the whole lattice; the report lists
-    them (expected: never).
+    them (expected: never).  A star that is not extremal is dropped at the
+    first point below its threshold (``certify_if_extremal``).
     """
     stars = enumerate_stars(lattice)
     extremal = []
     counterexamples = []
     for star in stars:
-        cert = certify_extremal(star)
-        if not cert.is_extremal:
+        cert = certify_if_extremal(star)
+        if cert is None:
             continue
         support, _ = support_set(star)
         report = recognize(support, lattice)

@@ -2,10 +2,11 @@
 
 The certified minimum comes from an exact enumeration of the shadow coset:
 min f = min |P(k + h)|^2 / 2 over k in Z^N, searched over the classes
-k mod U Z^l with Fincke-Pohst at the fixed radius N/12 (see eustar.certify).
-``cells_examined`` counts the classes inside that radius, a property of the
-star alone, so it is pinned for small inputs and must not move under a
-unimodular change of basis, a reordering or sign flips of the star.
+k mod U Z^l with Fincke-Pohst at the radius (N - l)/12, or N/12 when no class
+lies within the first (see eustar.certify).  ``cells_examined`` counts the
+classes inside the radius used, a property of the star alone, so it is pinned
+and must not move under a unimodular change of basis, a reordering or sign
+flips of the star.
 
 Two oracles share no search code with the certifier.  The grid oracle
 evaluates the deficiency on every point of a uniform rational grid: grid values
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from eustar import certify
 from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
-                            deficiency, min_deficiency)
+                            certify_if_extremal, deficiency, min_deficiency)
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
@@ -90,6 +91,25 @@ def test_b_eval_values():
     assert b_eval(Q(7, 3)) == Q(1, 72)
     assert b_eval(Q(-1, 3)) == Q(1, 72)
     assert b_eval(17) == Q(1, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("A2", "B2", "G2", "A3")),
+       st.lists(st.one_of(st.integers(-50, 50),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=60)),
+                min_size=3, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_deficiency_matches_b_eval_sum(label, x, shift):
+    # deficiency clears x to one denominator and sums in int; the reference
+    # sums b_eval in Fraction.  x mixes int and Fraction entries, may be
+    # negative and is not reduced mod 1; an integer shift leaves f unchanged.
+    star = build_star(catalog(label))
+    l = star.lattice.rank
+    x = x[:l]
+    want = sum((b_eval(sum(c * Q(xi) for c, xi in zip(u, x))) for u in star.pairings), Q(0))
+    assert deficiency(star, x) == want
+    assert deficiency(star, [xi + m for xi, m in zip(x, shift)]) == want
+    assert deficiency(star, [str(Q(xi)) for xi in x]) == want
 
 
 @settings(max_examples=200)
@@ -190,6 +210,8 @@ def test_non_eutactic_star_rejected():
         min_deficiency(star)
     with pytest.raises(InputError):
         certify_extremal(star)
+    with pytest.raises(InputError):
+        certify_if_extremal(star)
 
 
 # Leaves #{k mod U Z^l : |P(k + h)|^2 <= N/12}, on the benchmark's seed-0 inputs.
@@ -201,6 +223,31 @@ LEAVES = {"G2": 12, "A3": 6, "B3": 24, "A4": 24, "two_vector": 1,
 def test_leaf_count_pinned(name):
     star = load_star(str(BENCH_INPUTS / f"{name}.star.json"))
     assert certify_extremal(star).cells_examined == LEAVES[name]
+
+
+# Leaves at the default radius (N - l)/12 and at the mean bound N/12, on
+# catalog stars.  The minimum is the threshold, so at (N - l)/12 every class
+# listed is a minimizer.
+RADIUS_LEAVES = {"B4": (192, 576), "C4": (192, 320), "D4": (48, 112), "D5": (480, 1280),
+                 "A6": (720, 2400), "F4": (1152, 4736), "B5": (1920, 6400)}
+
+
+@pytest.mark.parametrize("label", sorted(RADIUS_LEAVES))
+def test_default_radius_leaf_count_pinned(label):
+    star = build_star(catalog(label))
+    cert = certify_extremal(star)
+    wide = min_deficiency(star, radius=Q(star.size, 12))
+    assert (cert.cells_examined, wide[2]) == RADIUS_LEAVES[label]
+    assert wide[:2] == (cert.min_value, cert.witness)
+
+
+def test_radius_below_minimum_falls_back_to_mean_bound(g2_star):
+    # G2: min 1/6, so no class has q = 2f <= 1/4; the search is repeated at N/12.
+    assert min_deficiency(g2_star, radius=Q(1, 4)) == \
+        min_deficiency(g2_star, radius=Q(g2_star.size, 12))
+    assert min_deficiency(g2_star, radius=0)[:2] == min_deficiency(g2_star)[:2]
+    with pytest.raises(InputError):
+        min_deficiency(g2_star, radius=Q(-1, 12))
 
 
 @pytest.mark.parametrize("label", catalog_labels(8))

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from eustar import cli
 from eustar.cli import main
 
 
@@ -227,3 +228,34 @@ def test_malformed_file_exits_2(command, kind, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("entry", [10 ** 20, 10 ** 400], ids=["1e20", "1e400"])
+def test_search_box_budget_exits_2(entry, tmp_path, capsys):
+    # The alphabet box has 2 isqrt(G_11) + 1 vectors; it is sized, not built.
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"gram": [[entry]]}))
+    assert main(["search", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the alphabet box")
+    assert "Traceback" not in captured.err
+
+
+def test_parser_built_once_and_help_unchanged(capsys):
+    # main reuses one parser; a parse leaves nothing behind for the next one.
+    assert cli._parser() is cli._parser()
+    helps = []
+    for parse in (main, main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(["search", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] == helps[2]
+    assert helps[0].startswith("usage: eustar search")
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["extremal", "--type", "A1"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == ["1/2"]

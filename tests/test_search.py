@@ -4,13 +4,14 @@ import hashlib
 import math
 import random
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eustar import search
+from eustar.certify import certify_extremal, certify_if_extremal
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, catalog
@@ -200,10 +201,8 @@ def test_weight_lattice_enumerations_frozen(label):
     assert (len(pairings), digest) == FROZEN_ENUMERATIONS[label]
 
 
-def test_d4_weight_enumeration_work_pinned(monkeypatch):
-    # One sym_elim for the alphabet and one per node that has a candidate
-    # left after the diagonal test.  A fresh elimination per child residual,
-    # with no lead-position cut, made 258,840 calls here.
+def _counted_enumeration(monkeypatch, lattice):
+    """The pairings of enumerate_stars and the number of sym_elim calls it made."""
     calls = []
 
     def counted(m):
@@ -211,8 +210,59 @@ def test_d4_weight_enumeration_work_pinned(monkeypatch):
         return sym_elim(m)
 
     monkeypatch.setattr(search, "sym_elim", counted)
-    assert len(enumerate_stars(build_P_lattice(catalog("D4")))) == 209
-    assert len(calls) == 3076
+    return [s.pairings for s in enumerate_stars(lattice)], len(calls)
+
+
+def test_d4_weight_enumeration_work_pinned(monkeypatch):
+    # One sym_elim for the alphabet and one per node that has a candidate
+    # left after the diagonal test, in the search's sorted, sign-normalized
+    # coordinates.  In the lattice's own coordinates the same search made
+    # 3,076 calls; a fresh elimination per child residual, with no
+    # lead-position cut, made 258,840.
+    pairings, calls = _counted_enumeration(monkeypatch, build_P_lattice(catalog("D4")))
+    assert (len(pairings), calls) == (209, 2256)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_enumeration_invariant_under_signed_permutations(label, monkeypatch):
+    # In the basis b_i = s_i e_p(i) the Gram is s_i s_j G[p(i)][p(j)] and a
+    # pairing u becomes s_i u[p(i)].  Mapped back, every basis gives the same
+    # list in the same order, and the search does the same work: it runs in
+    # coordinates that depend on the Gram alone (the diagonal is distinct).
+    lattice = build_P_lattice(catalog(label))
+    g, l = lattice.gram, lattice.rank
+    want = _counted_enumeration(monkeypatch, lattice)
+    for p in permutations(range(l)):
+        for s in product((1, -1), repeat=l):
+            moved = Lattice([[s[i] * s[j] * g[p[i]][p[j]] for j in range(l)]
+                             for i in range(l)])
+            pairings, calls = _counted_enumeration(monkeypatch, moved)
+            back = []
+            for star in pairings:
+                rows = []
+                for u in star:
+                    v = [0] * l
+                    for i in range(l):
+                        v[p[i]] = s[i] * u[i]
+                    rows.append(v)
+                back.append(canonical_pairings(rows))
+            assert (sorted(back, reverse=True), calls) == want, (p, s)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "A4", "D4"])
+def test_verdict_path_agrees_with_certify_extremal(label):
+    # certify_if_extremal stops at the first point below the threshold; on
+    # every star it must reach the verdict of the full certificate, and on an
+    # extremal star return that certificate itself.
+    extremal = 0
+    for star in enumerate_stars(build_P_lattice(catalog(label))):
+        full = certify_extremal(star)
+        fast = certify_if_extremal(star)
+        assert (fast is not None) == full.is_extremal
+        if fast is not None:
+            extremal += 1
+            assert fast == full
+    assert extremal >= 1
 
 
 def random_unimodular(rng, l):
