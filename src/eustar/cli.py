@@ -1,15 +1,15 @@
 """Command line interface: check, extremal, expand, catalog, search, recognize.
 
 Exit codes: 0 when the queried property holds, 1 when it fails, 2 on malformed
-input.  All output is deterministic: JSON with sorted keys, rationals as p/q in
-lowest terms, series dumps sorted by (n24, exponent).
+input.  All output is deterministic and depends only on argv and the files it
+names: JSON with sorted keys, rationals as p/q in lowest terms, series dumps
+sorted by (n24, exponent).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
@@ -19,23 +19,12 @@ from .lattice import InputError, format_rational, format_vector, load_lattice
 from .star import EutacticStar, dump_star, is_eutactic, load_star, support_set
 
 
-def _default_order() -> int:
-    env = os.environ.get("EUSTAR_ORDER")
-    if env is None:
-        return qseries.DEFAULT_ORDER
-    try:
-        value = int(env)
-    except ValueError:
-        raise InputError(f"EUSTAR_ORDER must be an integer, got {env!r}") from None
-    if value < 0:
-        raise InputError("EUSTAR_ORDER must be non-negative")
-    return value
-
-
 def _load_star_arg(args) -> EutacticStar:
-    if getattr(args, "type", None):
+    if args.type and args.star:
+        raise InputError("give a star file or --type LABEL, not both")
+    if args.type:
         return rootsys.build_star(rootsys.catalog(args.type))
-    if getattr(args, "star", None):
+    if args.star:
         return load_star(args.star)
     raise InputError("need a star file or --type LABEL")
 
@@ -56,11 +45,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_expand(args) -> int:
     star = _load_star_arg(args)
-    order = args.order if args.order is not None else _default_order()
-    if order < 0:
+    if args.order < 0:
         raise InputError("--order must be non-negative")
-    eta = args.eta if args.eta is not None else star.lattice.rank
-    block = qseries.theta_block(star, eta_exponent=eta, n24_max=order)
+    block = qseries.theta_block(star, eta_exponent=args.eta, n24_max=args.order)
     if args.check_holomorphic:
         bad = qseries.check_holomorphic(block)
         for n24, w, deficit in bad:
@@ -116,12 +103,9 @@ def cmd_recognize(args) -> int:
     return 1
 
 
-def _add_star_source(p: argparse.ArgumentParser, optional_file: bool = True) -> None:
-    if optional_file:
-        p.add_argument("star", nargs="?", help="star JSON file")
-        p.add_argument("--type", help="catalog label (e.g. A2) instead of a file")
-    else:
-        p.add_argument("star", help="star JSON file")
+def _add_star_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("star", nargs="?", help="star JSON file")
+    p.add_argument("--type", help="catalog label (e.g. A2) instead of a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="is the star eutactic?")
-    _add_star_source(p, optional_file=False)
+    p.add_argument("star", help="star JSON file")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("extremal", help="exact extremality certificate")
@@ -141,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="theta block Fourier expansion")
     _add_star_source(p)
-    p.add_argument("--order", type=int, help="n24 truncation (default 480 "
-                   "or EUSTAR_ORDER)")
+    p.add_argument("--order", type=int, default=qseries.DEFAULT_ORDER,
+                   help="n24 truncation (default %(default)s)")
     p.add_argument("--eta", type=int, help="eta exponent (default: lattice rank)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--check-holomorphic", action="store_true",
@@ -155,22 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="emit a catalog star or its lattice")
     p.add_argument("--type", required=True, help="catalog label (e.g. G2)")
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--star", action="store_true", help="emit the star (default)")
-    out.add_argument("--lattice", action="store_true", help="emit the lattice")
+    p.add_argument("--lattice", action="store_true",
+                   help="emit the lattice instead of the star")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("search", help="enumerate stars and check the theorem")
     p.add_argument("lattice", help="lattice JSON file")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify-theorem",
-                       help="alias of search: zero counterexamples expected")
-    p.add_argument("lattice", help="lattice JSON file")
-    p.set_defaults(func=cmd_search)
-
     p = sub.add_parser("recognize", help="recognize the star's support set")
-    _add_star_source(p, optional_file=False)
+    p.add_argument("star", help="star JSON file")
     p.set_defaults(func=cmd_recognize)
 
     return parser

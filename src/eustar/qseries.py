@@ -104,9 +104,6 @@ class FourierSeries:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __mul__(self, other) -> "FourierSeries":
-        return multiply(self, other)
-
     def __repr__(self) -> str:
         return (f"FourierSeries({len(self.terms)} terms, n24_max={self.n24_max}, "
                 f"z_den={self.z_den}, character={self.character_d})")

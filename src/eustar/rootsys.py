@@ -24,7 +24,6 @@ from .star import EutacticStar
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"A": 8, "B": 8, "C": 8, "D": 8, "E": 8, "F": 4, "G": 2}
-MAX_CATALOG_RANK = 8
 
 
 def parse_label(label: str) -> tuple[str, int]:
@@ -37,13 +36,10 @@ def parse_label(label: str) -> tuple[str, int]:
     return family, n
 
 
-def catalog_labels(max_rank: int = MAX_CATALOG_RANK) -> list[str]:
-    """All irreducible type labels up to max_rank, deterministic order."""
-    out = []
-    for family in "ABCDEFG":
-        for n in range(_MIN_RANK[family], min(_MAX_RANK[family], max_rank) + 1):
-            out.append(f"{family}{n}")
-    return out
+def catalog_labels() -> list[str]:
+    """All irreducible type labels of the catalog, deterministic order."""
+    return [f"{family}{n}" for family in "ABCDEFG"
+            for n in range(_MIN_RANK[family], _MAX_RANK[family] + 1)]
 
 
 def cartan_matrix_for(family: str, n: int) -> tuple[tuple[int, ...], ...]:

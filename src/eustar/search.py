@@ -98,13 +98,11 @@ def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> li
     return fit
 
 
-def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
-                    max_n: int | None = None) -> list[EutacticStar]:
+def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[EutacticStar]:
     """All stars with sum_j u_j u_j^T = gram, complete and deterministic.
 
-    With canonical_dedup, one representative per reorder/sign-flip orbit;
-    without it, every distinct multiset of pairing vectors (sign variants
-    expanded).  max_n aborts enumeration once a branch that can still reach
+    One representative per reorder/sign-flip orbit, in canonical form.  The
+    keyword-only max_n aborts enumeration once a branch that can still reach
     a zero residual needs more vectors; branches the lead-position cut
     removes are never entered and do not count.  The search runs in sorted,
     sign-normalized coordinates (see the module docstring); the stars come
@@ -154,16 +152,6 @@ def enumerate_stars(lattice: Lattice, canonical_dedup: bool = True,
 
     backtrack(0, g, [])
     found.sort(reverse=True)
-
-    if not canonical_dedup:
-        expanded = set()
-        for rep in found:
-            for flips in product((1, -1), repeat=len(rep)):
-                star = tuple(sorted(tuple(s * x for x in u)
-                                    for s, u in zip(flips, rep)))
-                expanded.add(star)
-        found = sorted(expanded, reverse=True)
-
     return [star_from_pairings(lattice, rep) for rep in found]
 
 

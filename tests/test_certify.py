@@ -250,7 +250,7 @@ def test_radius_below_minimum_falls_back_to_mean_bound(g2_star):
         min_deficiency(g2_star, radius=Q(-1, 12))
 
 
-@pytest.mark.parametrize("label", catalog_labels(8))
+@pytest.mark.parametrize("label", catalog_labels())
 def test_pick_rows_unimodular_on_catalog(label):
     # |det U_I| = 1 iff U_I^-1 is integral; the inverse is the test's own.
     star = build_star(catalog(label))

@@ -138,19 +138,22 @@ def test_expand_negative_order(capsys):
 
 
 def test_order_env(monkeypatch, capsys):
+    # The output depends on argv alone: EUSTAR_ORDER is ignored.
+    monkeypatch.delenv("EUSTAR_ORDER", raising=False)
+    assert main(["expand", "--type", "A1"]) == 0
+    plain = capsys.readouterr()
     monkeypatch.setenv("EUSTAR_ORDER", "20")
     assert main(["expand", "--type", "A1"]) == 0
-    assert capsys.readouterr().out == "3 -1/2 -1\n3 1/2 1\n"
-    monkeypatch.setenv("EUSTAR_ORDER", "abc")
-    assert main(["expand", "--type", "A1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("EUSTAR_ORDER", "-4")
-    assert main(["expand", "--type", "A1"]) == 2
-    capsys.readouterr()
-    # An explicit --order wins over the environment.
-    monkeypatch.setenv("EUSTAR_ORDER", "abc")
-    assert main(["expand", "--type", "A1", "--order", "30"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr() == plain
+    assert plain.out.count("\n") > 2
+
+
+@pytest.mark.parametrize("command", ["extremal", "expand"])
+def test_star_file_and_type_exclusive(command, two_file, capsys):
+    assert main([command, "--type", "A1", two_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "not both" in err
 
 
 def test_catalog(capsys):
@@ -171,10 +174,14 @@ def test_search_and_alias(i2_file, capsys):
     assert report["stars"] == 1
     assert report["counterexamples"] == []
     assert report["extremal"][0]["types"] == "A1 x A1"
-    assert main(["verify-theorem", i2_file]) == 0
-    assert capsys.readouterr().out == first
     assert main(["search", i2_file]) == 0
     assert capsys.readouterr().out == first  # deterministic output
+    # search has no second spelling, and catalog emits the star without a flag.
+    for argv in (["verify-theorem", i2_file], ["catalog", "--type", "A2", "--star"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_search_non_extremal_lattice(tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_catalog_labels():
     labels = catalog_labels()
     assert len(labels) == 31
     assert labels[0] == "A1" and "E8" in labels and "G2" in labels
-    assert catalog_labels(2) == ["A1", "A2", "B2", "G2"]
+    assert [lab for lab in labels if parse_label(lab)[1] <= 2] == ["A1", "A2", "B2", "G2"]
 
 
 @pytest.mark.parametrize("label", catalog_labels())

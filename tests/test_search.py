@@ -86,24 +86,16 @@ def test_canonical_pairings():
         assert canonical_pairings(shuffled) == canon
 
 
-def test_sign_expansion():
-    no_dedup = enumerate_stars(Lattice([[1]]), canonical_dedup=False)
-    assert [s.pairings for s in no_dedup] == [((1,),), ((-1,),)]
-    a2 = Lattice([[2, 1], [1, 2]])
-    expanded = enumerate_stars(a2, canonical_dedup=False)
-    assert len(expanded) == 8  # three sign choices, all multisets distinct
-    canon = {canonical_pairings(s.pairings) for s in expanded}
-    assert len(canon) == 1
-    for star in expanded:
-        assert is_eutactic(star)
-
-
 def test_max_n_guard():
     with pytest.raises(InputError):
         enumerate_stars(Lattice([[2, 0], [0, 2]]), max_n=1)
     # A permissive bound changes nothing.
     stars = enumerate_stars(Lattice([[2, 0], [0, 2]]), max_n=10)
     assert len(stars) == 2
+    # max_n is keyword-only: a second positional argument is refused, not
+    # read as a bound.
+    with pytest.raises(TypeError):
+        enumerate_stars(Lattice([[2, 0], [0, 2]]), False)
 
 
 def test_extremal_entry_shape():
@@ -115,7 +107,7 @@ def test_extremal_entry_shape():
     assert entry["certificate"]["witness"] == ["1/3", "1/3"]
 
 
-def oracle_pairings(gram, canonical_dedup=True):
+def oracle_pairings(gram):
     """Pairing lists by plain backtracking: a fresh sym_elim on every child
     residual and no lead-position cut, memoised on (start, residual).  The
     reference for enumerate_stars."""
@@ -144,14 +136,7 @@ def oracle_pairings(gram, canonical_dedup=True):
             out.extend((u,) + rest for rest in completions(i, nxt))
         return out
 
-    found = completions(0, tuple(map(tuple, gram)))
-    if canonical_dedup:
-        return found
-    expanded = set()
-    for rep in found:
-        for signs in product((1, -1), repeat=len(rep)):
-            expanded.add(tuple(sorted(tuple(s * x for x in u) for s, u in zip(signs, rep))))
-    return sorted(expanded, reverse=True)
+    return completions(0, tuple(map(tuple, gram)))
 
 
 @st.composite
@@ -174,13 +159,6 @@ def pd_grams(draw, max_diag):
 def test_enumeration_matches_oracle(gram):
     got = [s.pairings for s in enumerate_stars(Lattice(gram))]
     assert got == oracle_pairings(gram)
-
-
-@settings(max_examples=50, deadline=None)
-@given(pd_grams(max_diag=4))
-def test_sign_expanded_enumeration_matches_oracle(gram):
-    got = [s.pairings for s in enumerate_stars(Lattice(gram), canonical_dedup=False)]
-    assert got == oracle_pairings(gram, canonical_dedup=False)
 
 
 # Weight lattice -> (stars, sha256 of repr of the list of pairings in

@@ -11,13 +11,17 @@ packed integer keys and builds no Fraction.  star.py never calls
 ``Lattice.pairings``: it derives pairings, vectors and support sets from
 integer tuples and builds a Fraction only for a vector it returns or an
 error it reports, so loading a star file never round-trips through Fraction
-pairings.
+pairings.  No module reads the process environment, and the command line
+surface is pinned, so every output depends only on argv and the files named.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from eustar.cli import build_parser
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "eustar").glob("*.py"))
 
@@ -174,3 +178,49 @@ def test_star_never_calls_lattice_pairings():
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr == "pairings"]
     assert not calls, calls
+
+
+def _environment_reads(tree):
+    """Lines that name the process environment: os.environ, os.getenv, or a
+    bare environ or getenv imported from os."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # Every output depends only on argv and the files it names.
+    found = list(_environment_reads(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, f"{path.name}: reads the environment at lines {found}"
+
+
+def test_environment_reads_sees_every_spelling():
+    code = ("import os\nfrom os import environ, getenv\n"
+            "a = os.environ.get('X')\nb = os.getenv('X')\nc = environ\n")
+    assert sorted(set(_environment_reads(ast.parse(code)))) == [2, 3, 4, 5]
+
+
+# Each subcommand of the CLI and its option strings, positionals by dest.
+# A new knob or a second spelling of an old one shows up here.
+CLI_SURFACE = {
+    "check": ["-h", "--help", "star"],
+    "extremal": ["-h", "--help", "star", "--type"],
+    "expand": ["-h", "--help", "star", "--type", "--order", "--eta",
+               "--check-holomorphic", "--check-singular", "--heat"],
+    "catalog": ["-h", "--help", "--type", "--lattice"],
+    "search": ["-h", "--help", "lattice"],
+    "recognize": ["-h", "--help", "star"],
+}
+
+
+def test_cli_surface_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [s for a in p._actions for s in (a.option_strings or [a.dest])]
+               for name, p in sub.choices.items()}
+    assert surface == CLI_SURFACE
