@@ -16,7 +16,7 @@ from functools import cache
 from . import qseries, rootsys, search
 from .certify import certify_extremal
 from .lattice import InputError, format_rational, format_vector, load_lattice
-from .star import EutacticStar, dump_star, is_eutactic, load_star, support_set
+from .star import EutacticStar, dump_star, is_eutactic, load_star
 
 
 def _load_star_arg(args) -> EutacticStar:
@@ -91,9 +91,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    star = load_star(args.star)
-    support, _ = support_set(star)
-    report = rootsys.recognize(support, star.lattice)
+    report = rootsys.recognize_star(load_star(args.star))
     if report.ok:
         print(report.label)
         return 0

@@ -32,10 +32,16 @@ def parse_rational(s) -> Q:
     one without a sign, and ASCII whitespace may surround the whole: no
     decimal point, exponent or underscore.
     """
+    return Q(*rational_parts(s))
+
+
+def rational_parts(s) -> tuple[int, int]:
+    """(p, q) with q > 0 and s = p/q, not always in lowest terms, for every s
+    that parse_rational accepts; the same InputError for every s it rejects."""
     if isinstance(s, bool):
         raise InputError(f"expected a rational, got the boolean {s!r}")
     if isinstance(s, int):
-        return Q(s)
+        return s, 1
     if not isinstance(s, str):
         raise InputError(f"expected a rational string, got {type(s).__name__}")
     m = _RATIONAL_RE.match(s)
@@ -47,7 +53,7 @@ def parse_rational(s) -> Q:
         raise InputError(f"bad rational {s!r}: {exc}") from None
     if q == 0:
         raise InputError(f"bad rational {s!r}: zero denominator")
-    return Q(p, q)
+    return p, q
 
 
 def format_rational(x: Q) -> str:

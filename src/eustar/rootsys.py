@@ -18,8 +18,8 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, Lattice
-from .linalg import Mat, clear_denominators, qvec, rank
-from .star import EutacticStar
+from .linalg import Mat, clear_denominators, invert, qvec, rank
+from .star import EutacticStar, integer_support
 
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
@@ -98,23 +98,28 @@ class RootSystemDescriptor:
     dual_coxeter: int
 
 
-def _close_under_reflections(cartan, n: int) -> set[tuple[int, ...]]:
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    cols = list(zip(*cartan))
+def _close_under_reflections(cartan, n: int, limit: int | None = None):
+    """The orbit of the simple roots under the simple reflections, in
+    simple-root coordinates; None as soon as it would exceed limit roots.
+
+    Each root r travels with its labels b_i = <r, a_i^vee> = sum_k r_k A_ki,
+    so s_i r = r - b_i a_i has the labels b - b_i A_i and costs no pairing.
+    """
+    rows = [tuple(row) for row in cartan]
+    frontier = [(tuple(int(j == i) for j in range(n)), rows[i]) for i in range(n)]
+    roots = {r for r, _ in frontier}
     while frontier:
-        r = frontier.pop()
-        for i, col in enumerate(cols):
-            pairing = sum(map(mul, r, col))
-            if pairing == 0:
-                continue
-            img = list(r)
-            img[i] -= pairing
-            img = tuple(img)
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
+        r, b = frontier.pop()
+        for i, c in enumerate(b):
+            if c:
+                img = list(r)
+                img[i] -= c
+                img = tuple(img)
+                if img not in roots:
+                    if len(roots) == limit:
+                        return None
+                    roots.add(img)
+                    frontier.append((img, tuple([x - c * y for x, y in zip(b, rows[i])])))
     return roots
 
 
@@ -199,43 +204,53 @@ def _fail(axiom: str, witness) -> RecognitionReport:
 def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     """Decide whether S is a root system for the lattice's form, and which one.
 
-    Checks, in order: no proper integer multiples, mutual distinctness,
+    The axioms, in order: no proper integer multiples, mutual distinctness,
     closure under the reflections x -> x - (2(v, x)/(v, v)) v, and integrality
     of all ratios 2(x, y)/(x, x); the first failing pair in index order is the
-    witness.  A passing S is decomposed into orthogonal components and each
-    component is matched against the catalog by Dynkin diagram isomorphism, so
-    the verdict is invariant under rescaling S.
+    witness.  A passing S is split into orthogonal components, each named by
+    its Dynkin diagram, so the verdict is invariant under rescaling S.  S is
+    scaled to int by a common denominator, and every check runs in int.
 
-    S is scaled to int by a common denominator, and every check runs in int:
-    only parallel vectors are compared for integer multiples, and a reflection
-    image is y - c x with c = 2(x, y)/(x, x), looked up by a packed integer
-    key.  A pair with c = t/(x, x) not an integer, which no root system has,
-    has the image ((x, x) y - t x)/(x, x), tested on its integer numerators.
+    Past the first two axioms, x -> -x pairs the indices of S; the indices
+    before their negation's are the representatives.  A generic functional f
+    picks the positive one of each +-v; in increasing f, a positive vector is
+    simple iff it pairs <= 0 with every simple one before it, which in a root
+    system gives its base Delta (Humphreys, *Introduction to Lie algebras and
+    representation theory*, 10.1).
 
-    The last two checks and everything after them run on a quarter of the
-    pairs.  Once S = -S and its vectors are distinct, x -> -x is an involution
-    of the indices without a fixed point.  Since s_{-x} = s_x and
-    s_x(-y) = -s_x(y), the pair (x, y) fails closure, or integrality, exactly
-    when (-x, y), (x, -y) and (-x, -y) do.  So the first failing pair in index
-    order is a pair of representatives, indices that come before their
-    negation's, and only those pairs are scanned and paired.
-
-    Past the four checks S is a reduced crystallographic root system.  Its
-    positive roots, taken in increasing order of a generic functional f, are
-    each simple iff they pair <= 0 with every simple root found before them:
-    distinct simple roots pair <= 0, and a positive root that is not simple
-    pairs > 0 with some simple root of its support, each of which has smaller
-    f (Humphreys, *Introduction to Lie algebras and representation theory*,
-    sections 10.1 and 10.2).  This is the simple system, which is unique for
-    the positive system; the orthogonal components come from the same pair
-    matrix.
+    S is certified as the orbit W Delta under the simple reflections with
+    |S| |Delta| pairings: the Gram M of Delta is positive definite, rank S =
+    |Delta|, each a_ij = 2 M_ij / M_jj is an integer, the closure of Delta
+    under the s_i has at most |S| elements in Delta-coordinates, and the
+    coordinates M^-1 ((v, alpha_k))_k of each representative are integral
+    and lie in it.  S spans what Delta spans, so its |S| coordinates are
+    distinct and S is that closure.  W Delta passes the last two axioms on
+    every pair: s_{w alpha} = w s_alpha w^-1 is in W, and W preserves
+    Z Delta, on which each alpha_j^vee takes the integer values a_kj.  Every
+    root system is W Delta and passes (Humphreys 10.3; Bourbaki, *Lie groups
+    and Lie algebras* VI 1.5).  Only an S that fails is scanned pair by pair,
+    by ``_first_failing_pair``, to name the witness; a scan that finds none
+    reports Delta as a "simple-system" failure.
     """
     if len(S) == 0:
         raise InputError("recognize: S is empty")
-    # Clear denominators once; every later check is ratio-based, so a common
-    # integer rescaling changes nothing and keeps the arithmetic in int.
     ints, den = clear_denominators(S)
-    scaled = [tuple(v) for v in ints]
+    return _recognize([tuple(v) for v in ints], den, lattice, S)
+
+
+def recognize_star(star: EutacticStar) -> RecognitionReport:
+    """recognize(support_set(star)[0], star.lattice), on the integer support."""
+    support, g = integer_support(star)
+    return _recognize(support, g, star.lattice)
+
+
+def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice,
+               S: Sequence[Sequence] | None = None) -> RecognitionReport:
+    """recognize on S = scaled / den; a witness is S's own vector when S is given."""
+
+    def vec(i):
+        return S[i] if S is not None else tuple(Q(x, den) for x in scaled[i])
+
     for j, v in enumerate(scaled):
         if len(v) != lattice.rank:
             raise InputError(f"recognize: vector {j} has length {len(v)}, "
@@ -246,7 +261,7 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     for j, v in enumerate(scaled):
         if tuple([-x for x in v]) not in sset:
             raise InputError(f"recognize: S is not symmetric under negation "
-                             f"(missing -{[str(x) for x in qvec(S[j])]})")
+                             f"(missing -{[str(x) for x in qvec(vec(j))]})")
     n = len(scaled)
 
     # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
@@ -266,28 +281,106 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
         for j in lines[prim[i]]:
             b = mult[j]
             if j != i and b % a == 0 and abs(b // a) >= 2:
-                return _fail("integer-multiple", (S[i], S[j]))
+                return _fail("integer-multiple", (vec(i), vec(j)))
     seen: dict[tuple, int] = {}
     for i, v in enumerate(scaled):
         if v in seen:
-            return _fail("distinct", (S[seen[v]], S[i]))
+            return _fail("distinct", (vec(seen[v]), vec(i)))
         seen[v] = i
 
     # Representatives: the indices before their negation's, which negs holds.
-    # rep[i] is the position among them of i or of its negation.
-    reps, negs, rep = [], [], [0] * n
+    reps, negs = [], []
     for i, v in enumerate(scaled):
         j = seen[tuple([-x for x in v])]
         if i < j:
-            rep[i] = rep[j] = len(reps)
             reps.append(i)
             negs.append(j)
     vs = [scaled[i] for i in reps]
-    m, l = len(vs), lattice.rank
+    m, l, g = len(vs), lattice.rank, lattice.gram
 
-    # pair[p][q] = (v_p, v_q) on the representatives; every other entry of the
-    # full matrix is one of these up to sign.
-    g = lattice.gram
+    # Positive system from a generic linear functional (1, t, t^2, ...):
+    # sign[p] = +-1 makes sign[p] v_p the positive one of +-v_p.  Each simple
+    # root alpha_k brings its column cols[k][p] = (v_p, alpha_k).
+    t = 1
+    while True:
+        powers = [t ** a for a in range(l)]
+        f = [sum(map(mul, v, powers)) for v in vs]
+        if all(f):
+            break
+        t += 1
+    sign = [1 if x > 0 else -1 for x in f]
+    positive = [i if s > 0 else j for i, j, s in zip(reps, negs, sign)]
+    simple, cols = [], []
+    for p in sorted(range(m), key=lambda p: sign[p] * f[p]):
+        s = sign[p]
+        if all(s * col[p] <= 0 for col in cols):
+            ga = [s * sum(map(mul, row, vs[p])) for row in g]
+            cols.append([sum(map(mul, v, ga)) for v in vs])
+            simple.append(p)
+
+    coords, cartan = _orbit_certificate(vs, simple, sign, cols, n, l)
+    if coords is None:
+        failure = _first_failing_pair(vs, reps, lattice, vec, sset)
+        if failure is None:
+            ids = sorted(positive[p] for p in simple)
+            failure = _fail("simple-system", tuple(vec(i) for i in ids))
+        return failure
+
+    # Components of the Dynkin diagram, comp[k] the least simple root joined
+    # to alpha_k, in the order of their first representative.
+    r = len(simple)
+    comp = list(range(r))
+    for _ in range(r):
+        comp = [min(comp[j] for j in range(r) if cartan[k][j]) for k in range(r)]
+    heads = dict.fromkeys(comp[next(k for k, x in enumerate(c) if x)] for c in coords)
+    components = []
+    for head in heads:
+        ks = sorted((k for k in range(r) if comp[k] == head),
+                    key=lambda k: positive[simple[k]])
+        ids = [positive[simple[k]] for k in ks]
+        a = tuple(tuple(cartan[i][j] for j in ks) for i in ks)
+        label = _match_type(a)
+        if label is None:
+            return _fail("unrecognized-component", tuple(vec(i) for i in ids))
+        components.append({
+            "label": label,
+            "simple_roots": sorted(tuple(Q(x, den) for x in scaled[i]) for i in ids),
+            "cartan": a,
+        })
+    components.sort(key=lambda c: (c["label"], c["simple_roots"]))
+    label = " x ".join(c["label"] for c in components)
+    return RecognitionReport(ok=True, label=label, components=components, failure=None)
+
+
+def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
+    """(vs in Delta-coordinates, Delta's Cartan matrix) if the n vectors +-vs
+    are W Delta, for Delta = sign[p] vs[p] (p in simple) and cols[k][p] =
+    (vs[p], alpha_k); (None, None) if not."""
+    r = len(simple)
+    M = [[sign[p] * col[p] for col in cols] for p in simple]
+    inv = invert(M)
+    if inv is None or (r < l and rank(vs) != r) or \
+            any(2 * x % M[j][j] for row in M for j, x in enumerate(row)):
+        return None, None
+    cartan = [[2 * x // M[j][j] for j, x in enumerate(row)] for row in M]
+    roots = _close_under_reflections(cartan, r, limit=n)
+    if roots is None:
+        return None, None
+    X, d = inv
+    coords = [[sum(map(mul, row, y)) for row in X] for y in zip(*cols)]
+    if any(x % d for c in coords for x in c):
+        return None, None
+    coords = [tuple([x // d for x in c]) for c in coords]
+    return (coords, cartan) if roots.issuperset(coords) else (None, None)
+
+
+def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionReport | None:
+    """The failure of the first pair in index order that fails closure or
+    integrality, or None.  As s_{-x} = s_x and s_x(-y) = -s_x(y), (x, y)
+    fails exactly when (-x, y), (x, -y) and (-x, -y) do, so that pair is one
+    of representatives: only pair[p][q] = (v_p, v_q) on them is computed.
+    """
+    m, l, g = len(vs), lattice.rank, lattice.gram
     gs = [[sum(map(mul, row, v)) for row in g] for v in vs]
     pair = [[0] * m for _ in range(m)]
     for p, x in enumerate(vs):
@@ -299,7 +392,9 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     # key is linear, so key(y - c x) = key(y) - c key(x).  By Cauchy-Schwarz,
     # c^2 <= 4 (y, y) / (x, x), so |c| <= cmax, and every entry of y - c x - w
     # for w in S is at most (2 + cmax) times the largest entry of S, which is
-    # less than R; then equal keys mean equal vectors.
+    # less than R; then equal keys mean equal vectors.  A pair with
+    # c = t/(x, x) not an integer has the image ((x, x) y - t x)/(x, x),
+    # tested on its integer numerators.
     norms = [pair[p][p] for p in range(m)]
     cmax = math.isqrt(4 * max(norms) // min(norms))
     R = (2 + cmax) * max(abs(a) for v in vs for a in v) + 1
@@ -317,79 +412,26 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
             if r == 0:
                 if ky - c * kx in kset:
                     continue
-                return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
+                return _fail("reflection-closure", (vec(reps[p]), vec(reps[q])))
             integral = False
             img = [npp * b - t * a for a, b in zip(vs[p], vs[q])]
             if any(z % npp for z in img) or tuple([z // npp for z in img]) not in sset:
-                return _fail("reflection-closure", (S[reps[p]], S[reps[q]]))
+                return _fail("reflection-closure", (vec(reps[p]), vec(reps[q])))
     # Unless some pair had c not an integer, every 2(x, y)/(x, x) was one.
     if not integral:
         for p in range(m):
             for q in range(m):
                 if (2 * pair[p][q]) % pair[p][p] != 0:
-                    return _fail("cartan-integrality", (S[reps[p]], S[reps[q]]))
-
-    # Orthogonal components, on the representatives; v and -v share one.
-    # comp[p] is the first representative of p's component.
-    comp = [-1] * m
-    for p in range(m):
-        if comp[p] < 0:
-            comp[p] = p
-            stack = [p]
-            while stack:
-                for q, x in enumerate(pair[stack.pop()]):
-                    if x and comp[q] < 0:
-                        comp[q] = p
-                        stack.append(q)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(comp[rep[i]], []).append(i)
-
-    # Positive system from a generic linear functional (1, t, t^2, ...):
-    # sign[p] = +-1 makes sign[p] v_p the positive one of +-v_p, and
-    # sign[p] sign[q] pair[p][q] is the pairing of the two positive ones.
-    t = 1
-    while True:
-        f = [sum(v[a] * t ** a for a in range(l)) for v in vs]
-        if all(f):
-            break
-        t += 1
-    sign = [1 if x > 0 else -1 for x in f]
-    positive = [i if s > 0 else j for i, j, s in zip(reps, negs, sign)]
-    simple: list[int] = []
-    for p in sorted(range(m), key=lambda p: sign[p] * f[p]):
-        row, s = pair[p], sign[p]
-        if all(s * sign[q] * row[q] <= 0 for q in simple):
-            simple.append(p)
-
-    components = []
-    for head, root_ids in groups.items():
-        simp = sorted((p for p in simple if comp[p] == head), key=positive.__getitem__)
-        ids = [positive[p] for p in simp]
-        r = len(simp)
-        span_rank = rank([vs[p] for p in range(m) if comp[p] == head])
-        if r != span_rank or rank([vs[p] for p in simp]) != r:
-            return _fail("simple-system", tuple(S[i] for i in ids))
-        a = [[2 * sign[x] * sign[y] * pair[x][y] // pair[y][y] for y in simp] for x in simp]
-        label = _match_type(a, len(root_ids))
-        if label is None:
-            return _fail("unrecognized-component", tuple(S[i] for i in ids))
-        components.append({
-            "label": label,
-            "simple_roots": sorted(tuple(Q(x, den) for x in scaled[i]) for i in ids),
-            "cartan": tuple(tuple(row) for row in a),
-        })
-    components.sort(key=lambda c: (c["label"], c["simple_roots"]))
-    label = " x ".join(c["label"] for c in components)
-    return RecognitionReport(ok=True, label=label, components=components, failure=None)
+                    return _fail("cartan-integrality", (vec(reps[p]), vec(reps[q])))
+    return None
 
 
-def _match_type(a: list[list[int]], n_roots: int) -> str | None:
+def _match_type(a: Sequence[Sequence[int]]) -> str | None:
     """Match a simple-root Cartan matrix against the catalog diagrams.
 
     The Cartan matrix is compared with each diagram of its rank, by a profile
-    of its edges and then by isomorphism, before any catalog entry is built:
-    only the entry of the matching label is, for its root count.
+    of its edges and then by isomorphism; no catalog entry is built.  The
+    Cartan matrix determines the root system, so the diagram names it.
     """
     r = len(a)
 
@@ -418,7 +460,6 @@ def _match_type(a: list[list[int]], n_roots: int) -> str | None:
         if rk != r:
             continue
         ref = cartan_matrix_for(family, rk)
-        if profile(ref) == prof and isomorphic(ref, []) \
-                and 2 * len(catalog(lab).positive_roots) == n_roots:
+        if profile(ref) == prof and isomorphic(ref, []):
             return lab
     return None

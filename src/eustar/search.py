@@ -45,8 +45,8 @@ from typing import Sequence
 from .certify import certify_if_extremal
 from .lattice import InputError, InternalError, Lattice, format_vector
 from .linalg import rank, sym_elim
-from .rootsys import recognize
-from .star import EutacticStar, star_from_pairings, support_set
+from .rootsys import recognize_star
+from .star import EutacticStar, star_from_pairings
 
 # The most vectors the alphabet box prod_i (2 isqrt(G_ii) + 1) may hold; the
 # B4 weight lattice has 14,641.
@@ -63,19 +63,21 @@ def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return tuple(sorted(normed, reverse=True))
 
 
-def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
+def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
+             squares: Sequence[Sequence[int]]) -> list[int]:
     """Indices j, ascending, with r - u_j u_j^T PSD, for a PSD integer matrix r.
 
-    A vector with some u_a^2 > r[a][a] fails on the diagonal and is dropped
-    first.  Bareiss on the bordered matrix [[r, u], [u^T, 1]] runs through
-    r's pivots and leaves u's column as sym_elim carries it on [r | u]; with
-    a zero pivot that column entry must be 0, and the corner, updated at
-    each positive pivot p as (p corner - y^2) // prev (exact, by Sylvester's
-    identity), must end >= 0.
+    A vector with some u_a^2 > r[a][a], squares[j] holding the u_a^2 of
+    vectors[j], fails on the diagonal and is dropped first.  Bareiss on
+    the bordered matrix [[r, u], [u^T, 1]] runs through r's pivots and
+    leaves u's column as sym_elim carries it on [r | u]; with a zero pivot
+    that column entry must be 0, and the corner, updated at each positive
+    pivot p as (p corner - y^2) // prev (exact, by Sylvester's identity),
+    must end >= 0.
     """
     l = len(r)
     diag = [r[a][a] for a in range(l)]
-    live = [j for j, u in enumerate(vectors) if all(map(le, map(mul, u, u), diag))]
+    live = [j for j, sq in enumerate(squares) if all(map(le, sq, diag))]
     if not live:
         return []
     rows = sym_elim([list(r[i]) + [vectors[j][i] for j in live] for i in range(l)])
@@ -123,7 +125,9 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
          for a, i in enumerate(order)]
     box = [u for u in product(*(range(-b, b + 1) for b in bound))
            if next((x for x in u if x != 0), 0) > 0]
-    alphabet = sorted((box[j] for j in _fitting(g, box)), reverse=True)
+    fit = _fitting(g, box, [tuple(map(mul, u, u)) for u in box])
+    alphabet = sorted((box[j] for j in fit), reverse=True)
+    squares = [tuple(map(mul, u, u)) for u in alphabet]
     # The alphabet vectors with lead position p are alphabet[begin[p]:begin[p + 1]].
     leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
     begin = [bisect_left(leads, p) for p in range(l + 1)]
@@ -142,8 +146,8 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
             return
         if max_n is not None and len(chosen) >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
-        lo = max(start, begin[first])
-        for j in _fitting(residual, alphabet[lo:begin[first + 1]]):
+        lo, hi = max(start, begin[first]), begin[first + 1]
+        for j in _fitting(residual, alphabet[lo:hi], squares[lo:hi]):
             u = alphabet[lo + j]
             chosen.append(mapped[lo + j])
             backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
@@ -170,8 +174,7 @@ def verify_theorem(lattice: Lattice) -> dict:
         cert = certify_if_extremal(star)
         if cert is None:
             continue
-        support, _ = support_set(star)
-        report = recognize(support, lattice)
+        report = recognize_star(star)
         # u_j = G s_j with G nonsingular, so the pairings span as the support does.
         span_ok = rank(star.pairings) == lattice.rank
         entry = {

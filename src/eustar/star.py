@@ -10,6 +10,7 @@ identity sum_j u_j u_j^T = gram.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction as Q
 from functools import cached_property
@@ -17,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import (InputError, InternalError, Lattice, _read_json, format_vector,
-                      lattice_from_json_dict, parse_vector)
+                      lattice_from_json_dict, rational_parts)
 from .linalg import Vec, clear_denominators, dot, qvec
 
 
@@ -38,10 +39,12 @@ class EutacticStar:
         for j, u in enumerate(pairings):
             if len(u) != lattice.rank:
                 raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
-            (row,), den = clear_denominators([u])
-            if den != 1:
-                raise InputError(f"vector {j}: not in the dual lattice "
-                                 f"(pairings {[str(Q(x)) for x in u]})")
+            row = u
+            if not all(type(x) is int for x in u):
+                (row,), den = clear_denominators([u])
+                if den != 1:
+                    raise InputError(f"vector {j}: not in the dual lattice "
+                                     f"(pairings {[str(Q(x)) for x in u]})")
             if not any(row):
                 raise InputError(f"vector {j}: zero vector not allowed")
             ints.append(tuple(row))
@@ -76,19 +79,23 @@ class EutacticStar:
 
 
 def star_from_vectors(lattice: Lattice, vectors: Sequence[Sequence]) -> EutacticStar:
-    """The star of the given dual-lattice vectors s_j, through their pairings gram s_j.
+    """The star of the given dual-lattice vectors s_j, through their pairings gram s_j."""
+    ints, den = clear_denominators([v for v in vectors if len(v) == lattice.rank])
+    return _star_from_scaled(lattice, vectors, ints, den)
 
-    With D the lcm of the vectors' denominators, each pairing is gram (D s_j) / D,
-    computed in int; a pairing tuple that is not integral is passed on in
-    Fraction, and a vector of the wrong length as it is, for the constructor
-    to report.
+
+def _star_from_scaled(lattice: Lattice, vectors: Sequence[Sequence],
+                      ints: Sequence[Sequence[int]], den: int) -> EutacticStar:
+    """The star of the vectors, those of the lattice's rank being ints / den.
+
+    Each pairing is gram (den s_j) / den, in int; one that is not integral is
+    passed on in Fraction, and a vector of the wrong length as it is, for the
+    constructor to report.
     """
-    l = lattice.rank
-    ints, den = clear_denominators([v for v in vectors if len(v) == l])
     rows = iter(ints)
     pairings = []
     for v in vectors:
-        if len(v) != l:
+        if len(v) != lattice.rank:
             pairings.append(v)
             continue
         xs = next(rows)
@@ -158,17 +165,23 @@ def support_set(star: EutacticStar) -> tuple[list[Vec], list[tuple[Vec, int]]]:
     are found on the integer tuples W_j = g s_j, which sort as the s_j do
     since g > 0; only the returned vectors are built in Fraction.
     """
-    ws, g = star._dual_coords
-    counts = Counter(ws)
-    support = set(ws)
-    support.update(tuple([-x for x in w]) for w in ws)
+    support, g = integer_support(star)
     q = {x: Q(x, g) for x in {x for w in support for x in w}}
 
     def vec(w):
         return tuple(map(q.__getitem__, w))
 
+    counts = Counter(star._dual_coords[0])
     duplicates = [(vec(w), c) for w, c in sorted(counts.items()) if c > 1]
-    return [vec(w) for w in sorted(support)], duplicates
+    return [vec(w) for w in support], duplicates
+
+
+def integer_support(star: EutacticStar) -> tuple[list[tuple[int, ...]], int]:
+    """(W, g): the support set is W / g, for W the sorted set of the +-g s_j."""
+    ws, g = star._dual_coords
+    support = set(ws)
+    support.update(tuple([-x for x in w]) for w in ws)
+    return sorted(support), g
 
 
 def star_from_json_dict(data) -> EutacticStar:
@@ -178,7 +191,11 @@ def star_from_json_dict(data) -> EutacticStar:
     vectors = data["vectors"]
     if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
         raise InputError('"vectors" must be a list of vectors')
-    return star_from_vectors(lat, [parse_vector(v) for v in vectors])
+    # Entries are read as (p, q), and scaled to int by the lcm of the q's.
+    parts = [[rational_parts(x) for x in v] for v in vectors]
+    rows = [row for row in parts if len(row) == lat.rank]
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return _star_from_scaled(lat, parts, [[p * (den // q) for p, q in row] for row in rows], den)
 
 
 def load_star(path: str) -> EutacticStar:

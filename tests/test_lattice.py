@@ -10,7 +10,7 @@ import pytest
 from eustar import lattice
 from eustar.lattice import (InputError, InternalError, Lattice, format_rational,
                             format_vector, lattice_from_json_dict, load_lattice,
-                            parse_rational, parse_vector)
+                            parse_rational, parse_vector, rational_parts)
 from eustar.rootsys import build_P_lattice, catalog, catalog_labels
 
 from conftest import as_fractions
@@ -37,6 +37,25 @@ def test_parse_rational():
     for flag in (True, False):  # bool is an int subclass, but not a rational
         with pytest.raises(InputError):
             parse_rational(flag)
+
+
+@pytest.mark.parametrize("value", [
+    "3", "-7/2", " 4/6 ", "+5", "-0", "0/3", "12/-4", "6/4", "007/014", "\t2/3\n", 5, -3, 0,
+    "abc", "1/0", "1.5", "1e3", "1_0", "\u0661", "1/-2", "1 /2", "", " ", "/2", "1/",
+    "1" * 5000, None, True, False, 1.5, [1], Q(1, 2),
+])
+def test_rational_parts_accepts_what_parse_rational_accepts(value):
+    # Star files are read through rational_parts: the same values are
+    # accepted, as (p, q) with q > 0, and the same errors are raised.
+    try:
+        want = parse_rational(value)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            rational_parts(value)
+        assert str(got.value) == str(exc)
+        return
+    p, q = rational_parts(value)
+    assert type(p) is int and type(q) is int and q > 0 and Q(p, q) == want
 
 
 def test_format_rational():

@@ -7,6 +7,7 @@ closed-form tables below are the independent cross-check.
 """
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction as Q
@@ -16,10 +17,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eustar import rootsys
+from eustar.cli import main
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
-                            catalog, catalog_labels, parse_label, recognize)
-from eustar.star import is_eutactic, support_set
+                            catalog, catalog_labels, parse_label, recognize,
+                            recognize_star)
+from eustar.star import dump_star, is_eutactic, support_set
 
 from conftest import change_basis, random_unimodular
 from test_linalg import det, gauss_jordan_rank
@@ -337,13 +340,14 @@ def test_recognize_matches_fraction_reference(case):
 
 def test_match_type_builds_only_the_returned_entry():
     # D8 has E8's edge profile (degrees 1, 1, 1, 2, 2, 2, 2, 3), but it is not
-    # isomorphic to E8, so its catalog entry must not be built.
+    # isomorphic to E8.  The diagram names the type, so no catalog entry is
+    # built at all, not even E8's.
     star = build_star(catalog("E8"))
     support, _ = support_set(star)
     catalog.cache_clear()
     try:
         assert recognize(support, star.lattice).label == "E8"
-        assert catalog.cache_info().misses == 1
+        assert catalog.cache_info().misses == 0
     finally:
         catalog.cache_clear()
 
@@ -435,3 +439,81 @@ def test_simple_roots_match_sum_rule(labels):
     assert report.label == " x ".join(sorted(labels))
     assert {tuple(c["simple_roots"]): c["cartan"] for c in report.components} == \
         reference_simple_roots(S, gram)
+
+
+class ScanCalled(Exception):
+    """Raised in place of the pairwise scan, to show it was reached."""
+
+
+def no_scan(*args):
+    raise ScanCalled
+
+
+@pytest.mark.parametrize("labels", [(lab,) for lab in catalog_labels()]
+                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1")],
+                         ids=lambda labels: "x".join(labels))
+def test_certificate_alone_recognizes_root_systems(labels, monkeypatch):
+    """With the pairwise scan unreachable, the orbit certificate recognizes
+    every catalog label and orthogonal sum, as given and in a moved and
+    shuffled basis, with the sum rule's simple roots and Cartan matrices."""
+    monkeypatch.setattr(rootsys, "_first_failing_pair", no_scan)
+    gram, S = orthogonal_sum(labels)
+    rng = random.Random("certificate " + "x".join(labels))
+    moved_gram, moved = change_basis(gram, S, *random_unimodular(rng, len(gram)))
+    rng.shuffle(moved)
+    for g, vs in ((gram, S), (moved_gram, moved)):
+        report = recognize(vs, Lattice(g))
+        assert report.ok and report.label == " x ".join(sorted(labels))
+        assert {tuple(c["simple_roots"]): c["cartan"] for c in report.components} == \
+            reference_simple_roots(vs, g)
+    if len(labels) == 1:
+        star = build_star(catalog(labels[0]))
+        assert recognize_star(star) == recognize(support_set(star)[0], star.lattice)
+
+
+def test_failed_certificate_on_a_root_system_is_a_simple_system_failure(
+        monkeypatch, tmp_path, capsys):
+    # The certificate passes on every root system; were it to fail on one,
+    # the scan finds no failing pair and the simple roots are the witness.
+    monkeypatch.setattr(rootsys, "_orbit_certificate", lambda *args: (None, None))
+    star = build_star(catalog("B3"))
+    support, _ = support_set(star)
+    report = recognize(support, star.lattice)
+    assert not report.ok and report.label is None
+    assert report.failure["axiom"] == "simple-system"
+    (simple,) = reference_simple_roots(support, star.lattice.gram)
+    assert report.failure["witness"] == simple
+    path = tmp_path / "B3.star.json"
+    path.write_text(dump_star(star))
+    assert main(["recognize", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["axiom"] == "simple-system" and err == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(supports(), damaged_root_sets()))
+# A2 and +-(a_1 + a_2 + e), e orthogonal to A2: the last vector is not
+# simple, and its coordinates on the simple roots are those of a_1 + a_2, but
+# S spans more than they do.
+@example(([[2, -1, 0], [-1, 2, 0], [0, 0, 1]],
+          [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1), (-1, -1, -1)]))
+# A2's roots for the form with (a_2, a_2) = 3: 2(a_1, a_2)/(a_2, a_2) = -2/3,
+# so a Cartan matrix rounded to A2's would close up on S.
+@example(([[2, -1], [-1, 3]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]))
+def test_certificate_accepts_only_root_systems(case):
+    """With the pairwise scan unreachable, recognize labels exactly the sets
+    that pass the Fraction reference: the certificate rejects every set that
+    fails closure or integrality, and accepts every one that passes."""
+    gram, S = case
+    expected = reference_failure(S, gram)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootsys, "_first_failing_pair", no_scan)
+        try:
+            report = recognize(S, Lattice(gram))
+        except ScanCalled:
+            assert expected is not None
+            assert expected["axiom"] in ("reflection-closure", "cartan-integrality")
+            return
+    assert report.ok == (expected is None)
+    if expected is not None:
+        assert report.failure == expected

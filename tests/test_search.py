@@ -273,4 +273,4 @@ def test_star_set_follows_unimodular_basis_change(label, seed):
 
 def test_non_psd_residual_raises_internal_error():
     with pytest.raises(InternalError):
-        search._fitting([[1, 2], [2, 1]], [(1, 0)])
+        search._fitting([[1, 2], [2, 1]], [(1, 0)], [(1, 0)])

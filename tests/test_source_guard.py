@@ -83,9 +83,9 @@ FRACTION_EDGES = {
     "lattice.py": {"parse_rational", "format_rational", "Lattice.pairings"},
     "linalg.py": {"qvec", "dot", "clear_denominators"},
     "qseries.py": {"FourierSeries.norm_of", "_rational", "heat_apply", "check_holomorphic"},
-    "rootsys.py": {"_norms", "catalog", "recognize"},
+    "rootsys.py": {"_norms", "catalog", "_recognize"},
     "search.py": set(),
-    "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "star_from_vectors",
+    "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled",
                 "support_set"},
 }
 

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from eustar.certify import certify_extremal, deficiency
-from eustar.lattice import InputError, InternalError, Lattice
+from eustar.lattice import InputError, InternalError, Lattice, parse_vector
 from eustar.qseries import check_antisymmetry, reflect_series, theta_block, theta_factor
 from eustar.rootsys import (build_P_lattice, build_star, catalog, catalog_labels,
                             recognize)
@@ -170,6 +170,43 @@ def test_json_errors():
         star_from_json_dict({"gram": [[1]]})
     with pytest.raises(InputError):
         star_from_json_dict({"gram": [[1]], "vectors": "x"})
+
+
+def _outcome(build):
+    try:
+        star = build()
+    except InputError as exc:
+        return "error", str(exc)
+    return star.pairings
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_stars_load_as_through_fractions(seed):
+    """star_from_json_dict reads entries as (p, q) and pairs in int; it
+    gives the pairings, or the error, of star_from_vectors on the parsed
+    Fraction vectors: unreduced and mixed denominators, integer entries,
+    vectors off the dual lattice, zero and wrong-length vectors."""
+    rng = random.Random(seed)
+    star = build_star(catalog(rng.choice(["A2", "B2", "G2", "A3", "B3"])))
+    l = star.lattice.rank
+    vectors = []
+    for v in rng.sample(star.vectors, 3):
+        k = rng.randrange(1, 4)
+        vectors.append([rng.choice([f"{k * x.numerator}/{k * x.denominator}", str(x)])
+                        if x.denominator > 1 or rng.random() < 0.5 else int(x) for x in v])
+    damage = rng.randrange(4)
+    if damage == 1:
+        vectors.append([f"1/{rng.randrange(2, 9)}"] + ["0"] * (l - 1))
+    elif damage == 2:
+        vectors.append(["0/5"] * l)
+    elif damage == 3:
+        vectors.insert(1, ["1"] * (l + rng.choice((-1, 1))))
+    rng.shuffle(vectors)
+    data = {"gram": [list(row) for row in star.lattice.gram], "vectors": vectors}
+    want = _outcome(lambda: star_from_vectors(star.lattice, [parse_vector(v) for v in vectors]))
+    assert _outcome(lambda: star_from_json_dict(data)) == want
+    if damage == 0:
+        assert all(type(x) is int for u in want for x in u)
 
 
 def test_rational_point_helper_shape():
