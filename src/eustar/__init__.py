@@ -7,7 +7,7 @@ from .certify import (ExtremalityCertificate, b_eval, certify_extremal,
 from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
-                      multiply, reflect_series, theta_block, theta_factor)
+                      reflect_series, theta_block, theta_factor)
 from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
                       build_star, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
@@ -20,7 +20,7 @@ __all__ = [
     "deficiency", "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
     "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
-    "dump_series", "eta_power", "heat_apply", "multiply", "reflect_series",
+    "dump_series", "eta_power", "heat_apply", "reflect_series",
     "theta_block", "theta_factor", "RecognitionReport", "RootSystemDescriptor",
     "build_P_lattice", "build_star", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",

@@ -6,20 +6,18 @@ coordinates: the integer vector w with denominator z_den encodes the dual
 vector l whose pairing with a lattice point x is (w . x)/z_den, so the norm
 (l, l) is w^T dual_gram w / z_den^2.  A series is exact for all n24 up to
 n24_max: terms above the cap are unknown, absent terms at or below it are zero.
-Products track the cap as min(a.cap + b.min, b.cap + a.min), which is where
-truncation error can first appear.  One row kernel computes every product,
-of two series (multiply) or of a whole theta block; multiply describes it.
-The heat, holomorphy and singular-shell checks evaluate the integer
-12 D (2n - (l, l)) with the matrix gi of dual_gram() = (gi, g),
-gram^-1 = gi / g, and build a Fraction only off the shell; reflections map
-exponents in int over one denominator.
-Coefficients are int or Fraction, never float.
+Coefficients are int, or Fraction after heat_apply, never float.
 
 The theta factor of a star vector s_j is the odd Jacobi theta series in the
 variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
 stored with n24 = 3(2k+1)^2 and w = (2k+1) u_j over z_den 2.  Dedekind eta
 powers supply the q-only factor; a theta block is eta^(eta_exponent - N) times
-the product of the N theta factors.
+the product of the N theta factors.  That is the one product in the package:
+_product computes it on packed integer rows, eta last, and its docstring
+describes the kernel.  The heat, holomorphy and singular-shell checks
+evaluate the integer 12 D (2n - (l, l)) with the matrix gi of
+dual_gram() = (gi, g), gram^-1 = gi / g, and build a Fraction only off the
+shell; reflections map exponents in int over one denominator.
 
 Observed on the repeated-vector star over the rank-one even lattice, and left
 here as an unproven remark: the worst holomorphy deficit 2n - (l, l) of the
@@ -190,22 +188,11 @@ def _quad(form: list[list[int]], w: Sequence[int]) -> int:
     return sum(x * sum(map(mul, row, w)) for x, row in zip(w, form))
 
 
-def _join_lattice(*series: FourierSeries) -> Lattice | None:
-    lat = None
-    for s in series:
-        if lat is None:
-            lat = s.lattice
-        elif s.lattice is not None and s.lattice != lat:
-            raise InputError("series live on different lattices")
-    return lat
-
-
-def _packed(s: FourierSeries, scale: int, radix: int, den: int, stride: int, bits: int):
+def _packed(s: FourierSeries, scale: int, radix: int, bits: int):
     """Yield (key, row) per w: key = sum_i scale w_i R^(l-1-i), row = sum_j c_j X^j.
 
-    X = 2^bits, and slot j of the row holds den times the coefficient of
-    n24 = s.min_n24 + stride j; den clears every coefficient's denominator.
-    A lattice-free series (w = ()) has the one key 0.
+    X = 2^bits, and slot j of the row holds the coefficient of
+    n24 = s.min_n24 + 24 j.  The eta power (w = ()) has the one key 0.
     """
     rows: dict = {}
     base = s.min_n24
@@ -213,96 +200,8 @@ def _packed(s: FourierSeries, scale: int, radix: int, den: int, stride: int, bit
         key = 0
         for x in w:
             key = key * radix + x * scale
-        c = c.numerator * (den // c.denominator)
-        rows[key] = rows.get(key, 0) + (c << (n24 - base) // stride * bits)
+        rows[key] = rows.get(key, 0) + (c << (n24 - base) // 24 * bits)
     yield from rows.items()
-
-
-def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Exact truncated product; cap = min(a.cap + b.min, b.cap + a.min).
-
-    This is the product kernel on two operands, the larger one outer.  The
-    kernel multiplies a list of series as rows of packed integers.  With
-    every operand widened once to the common z_den, a z-exponent w of width l
-    becomes the base-R number with balanced digits
-
-        key = w_1 R^(l-1) + ... + w_l,
-
-    with one radix R = 2 (sum over operands of max|w|) + 1, maxima taken
-    after widening.  Every digit of every partial product is at most (R-1)/2
-    in absolute value, so keys decode uniquely, key(w1 + w2) = key(w1) +
-    key(w2), key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
-
-    A partial product maps each key to one int, its row: the q-polynomial
-    of that w by Kronecker substitution, sum_j c_j X^j with X = 2^bits,
-    where slot j holds the coefficient of n24 = low + stride j.  low is the
-    sum of the operands' lowest exponents, so no slot index is negative,
-    and stride is 24 when every operand has a character (all its exponents
-    are congruent mod 24), 1 otherwise.  Slots are balanced: each c_j lies
-    in [-2^(bits-1), 2^(bits-1)), and a row is the exact integer sum of its
-    slots, so rows add and multiply as the polynomials do.  Rational
-    operands are scaled to int by the lcm of their denominators, and the
-    product is divided by the product of those scales once, at the end.
-
-    Slot width.  Let B be the product over operands of max(||s||_1, 1),
-    ||s||_1 the sum of |c| over the scaled terms.  Every partial sum that
-    the kernel forms for a coefficient is a sum of distinct products c_1 ...
-    c_k of operand terms, so its absolute value is at most B; with bits =
-    bitlength(B) + 1 it is below 2^(bits-1), the slot never carries, and
-    the balanced digits decode to the true coefficients.
-
-    Each step multiplies every stored row by every row of the next operand,
-    packed once and grouped by lowest slot t, read off v & -v: a row v1
-    meets a group of rows v2 X^t through one shift x = v1 X^t, added to
-    each key as +x, -x or x v2.  A theta factor's rows are monomials +-X^t,
-    the +odd and -odd ones on one t, so each group costs one shift and no
-    multiply.  The scan of groups stops at the first t that puts the pair's
-    lowest slot past the step's cap: no slot of that product is kept.  The
-    dense eta power is one row, so the eta step is one big-int multiply per
-    row, by the eta row cut after the last slot that can reach the cap
-    from v1's lowest slot: no eta slot that lands only past the cap enters
-    the multiply.  Those prefix cuts are formed once per step.  The caps
-    follow the rule above with the running min taken as the sum of the
-    operands' mins, a lower bound, so each cap is sound, and a step's last
-    slot top is never above the one before.  Slots past top are
-    left in the rows unread: the next step cuts each row after its own top
-    by one balanced mask as it reads it, and skips the rows that the cut
-    leaves 0.  That cut is exact whatever the slots past top hold, since
-    they are multiples of X^(top+1).  Keys and rows are decoded to terms
-    (n24, w), up to the last cap, into one FourierSeries, only at the end:
-    each row is cut at top, and the decode reads the slot of its lowest set
-    bit and subtracts it, one step per nonzero coefficient.
-
-    When every operand has a parity, S(n, -w) = eps S(n, w) with eps = +-1
-    (theta factors are odd, eta powers and lattice-free series even), every
-    partial product has one too, and the kernel stores only its rows with
-    key >= 0.  Each step multiplies the stored rows with w != 0 by every row
-    of the next operand; the mirrored outer rows times the mirrored operand
-    give the mirror of each product times the running parity, so a product
-    row with key < 0 moves to key -key with that sign, and one with key 0
-    adds to itself.  A stored row with w = 0 is its own mirror, and its
-    products are added on the keys >= 0 only.  That halves the pairs, and
-    the decode emits both mirror terms.  If any operand has no parity, the
-    same loop runs with nothing filtered and nothing folded.
-    """
-    return _product([a, b] if len(a.terms) >= len(b.terms) else [b, a])
-
-
-def _parity(s: FourierSeries) -> int | None:
-    """eps in {+1, -1} with S(n, -w) = eps S(n, w) for every term, or None.
-
-    Theta factors are odd; eta powers, lattice-free series and the empty
-    series are even.  A term with w = 0 is its own mirror, so a series that
-    has one is even or has no parity.
-    """
-    eps = None
-    for (n24, w), c in s.terms.items():
-        m = s.terms.get((n24, tuple(-x for x in w)))
-        e = 1 if m == c else -1 if m == -c else None
-        if e is None or eps not in (None, e):
-            return None
-        eps = e
-    return eps or 1
 
 
 def _low_slot(v: int, bits: int) -> int:
@@ -336,7 +235,7 @@ def _slots(v: int, bits: int):
 
 
 def _groups(rows, bits: int) -> list:
-    """The rows v X^t of the next operand by lowest slot: (t, t bits, [(key, v)]) by t."""
+    """A theta factor's rows +-X^t by lowest slot: (t, t bits, [(key, +-1)]) by t."""
     groups: dict = {}
     for k, v in rows:
         t = _low_slot(v, bits)
@@ -348,99 +247,117 @@ def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
     """out += outer * groups on rows, with slots past top unknown.
 
     Each outer row v1 is cut after slot top (see _cut), and a pair is
-    skipped when its lowest slot is past top.  A group of rows v2 X^t
-    shares one shift x = v1 X^t, which adds to each key as +x, -x or x v2.
-    One dense row, as the eta power is, is cut after the last slot that can
-    reach top from v1's lowest slot; the cuts are kept by that slot.
+    skipped when its lowest slot is past top.  A group of monomial rows
+    +-X^t shares one shift x = v1 X^t, which adds to each key as +x or -x.
     """
     m = 1 << bits * max(top + 1, 0)
     get = out.get
-    dense = len(groups) == 1 and len(groups[0][2]) == 1
-    if dense:
-        [(t_d, shift_d, [(k_d, v_d)])] = groups
-        cuts: dict = {}  # stop -> v_d cut after slot stop - t_d
     for k1, v1 in outer:
         v1 = _cut(v1, m)
         if not v1:
             continue
         stop = top - _low_slot(v1, bits)
-        if dense:
-            if stop >= t_d:
-                if stop not in cuts:
-                    cuts[stop] = _cut(v_d, 1 << bits * (stop - t_d + 1))
-                key = k1 + k_d
-                out[key] = get(key, 0) + (v1 * cuts[stop] << shift_d)
-            continue
         for t, shift, group in groups:
             if t > stop:
                 break
             x = v1 << shift
             for k2, v2 in group:
                 key = k1 + k2
-                if v2 == 1:
+                if v2 > 0:
                     out[key] = get(key, 0) + x
-                elif v2 == -1:
-                    out[key] = get(key, 0) - x
                 else:
-                    out[key] = get(key, 0) + x * v2
+                    out[key] = get(key, 0) - x
 
 
-def _rational(terms: dict, den: int) -> dict:
-    """The terms divided by den, the product of the operands' scales."""
-    return terms if den == 1 else {k: Q(c, den) for k, c in terms.items()}
+def _product(lat: Lattice, thetas: Sequence[FourierSeries],
+             eta: FourierSeries) -> FourierSeries:
+    """The truncated product of the theta factors and, last, the eta power.
 
+    The theta block's kernel, folded left on rows.  Every theta factor is
+    widened once to the common z_den (1 when every pairing has only even
+    entries, else 2), and a z-exponent w of width l becomes the balanced
+    base-R number key = w_1 R^(l-1) + ... + w_l, R = 2 (sum over theta
+    factors of max|w|) + 1; the eta power has the one key 0.  No digit of a
+    partial product exceeds (R-1)/2 in absolute value, so keys add as the w
+    do, key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
 
-def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
-    """The truncated product of the factors, folded left on rows; see multiply."""
-    lat = _join_lattice(*factors)
-    width = lat.rank if lat is not None else 0
-    d = math.lcm(*(s.z_den for s in factors))
-    scales = [d // s.z_den for s in factors]
-    half = sum(max((abs(x) for _, w in s.terms for x in w), default=0) * scale
-               for s, scale in zip(factors, scales))
+    A partial product maps each key to one int, its row: sum_j c_j X^j with
+    X = 2^bits, slot j holding the coefficient of n24 = low + 24 j, low the
+    sum of the factors' lowest exponents (every factor has a character).
+    Slots are balanced, c_j in [-2^(bits-1), 2^(bits-1)), so rows add and
+    multiply as the q-polynomials do.  bits = bitlength(B) + 1 for B the
+    product of the factors' ||s||_1: every partial sum of a coefficient is a
+    sum of distinct products of factor terms, at most B in absolute value,
+    so no slot carries.
+
+    A theta factor's rows are monomials +-X^t, its +odd and -odd rows on one
+    t.  Grouped by t, read off v & -v, they meet a stored row v1 through one
+    shift x = v1 X^t, added as +x or -x, and the scan stops at the first t
+    whose pair starts past the cap.  The dense eta row meets each stored row
+    in one big-int multiply, cut after the last slot that can reach the cap
+    from that row's lowest slot; each cut is formed once.  Each step's cap
+    is min(cap + s.min, s.cap + low), sound since low bounds the partial
+    product's min from below.  Slots past a step's top slot stay in the rows
+    unread: the next step, and the final decode, cut each row after top by
+    one balanced mask, exact since those slots are multiples of X^(top+1).
+    The decode reads the slot of the lowest set bit and subtracts it, one
+    step per nonzero coefficient.
+
+    Theta factors are odd in z and eta even, so every partial product has a
+    parity eps = +-1 and is stored by its rows with key >= 0.  A theta step
+    multiplies the stored rows with w != 0 by every row of the factor; a
+    product row with key < 0 is the mirror of an unstored one, so it moves
+    to -key times eps, and one with key 0 adds to itself.  A stored w = 0
+    row is its own mirror and meets only the factor's keys >= 0.  That
+    halves the pairs; the eta step keeps every key, and the decode emits
+    both mirror terms.
+    """
+    width = lat.rank
+    d = math.lcm(*(s.z_den for s in thetas))
+    half = sum(max(abs(x) for _, w in s.terms for x in w) * (d // s.z_den) for s in thetas)
     radix = 2 * half + 1
-    chars = [s.character_d for s in factors]
-    char = None if None in chars else sum(chars) % 24
-    stride = 1 if char is None else 24
-    dens = [math.lcm(*(c.denominator for c in s.terms.values())) for s in factors]
-    bound = math.prod(max(sum(abs(c.numerator) * (den // c.denominator)
-                              for c in s.terms.values()), 1)
-                      for s, den in zip(factors, dens))
-    bits = bound.bit_length() + 1
-    parities = [_parity(s) for s in factors]
-    folded = None not in parities
-    first = factors[0]
+    char = sum(s.character_d for s in (*thetas, eta)) % 24
+    bits = math.prod(sum(map(abs, s.terms.values())) for s in (*thetas, eta)).bit_length() + 1
+    first = thetas[0]
     cap, low = first.n24_max, first.min_n24
-    top = (cap - low) // stride
-    # With every parity known, a partial product keeps its rows with key >= 0,
-    # and sign is its parity.
-    out = {k: v for k, v in _packed(first, scales[0], radix, dens[0], stride, bits)
-           if not folded or k >= 0}
-    sign = parities[0]
-    for s, scale, den, parity in zip(factors[1:], scales[1:], dens[1:], parities[1:]):
+    # A partial product keeps its rows with key >= 0, and sign is its parity.
+    out = {k: v for k, v in _packed(first, d // first.z_den, radix, bits) if k >= 0}
+    sign = -1
+    for s in thetas[1:]:
         cap = min(cap + s.min_n24, s.n24_max + low)
         low += s.min_n24
-        top = (cap - low) // stride
-        rows = list(_packed(s, scale, radix, den, stride, bits))
+        top = (cap - low) // 24
+        rows = list(_packed(s, d // s.z_den, radix, bits))
         # An odd partial product has no row with w = 0.
-        w_zero = out.pop(0, 0) if folded else 0
+        w_zero = out.pop(0, 0)
         outer, out = out, {}
         _accumulate(out, outer.items(), _groups(rows, bits), top, bits)
         del outer
-        if folded:
-            # The unstored mirror half adds sign times the mirror of each row:
-            # one with key < 0 moves to -key, one with key 0 becomes v + sign v.
-            sign *= parity
-            for key in [k for k in out if k <= 0]:
-                v = out.pop(key)
-                out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
-            # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
-            if w_zero:
-                _accumulate(out, [(0, w_zero)], _groups([r for r in rows if r[0] >= 0], bits),
-                            top, bits)
+        # The unstored mirror half adds sign times the mirror of each row:
+        # one with key < 0 moves to -key, one with key 0 becomes v + sign v.
+        sign = -sign
+        for key in [k for k in out if k <= 0]:
+            v = out.pop(key)
+            out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
+        # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
+        if w_zero:
+            _accumulate(out, [(0, w_zero)], _groups([r for r in rows if r[0] >= 0], bits),
+                        top, bits)
+    cap = min(cap + eta.min_n24, eta.n24_max + low)
+    low += eta.min_n24
+    top = (cap - low) // 24
+    m = 1 << bits * max(top + 1, 0)
+    # eta's lowest coefficient is 1, in slot 0 of its one row.
+    [(_, eta_row)] = _packed(eta, 1, radix, bits)
+    cuts: dict = {}  # stop -> eta_row cut after slot stop (0 for stop < 0)
+    for key, v in out.items():
+        v = _cut(v, m)
+        stop = top - _low_slot(v, bits)
+        if stop not in cuts:
+            cuts[stop] = _cut(eta_row, 1 << bits * max(stop + 1, 0))
+        out[key] = v * cuts[stop]
     terms = {}
     bias = (radix ** width - 1) // 2
-    m = 1 << bits * max(top + 1, 0)
     for key, v in out.items():
         v = _cut(v, m)
         if not v:
@@ -451,14 +368,14 @@ def _product(factors: Sequence[FourierSeries]) -> FourierSeries:
             rest, digit = divmod(rest, radix)
             w[i] = digit - half
         w = tuple(w)
-        mirror = tuple(-x for x in w) if folded and key else None
+        mirror = tuple(-x for x in w) if key else None
         for j, c in _slots(v, bits):
-            n24 = low + stride * j
+            n24 = low + 24 * j
             terms[(n24, w)] = c
             if mirror:
                 terms[(n24, mirror)] = sign * c
     del out  # free the rows before the constructor copies the decoded terms
-    return FourierSeries(lat, d, _rational(terms, math.prod(dens)), cap, character_d=char)
+    return FourierSeries(lat, d, terms, cap, character_d=char)
 
 
 def theta_block(star: EutacticStar, eta_exponent: int | None = None,
@@ -481,11 +398,11 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
         return FourierSeries(star.lattice, 1, {}, n24_max, character_d=want)
     # A factor of lowest exponent m is needed to n24_max - (total_min - m).
     # The dense q-only eta power goes last, so no partial product carries it.
-    factors = [theta_factor(star, j, n24_max - total_min + 3) for j in range(n)]
-    factors.append(eta_power(eta_min, n24_max - total_min + eta_min))
+    thetas = [theta_factor(star, j, n24_max - total_min + 3) for j in range(n)]
+    eta = eta_power(eta_min, n24_max - total_min + eta_min)
     # Each theta factor starts at 3 and eta at eta_min, so the kernel's cap
     # is n24_max itself and the product is the block as it stands.
-    out = _product(factors)
+    out = _product(star.lattice, thetas, eta)
     if out.n24_max != n24_max:
         raise InternalError(f"product exact to n24 {out.n24_max}, not {n24_max}")
     if out.character_d != want:

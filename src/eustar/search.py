@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .certify import certify_if_extremal
 from .lattice import InputError, InternalError, Lattice, format_vector
-from .linalg import rank, sym_elim
+from .linalg import sym_elim
 from .rootsys import recognize_star
 from .star import EutacticStar, star_from_pairings
 
@@ -163,9 +163,9 @@ def verify_theorem(lattice: Lattice) -> dict:
     """Certify every star on the lattice; recognize the support of extremal ones.
 
     A counterexample would be an extremal star whose support set fails root
-    system recognition or does not span the whole lattice; the report lists
-    them (expected: never).  A star that is not extremal is dropped at the
-    first point below its threshold (``certify_if_extremal``).
+    system recognition; the report lists them (expected: never).  A star
+    that is not extremal is dropped at the first point below its threshold
+    (``certify_if_extremal``).
     """
     stars = enumerate_stars(lattice)
     extremal = []
@@ -175,20 +175,19 @@ def verify_theorem(lattice: Lattice) -> dict:
         if cert is None:
             continue
         report = recognize_star(star)
-        # u_j = G s_j with G nonsingular, so the pairings span as the support does.
-        span_ok = rank(star.pairings) == lattice.rank
+        # certify_if_extremal only accepts a eutactic star, sum u_j u_j^T = G
+        # with G positive definite, so the u_j span and rank_match holds.
         entry = {
             "pairings": [list(u) for u in star.pairings],
             "vectors": [format_vector(v) for v in star.vectors],
             "certificate": cert.to_json_dict(),
             "types": report.label,
-            "rank_match": span_ok,
+            "rank_match": True,
         }
-        if report.ok and span_ok:
+        if report.ok:
             extremal.append(entry)
         else:
-            entry["reason"] = ("recognition failed: " + str(report.failure)
-                               if not report.ok else "support does not span")
+            entry["reason"] = "recognition failed: " + str(report.failure)
             counterexamples.append(entry)
     return {"stars": len(stars), "extremal": extremal,
             "counterexamples": counterexamples}

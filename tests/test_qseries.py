@@ -6,12 +6,11 @@ factor by factor, sharing no code with the implementation.  Likewise the
 pentagonal-number eta coefficients are compared against a naive expansion of
 prod (1 - q^n).
 
-multiply works on packed integer keys; reference_multiply below is the plain
-pairwise product on (n24, w) tuples, and the two must agree term for term.
-theta_block runs the same packed kernel over all its factors, eta last; its
-reference is an eta-first fold of reference_multiply.  When every operand is
-odd or even in z the kernel stores each partial product by its w >= 0 half;
-parity_series builds such operands, with and without w = 0 terms.
+theta_block multiplies its factors on packed integer rows, eta last, in the
+one product kernel of the package.  reference_multiply below is the plain
+pairwise product on (n24, w) tuples, and the block's reference is an
+eta-first fold of it; the two must agree term for term, on catalog stars and
+on random eutactic stars with repeated, antipodal and non-primitive vectors.
 The kernel's set-bit decode is compared against reference_decode, which
 reads a row one slot at a time from slot 0.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
@@ -32,10 +31,10 @@ from eustar import qseries
 from eustar.lattice import InputError, Lattice
 from eustar.qseries import (DEFAULT_ORDER, FourierSeries, check_antisymmetry,
                             check_holomorphic, check_singular_support, dump_series,
-                            eta_power, heat_apply, multiply, reflect_series,
-                            theta_block, theta_factor)
+                            eta_power, heat_apply, reflect_series, theta_block,
+                            theta_factor)
 from eustar.rootsys import build_star, catalog
-from eustar.star import star_from_vectors, support_set
+from eustar.star import star_from_pairings, star_from_vectors, support_set
 
 
 def product_side_theta(n24_max):
@@ -116,7 +115,7 @@ def test_eta_inverse_is_partition_series():
 def test_eta_times_inverse_is_one():
     a = eta_power(1, 200)
     b = eta_power(-1, 200)
-    prod = multiply(a, b)
+    prod = reference_multiply(a, b)
     assert prod.terms == {(0, ()): 1}
     assert prod.character_d == 0
 
@@ -125,7 +124,7 @@ def test_eta_powers_multiply():
     # eta^a eta^b = eta^(a+b), up to the product's cap.
     for a in range(-12, 13):
         for b in range(-12, 13):
-            prod = multiply(eta_power(a, 240), eta_power(b, 240))
+            prod = reference_multiply(eta_power(a, 240), eta_power(b, 240))
             want = eta_power(a + b, prod.n24_max)
             assert prod.terms == want.terms, (a, b)
             assert prod.character_d == want.character_d
@@ -167,29 +166,6 @@ def test_trimming():
     assert all(n <= 30 for n, _ in t.terms)
     with pytest.raises(InputError):
         t.trimmed(60)
-
-
-def test_multiply_cap_bookkeeping():
-    a = FourierSeries(None, 1, {(3, ()): 1}, 100)
-    b = FourierSeries(None, 1, {(1, ()): 1}, 50)
-    prod = multiply(a, b)
-    assert prod.n24_max == min(100 + 1, 50 + 3)
-    assert prod.terms == {(4, ()): 1}
-
-
-def test_multiply_commutes(a1_star):
-    theta = theta_factor(a1_star, 0, 120)
-    eta = eta_power(2, 120)
-    ab = multiply(theta, eta)
-    ba = multiply(eta, theta)
-    assert ab.terms == ba.terms
-    assert ab.z_den == ba.z_den == 2
-    assert ab.character_d == 5
-
-
-def test_mismatched_lattices_rejected(a1_star, a2_star):
-    with pytest.raises(InputError):
-        multiply(theta_factor(a1_star, 0, 60), theta_factor(a2_star, 0, 60))
 
 
 def test_theta_block_a1_is_single_factor(a1_star):
@@ -340,54 +316,6 @@ def reference_multiply(a, b):
     return FourierSeries(lat, d, out, cap, character_d=char)
 
 
-COEFFS = st.one_of(st.integers(-3, 3),
-                   st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
-
-
-@st.composite
-def random_series(draw, lat):
-    width = lat.rank if lat is not None else 0
-    char = draw(st.one_of(st.none(), st.integers(0, 23)))
-    if char is None:
-        n24s = st.integers(-30, 200)
-    else:
-        n24s = st.integers(-2, 8).map(lambda j: char + 24 * j)
-    ws = st.tuples(*[st.integers(-40, 40)] * width)
-    terms = draw(st.dictionaries(st.tuples(n24s, ws), COEFFS, max_size=12))
-    ns = sorted(n for n, _ in terms)
-    # A cap inside the drawn exponents cuts the series, and the product, midway.
-    cap = draw(st.integers(ns[0], ns[-1]) if ns else n24s)
-    return FourierSeries(lat, draw(st.sampled_from([1, 2, 3, 6])), terms, cap, char)
-
-
-def mirrored(s):
-    """s(q, -z): each odd-z term of s * mirrored(s) cancels to zero."""
-    return FourierSeries(s.lattice, s.z_den,
-                         {(n, w): -c if sum(w) % 2 else c for (n, w), c in s.terms.items()},
-                         s.n24_max, s.character_d)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_multiply_matches_pairwise_reference(data):
-    width = data.draw(st.integers(0, 3))
-    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
-    a = data.draw(random_series(lat))
-    if data.draw(st.booleans()):
-        b = mirrored(a)
-    else:
-        # Either operand may be lattice-free (w = ()) next to a lattice series.
-        b = data.draw(random_series(None if data.draw(st.booleans()) else lat))
-    if data.draw(st.booleans()):
-        a = data.draw(random_series(None))
-    want = reference_multiply(a, b)
-    for got in (multiply(a, b), multiply(b, a)):
-        assert got.terms == want.terms
-        assert (got.z_den, got.n24_max, got.character_d) == \
-            (want.z_den, want.n24_max, want.character_d)
-        assert got.lattice is want.lattice
-
-
 def eta_first_fold(star, n24_max, eta_exponent, mul):
     """eta^(eta_exponent - N) * theta_1 * ... * theta_N, folded left by mul.
 
@@ -426,97 +354,6 @@ def test_theta_block_matches_pairwise_reference(label, eta):
         (want.z_den, want.n24_max, want.character_d)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_product_kernel_matches_pairwise_fold(data):
-    # The kernel's running min is the sum of the operands' mins, a lower bound
-    # on the partial product's, so its cap may sit below the fold's.  Up to
-    # that cap the two agree term for term.
-    width = data.draw(st.integers(0, 2))
-    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
-    factors = [data.draw(random_series(None if data.draw(st.booleans()) else lat))
-               for _ in range(data.draw(st.integers(1, 4)))]
-    got = qseries._product(factors)
-    want = factors[0]
-    for s in factors[1:]:
-        want = reference_multiply(want, s)
-    assert got.n24_max <= want.n24_max
-    want = want.trimmed(got.n24_max)
-    assert got.terms == want.terms
-    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
-
-
-@st.composite
-def parity_series(draw, lat):
-    """(s + eps s(q, -z), eps) for a random s: a series of parity eps.
-
-    The w are small, so that w = 0, its own mirror, turns up often; a
-    lattice-free series is even.
-    """
-    width = lat.rank if lat is not None else 0
-    char = draw(st.one_of(st.none(), st.integers(0, 23)))
-    if char is None:
-        n24s = st.integers(-30, 200)
-    else:
-        n24s = st.integers(-2, 8).map(lambda j: char + 24 * j)
-    ws = st.tuples(*[st.integers(-3, 3)] * width)
-    base = draw(st.dictionaries(st.tuples(n24s, ws), COEFFS, max_size=10))
-    eps = draw(st.sampled_from([1, -1])) if width else 1
-    terms = dict(base)
-    for (n, w), c in base.items():
-        key = (n, tuple(-x for x in w))
-        terms[key] = terms.get(key, 0) + eps * c
-    ns = sorted(n for n, _ in terms)
-    cap = draw(st.integers(ns[0], ns[-1]) if ns else n24s)
-    return FourierSeries(lat, draw(st.sampled_from([1, 2, 3, 6])), terms, cap, char), eps
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_half_plane_product_matches_pairwise_fold(data):
-    # With every operand odd or even, the kernel stores each partial product
-    # by its w >= 0 half; with one lopsided operand it stores both halves.
-    width = data.draw(st.integers(1, 2))
-    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)])
-    factors = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        s, eps = data.draw(parity_series(None if data.draw(st.integers(0, 3)) == 0 else lat))
-        assert qseries._parity(s) == (eps if s.terms else 1)
-        factors.append(s)
-    if data.draw(st.booleans()):
-        lopsided = data.draw(random_series(lat))
-        factors.insert(data.draw(st.integers(0, len(factors))), lopsided)
-    got = qseries._product(factors)
-    want = factors[0]
-    cap, low = want.n24_max, want.min_n24
-    for s in factors[1:]:
-        want = reference_multiply(want, s)
-        cap = min(cap + s.min_n24, s.n24_max + low)
-        low += s.min_n24
-    # The kernel's cap follows the operands' mins (see multiply); the fold
-    # is exact at least that far.
-    assert got.n24_max == cap <= want.n24_max
-    want = want.trimmed(cap)
-    assert got.terms == want.terms
-    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
-    assert got.lattice is want.lattice
-
-
-def test_parity_of_factors(a2_star):
-    assert qseries._parity(theta_factor(a2_star, 0, 240)) == -1
-    assert qseries._parity(eta_power(-3, 240)) == 1
-    assert qseries._parity(eta_power(5, 240)) == 1
-    lat = a2_star.lattice
-    lopsided = FourierSeries(lat, 1, {(3, (1, 0)): 1, (3, (-1, 0)): 2}, 60)
-    assert qseries._parity(lopsided) is None
-    assert qseries._parity(FourierSeries(lat, 1, {(3, (1, 0)): 1}, 60)) is None
-    mixed = FourierSeries(lat, 1, {(3, (1, 0)): 1, (3, (-1, 0)): 1,
-                                   (27, (0, 1)): 1, (27, (0, -1)): -1}, 60)
-    assert qseries._parity(mixed) is None
-    # A w = 0 term is its own mirror: the series can only be even.
-    assert qseries._parity(FourierSeries(lat, 1, {(3, (0, 0)): 1}, 60)) == 1
-
-
 @pytest.mark.parametrize("vectors", [[(Q(1, 2),), (Q(1, 2),)], [(Q(1, 2),), (Q(-1, 2),)]],
                          ids=["u,u", "u,-u"])
 def test_theta_block_with_w_zero_terms_matches_pairwise_reference(vectors):
@@ -527,6 +364,51 @@ def test_theta_block_with_w_zero_terms_matches_pairwise_reference(vectors):
     want, _ = eta_first_fold(star, 480, star.lattice.rank, reference_multiply)
     want = want.trimmed(480)
     assert any(not any(w) for _, w in block.terms)
+    assert block.terms == want.terms
+    assert (block.z_den, block.n24_max, block.character_d) == \
+        (want.z_den, want.n24_max, want.character_d)
+
+
+@st.composite
+def traffic_star(draw):
+    """A eutactic star of rank 1-3 on the lattice G = sum u u^T.
+
+    Some u are scaled by 2 or 3, so a factor's z_den may be 1 (every entry
+    even) or 2; some are repeated or negated, so products have w = 0 rows.
+    """
+    rank = draw(st.integers(1, 3))
+    pairings = []
+    for u in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank).filter(any),
+                           min_size=1, max_size=4)):
+        u = tuple(draw(st.sampled_from([1, 1, 2, 3])) * x for x in u)
+        pairings.append(u)
+        copy = draw(st.sampled_from([None, None, 1, -1]))
+        if copy:
+            pairings.append(tuple(copy * x for x in u))
+    gram = [[sum(u[i] * u[j] for u in pairings) for j in range(rank)] for i in range(rank)]
+    try:
+        lat = Lattice(gram)
+    except InputError:  # the u do not span
+        assume(False)
+    return star_from_pairings(lat, pairings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traffic_star(), st.data())
+def test_product_kernel_matches_pairwise_fold(star, data):
+    # theta_block's kernel on the inputs it is built for, against the
+    # pairwise product folded with eta first, from orders below the block's
+    # lowest exponent up to 240.
+    n, rank = star.size, star.lattice.rank
+    eta_exponent = data.draw(st.sampled_from([rank, 0, n, n + 3, -data.draw(st.integers(1, 6))]))
+    low = 2 * n + eta_exponent
+    order = data.draw(st.integers(min(low - 24, 240), 240))
+    block = theta_block(star, eta_exponent=eta_exponent, n24_max=order)
+    if order < low:
+        assert block.is_zero()
+        return
+    want, _ = eta_first_fold(star, order, eta_exponent, reference_multiply)
+    want = want.trimmed(order)
     assert block.terms == want.terms
     assert (block.z_den, block.n24_max, block.character_d) == \
         (want.z_den, want.n24_max, want.character_d)
@@ -553,11 +435,11 @@ def test_theta_block_metamorphic_order_and_signs(label, data):
 
 def test_a3_product_chain_sizes_pinned():
     # Output sizes of eta^-3 * theta_1 * ... * theta_6 at order 720, folded
-    # with eta first through multiply: a change to truncation shows up here
-    # as a count.  theta_block multiplies eta last; both orders must give the
-    # same block.
+    # with eta first through the pairwise product: a change to truncation
+    # shows up here as a count.  theta_block multiplies eta last; both orders
+    # must give the same block.
     star = build_star(catalog("A3"))
-    series, sizes = eta_first_fold(star, 720, star.lattice.rank, multiply)
+    series, sizes = eta_first_fold(star, 720, star.lattice.rank, reference_multiply)
     assert sizes == [312, 2872, 24072, 27996, 51110, 2928]
     block = theta_block(star, n24_max=720)
     assert series.terms == block.terms
@@ -567,13 +449,13 @@ def test_a3_product_chain_sizes_pinned():
 
 def test_a3_eta_last_chain_sizes_pinned():
     # theta_block's own order, theta_1 ... theta_6 then eta^-3 at order 720.
-    # The kernel on the first k factors stops at the fold's k-th partial
-    # product, cap included, so each prefix gives one step's size.
+    # The kernel on the first k theta factors and eta^0 = 1 stops at the
+    # fold's k-th partial product, so each prefix gives one step's size.
     star = build_star(catalog("A3"))
     total_min = 3 * 6 - 3
-    factors = [theta_factor(star, j, 720 - total_min + 3) for j in range(6)]
-    factors.append(eta_power(-3, 720 - total_min - 3))
-    steps = [qseries._product(factors[:k]) for k in range(2, 8)]
+    thetas = [theta_factor(star, j, 720 - total_min + 3) for j in range(6)]
+    steps = [qseries._product(star.lattice, thetas[:k], eta_power(0, 720)) for k in range(2, 7)]
+    steps.append(qseries._product(star.lattice, thetas, eta_power(-3, 720 - total_min - 3)))
     assert [len(s.terms) for s in steps] == [188, 1904, 11832, 32772, 13536, 2928]
     assert steps[-1].n24_max == 720
     assert steps[-1].terms == theta_block(star, n24_max=720).terms
@@ -620,157 +502,6 @@ def test_decode_takes_one_step_per_kept_coefficient(monkeypatch, label, order, s
     monkeypatch.setattr(qseries, "_slots", counting)
     block = theta_block(build_star(catalog(label)), n24_max=order)
     assert len(yielded) == steps == len(block.terms) // 2
-
-
-def assert_kernel_matches_fold(factors):
-    """_product against the pairwise fold, up to the kernel's cap."""
-    got = qseries._product(factors)
-    want = factors[0]
-    for s in factors[1:]:
-        want = reference_multiply(want, s)
-    assert got.n24_max <= want.n24_max
-    want = want.trimmed(got.n24_max)
-    assert got.terms == want.terms
-    assert (got.z_den, got.character_d) == (want.z_den, want.character_d)
-    assert got.lattice is next((s.lattice for s in factors if s.lattice is not None), None)
-    return got
-
-
-def with_mirror(s, eps):
-    """s + eps s(q, -z): a series of parity eps."""
-    terms = dict(s.terms)
-    for (n, w), c in s.terms.items():
-        key = (n, tuple(-x for x in w))
-        terms[key] = terms.get(key, 0) + eps * c
-    return FourierSeries(s.lattice, s.z_den, terms, s.n24_max, s.character_d)
-
-
-LINE = Lattice([[2]])
-
-
-@pytest.mark.parametrize("c", [2, -2, 3, 2 ** 100 - 1, -(2 ** 100)])
-@pytest.mark.parametrize("k", [1, 2, 5, 12])
-def test_single_term_powers_reach_the_slot_bound(c, k):
-    # The product of k copies of c zeta has the one coefficient c^k, which is
-    # the bound prod ||s||_1 itself: the widest value a slot must hold.
-    s = FourierSeries(LINE, 1, {(24, (1,)): c}, 48, character_d=0)
-    got = assert_kernel_matches_fold([s] * k)
-    assert got.terms == {(24 * k, (k,)): c ** k}
-
-
-@pytest.mark.parametrize("char", [None, 0])
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_binomial_powers_match_pairwise_fold(char, k):
-    # (1 + zeta)(1 + q) and its even part: all-positive products, whose
-    # coefficients C(k, a) C(k, b) sum to the bound, with no cancellation.
-    step = 1 if char is None else 24
-    s = FourierSeries(LINE, 1, {(0, (0,)): 1, (0, (1,)): 1, (step, (0,)): 1, (step, (1,)): 1},
-                      10 * step, character_d=char)
-    got = assert_kernel_matches_fold([s] * k)
-    assert got.terms[(k // 2 * step, (k // 2,))] == math.comb(k, k // 2) ** 2
-    assert sum(got.terms.values()) == 4 ** k
-    even = with_mirror(FourierSeries(LINE, 1, {(0, (1,)): 1, (step, (2,)): 1},
-                                     10 * step, character_d=char), 1)
-    assert qseries._parity(even) == 1
-    assert_kernel_matches_fold([even] * k)
-
-
-BIG_COEFFS = st.one_of(
-    st.integers(2 ** 100 - 4, 2 ** 100 + 4),
-    st.integers(1, 2 ** 100),
-    st.builds(Q, st.integers(1, 2 ** 64),
-              st.sampled_from([2 ** 61 - 1, 2 ** 31 - 1, 10007, 3 ** 40])))
-
-
-@st.composite
-def big_series(draw, lat):
-    """All-positive (or all-negative) coefficients near 2^100, or Fractions
-    with large coprime denominators; with a random parity, or none."""
-    width = lat.rank if lat is not None else 0
-    char = draw(st.one_of(st.none(), st.integers(0, 23)))
-    n24s = (st.integers(-30, 60) if char is None
-            else st.integers(-2, 3).map(lambda j: char + 24 * j))
-    ws = st.tuples(*[st.integers(-3, 3)] * width)
-    terms = draw(st.dictionaries(st.tuples(n24s, ws), BIG_COEFFS, min_size=1, max_size=5))
-    if draw(st.booleans()):
-        terms = {k: -c for k, c in terms.items()}
-    ns = sorted(n for n, _ in terms)
-    s = FourierSeries(lat, draw(st.sampled_from([1, 2])), terms,
-                      draw(st.integers(ns[0], ns[-1] + 30)), char)
-    eps = draw(st.sampled_from([None, 1, -1])) if width else None
-    return with_mirror(s, eps) if eps else s
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_big_coefficient_products_match_pairwise_fold(data):
-    width = data.draw(st.integers(0, 2))
-    lat = Lattice([[int(i == j) for j in range(width)] for i in range(width)]) if width else None
-    factors = [data.draw(big_series(None if data.draw(st.integers(0, 3)) == 0 else lat))
-               for _ in range(data.draw(st.integers(1, 4)))]
-    assert_kernel_matches_fold(factors)
-    if len(factors) == 2:
-        got, want = multiply(*factors), reference_multiply(*factors)
-        assert got.terms == want.terms
-        assert (got.z_den, got.n24_max, got.character_d) == \
-            (want.z_den, want.n24_max, want.character_d)
-
-
-def test_stride_one_with_mixed_residues_and_negative_exponents():
-    # No character: exponents of every residue mod 24, some below 0, so the
-    # rows step by 1 in n24.
-    a = FourierSeries(LINE, 1, {(-7, (1,)): 3, (-1, (1,)): -2, (0, (0,)): 5,
-                                (5, (-1,)): 1, (13, (2,)): -4}, 20)
-    b = FourierSeries(LINE, 2, {(-30, (1,)): 1, (-29, (-1,)): 7, (2, (3,)): -1}, 10)
-    eta = eta_power(-1, 47)
-    for factors in ([a, b], [b, a], [a, b, eta], [eta, a, a], [a, eta, b]):
-        got = assert_kernel_matches_fold(factors)
-        assert got.character_d is None
-        assert min(n for n, _ in got.terms) < 0
-        assert len({n % 24 for n, _ in got.terms}) > 1
-
-
-def test_caps_cut_rows_midway():
-    # a has one row on slots 0..5; times (1 + q^3) its product row runs to
-    # slot 8 and the cap keeps slots 0..5 of it.  Every cap from below the
-    # lowest slot to past the top cuts the same row at another place.
-    b = FourierSeries(LINE, 1, {(0, (1,)): 1, (72, (1,)): 1}, 200, character_d=0)
-    for cap_a in range(-24, 150, 24):
-        a = FourierSeries(LINE, 1, {(24 * j, (1,)): j + 1 for j in range(6)}, cap_a,
-                          character_d=0)
-        for x, y in ((a, b), (b, a)):
-            got, want = multiply(x, y), reference_multiply(x, y)
-            assert got.terms == want.terms
-            assert got.n24_max == want.n24_max
-        odd = with_mirror(a, -1)
-        assert_kernel_matches_fold([odd, with_mirror(b, -1), odd])
-    a = FourierSeries(LINE, 1, {(24 * j, (1,)): j + 1 for j in range(6)}, 120, character_d=0)
-    got = multiply(a, b)
-    assert got.n24_max == 120
-    assert got.terms[(120, (2,))] == 6 + 3
-
-
-@pytest.mark.parametrize("position", range(4))
-@pytest.mark.parametrize("lattice_free_empty", [False, True])
-def test_empty_and_lattice_free_operands_in_every_position(position, lattice_free_empty):
-    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 240)
-    lopsided = FourierSeries(LINE, 1, {(3, (1,)): 1, (27, (-2,)): 2}, 200, character_d=3)
-    eta = eta_power(-1, 240)
-    empty = FourierSeries(None if lattice_free_empty else LINE, 1, {}, 100, character_d=5)
-    for base in ([theta, theta, eta], [theta, lopsided, eta], [lopsided, theta, theta]):
-        for extra in (eta, empty):
-            factors = list(base)
-            factors.insert(position, extra)
-            got = assert_kernel_matches_fold(factors)
-            assert got.is_zero() == (extra is empty)
-    for extra in (eta, empty):
-        assert_kernel_matches_fold([extra])
-        for other in (theta, lopsided, eta):
-            for pair in ((extra, other), (other, extra)):
-                got, want = multiply(*pair), reference_multiply(*pair)
-                assert got.terms == want.terms
-                assert (got.z_den, got.n24_max, got.character_d) == \
-                    (want.z_den, want.n24_max, want.character_d)
 
 
 def reference_decode(v, top, bits):
@@ -820,37 +551,27 @@ def test_set_bit_decode_matches_slot_by_slot_reference(row):
     assert got == reference_decode(v, top, bits) == kept
 
 
-@pytest.mark.parametrize("w", [(), (1,)], ids=["eta-like", "lattice-row"])
-def test_dense_last_row_at_every_cap(w):
-    # One dense row as the last operand, as the eta power is: the kernel cuts
-    # it after the last slot each outer row can reach.  Its cap runs from
-    # below its lowest slot to past its top, and the outer rows start at
-    # several slots, so the cuts fall at every place in the row.
-    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 480)
-    lopsided = FourierSeries(LINE, 1, {(3, (1,)): 1, (27, (-2,)): 2, (99, (1,)): -3}, 300,
-                             character_d=3)
-    coeffs = [1, -3, 0, 0, 5, -1, 0, 2, 7, -4]
-    for cap in range(5 - 24, 5 + 24 * len(coeffs) + 24, 24):
-        dense = FourierSeries(LINE if w else None, 1,
-                              {(5 + 24 * j, w): c for j, c in enumerate(coeffs)}, cap,
-                              character_d=5)
-        for outer in ([theta, theta], [theta, lopsided], [lopsided]):
-            assert_kernel_matches_fold(outer + [dense])
+@pytest.mark.parametrize("star", [
+    star_from_pairings(Lattice([[3]]), [(1,), (1,), (-1,)]),
+    build_star(catalog("A2")),
+], ids=["u,u,-u", "A2"])
+def test_dense_last_row_at_every_cap(star):
+    # The eta power is one dense row, multiplied last: the kernel cuts it
+    # after the last slot each stored row can reach.  The order runs over
+    # every value from 24 below the block's lowest exponent to 240 above it,
+    # so each cap cuts the eta row at another place.
+    low = 2 * star.size + star.lattice.rank
+    want, _ = eta_first_fold(star, low + 240, star.lattice.rank, reference_multiply)
+    for order in range(low - 24, low + 241):
+        block = theta_block(star, n24_max=order)
+        cut = want.trimmed(order)
+        assert block.terms == cut.terms, order
+        assert (block.z_den, block.n24_max, block.character_d) == \
+            (cut.z_den, order, cut.character_d)
 
 
-def test_group_of_non_monomial_rows_on_one_slot():
-    # b has two rows with lowest slot 0, neither a monomial: one group whose
-    # shared shift is multiplied by each row.
-    b = FourierSeries(LINE, 1, {(0, (1,)): 1, (24, (1,)): 2, (0, (-1,)): 3, (48, (-1,)): -1,
-                                (72, (2,)): -1}, 120, character_d=0)
-    rows = list(qseries._packed(b, 1, 5, 1, 24, 8))
-    groups = qseries._groups(rows, 8)
-    assert [(t, sorted(k for k, _ in group)) for t, _, group in groups] == [(0, [-1, 1]), (3, [2])]
-    assert all(v not in (1, -1) for k, v in groups[0][2])
-    theta = theta_factor(star_from_vectors(LINE, [(Q(1, 2),)]), 0, 240)
-    for factors in ([theta, b], [b, b], [theta, theta, b, eta_power(-1, 240)],
-                    [b, with_mirror(b, -1), theta]):
-        assert_kernel_matches_fold(factors)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
 
 
 def fraction_inverse(m):

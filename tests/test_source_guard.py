@@ -82,7 +82,7 @@ FRACTION_EDGES = {
     "cli.py": set(),
     "lattice.py": {"parse_rational", "format_rational", "Lattice.pairings"},
     "linalg.py": {"qvec", "dot", "clear_denominators"},
-    "qseries.py": {"FourierSeries.norm_of", "_rational", "heat_apply", "check_holomorphic"},
+    "qseries.py": {"FourierSeries.norm_of", "heat_apply", "check_holomorphic"},
     "rootsys.py": {"_norms", "catalog", "_recognize"},
     "search.py": set(),
     "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled",
@@ -155,11 +155,11 @@ def test_fraction_uses_sees_calls_and_names_passed_on():
     assert [name for name, _ in _fraction_uses(ast.parse(code))] == ["g", "C.h"]
 
 
-# The product kernel of qseries.py: parity scan, row packing, lowest slot,
-# balanced cut, rows grouped by lowest slot, row pair loop, fold and
-# truncation, set-bit slot decode.  It works on packed integer keys.
-PRODUCT_KERNEL = {"_parity", "_packed", "_low_slot", "_cut", "_groups", "_accumulate",
-                  "_product", "_slots"}
+# The theta block's product kernel in qseries.py: row packing, lowest slot,
+# balanced cut, rows grouped by lowest slot, row pair loop, fold, eta step
+# and truncation, set-bit slot decode.  It works on packed integer keys.
+PRODUCT_KERNEL = {"_packed", "_low_slot", "_cut", "_groups", "_accumulate", "_product",
+                  "_slots"}
 
 
 def test_product_kernel_builds_no_fractions():
