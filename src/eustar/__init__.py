@@ -2,8 +2,8 @@
 eutaxy checks, extremality certificates, theta block expansions, root system
 catalog and recognition, and complete star enumeration."""
 
-from .certify import (ExtremalityCertificate, b_eval, certify_extremal,
-                      certify_if_extremal, deficiency, min_deficiency)
+from .certify import (ExtremalityCertificate, certify_extremal, certify_if_extremal,
+                      deficiency, min_deficiency)
 from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
@@ -11,12 +11,11 @@ from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
 from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
                       build_star, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
-from .star import (EutacticStar, divisor_multiplicity, dump_star, embed,
-                   is_eutactic, load_star, star_from_pairings, star_from_vectors,
-                   support_set)
+from .star import (EutacticStar, divisor_multiplicity, dump_star, is_eutactic,
+                   load_star, star_from_pairings, star_from_vectors, support_set)
 
 __all__ = [
-    "ExtremalityCertificate", "b_eval", "certify_extremal", "certify_if_extremal",
+    "ExtremalityCertificate", "certify_extremal", "certify_if_extremal",
     "deficiency", "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
     "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
@@ -24,7 +23,7 @@ __all__ = [
     "theta_block", "theta_factor", "RecognitionReport", "RootSystemDescriptor",
     "build_P_lattice", "build_star", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",
-    "EutacticStar", "divisor_multiplicity", "dump_star", "embed", "is_eutactic",
+    "EutacticStar", "divisor_multiplicity", "dump_star", "is_eutactic",
     "load_star", "star_from_pairings", "star_from_vectors", "support_set",
 ]
 

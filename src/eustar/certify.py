@@ -73,13 +73,6 @@ from .linalg import Vec, clear_denominators, hnf_diagonal, invert, sym_elim
 from .star import EutacticStar, is_eutactic
 
 
-def b_eval(x) -> Q:
-    """B(x) = (y - 1/2)^2 / 2 with y = x mod 1 in [0,1)."""
-    x = Q(x)
-    y = x - math.floor(x)
-    return (y - Q(1, 2)) ** 2 / 2
-
-
 def deficiency(star: EutacticStar, x: Sequence) -> Q:
     """sum_j B(u_j . x), evaluated exactly.
 

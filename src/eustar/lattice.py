@@ -1,7 +1,8 @@
 """Integral positive definite lattices with exact rational arithmetic.
 
-A lattice is Z^l equipped with an integer Gram matrix; vectors of the ambient
-rational span are coordinate tuples of Fraction relative to that fixed basis.
+A lattice is Z^l equipped with an integer Gram matrix.  Files hold rationals
+as 'p/q' or 'n' strings: ``rational_parts`` reads one as an integer pair, and
+``format_rational`` writes one back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import re
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import IntMat, Vec, clear_denominators, dot, invert, qvec, sym_elim
+from .linalg import IntMat, invert, sym_elim
 
 
 class InputError(ValueError):
@@ -25,19 +26,14 @@ class InternalError(RuntimeError):
 _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*\Z", re.ASCII)
 
 
-def parse_rational(s) -> Q:
-    """Parse 'p/q' or 'n' into an exact rational; reject anything else.
+def rational_parts(s) -> tuple[int, int]:
+    """(p, q) with q > 0 and s = p/q, not always in lowest terms, for s an int
+    or a string 'p/q' or 'n'; an InputError for anything else.
 
     p and n are ASCII decimal integers with an optional sign, q is a nonzero
     one without a sign, and ASCII whitespace may surround the whole: no
     decimal point, exponent or underscore.
     """
-    return Q(*rational_parts(s))
-
-
-def rational_parts(s) -> tuple[int, int]:
-    """(p, q) with q > 0 and s = p/q, not always in lowest terms, for every s
-    that parse_rational accepts; the same InputError for every s it rejects."""
     if isinstance(s, bool):
         raise InputError(f"expected a rational, got the boolean {s!r}")
     if isinstance(s, int):
@@ -60,10 +56,6 @@ def format_rational(x: Q) -> str:
     """Canonical 'p/q' in lowest terms, plain 'n' for integers."""
     x = Q(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_vector(entries: Sequence) -> Vec:
-    return tuple(parse_rational(e) for e in entries)
 
 
 def format_vector(v: Sequence) -> list[str]:
@@ -104,16 +96,6 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({[list(row) for row in self.gram]})"
 
-    def _coords(self, x: Sequence, what: str) -> Vec:
-        x = qvec(x)
-        if len(x) != self.rank:
-            raise InputError(f"{what}: x has length {len(x)}, expected {self.rank}")
-        return x
-
-    def inner(self, x: Sequence, y: Sequence) -> Q:
-        """(x, y) = x^T gram y."""
-        return dot(self._coords(x, "inner"), self.pairings(y))
-
     def dual_gram(self) -> tuple[IntMat, int]:
         """(gi, g) with gram^-1 = gi / g in lowest terms: the Gram of the dual basis."""
         if self._dual_gram is None:
@@ -122,15 +104,6 @@ class Lattice:
                 raise InternalError("a positive definite Gram matrix has no inverse")
             self._dual_gram = inv
         return self._dual_gram
-
-    def pairings(self, x: Sequence) -> Vec:
-        """gram @ x: the pairings of x with the basis vectors.
-
-        With den the lcm of x's denominators, den * x is integral, so each
-        pairing is one integer sum over den.
-        """
-        (xs,), den = clear_denominators([self._coords(x, "pairings")])
-        return tuple(Q(sum(g * a for g, a in zip(row, xs)), den) for row in self.gram)
 
     def to_json_dict(self) -> dict:
         return {"gram": [list(row) for row in self.gram]}

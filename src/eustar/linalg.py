@@ -1,14 +1,13 @@
 """Small exact linear algebra, every elimination in int: what the rest of the package needs.
 
 There is one elimination, the fraction-free symmetric kernel ``sym_elim``,
-which also carries right-hand-side columns through the same steps.  ``rank``
-(of a Gram matrix of the rows) and ``invert`` are read off it; its rows also
-complete the square of a positive definite form in int, which is how
-``eustar.certify`` enumerates lattice points.  A rational matrix reaches it
-through ``clear_denominators``, the one place that scales to int by the lcm of
-the denominators; ``invert`` returns one integer matrix over one denominator.
-``hnf_diagonal`` is the one other reduction: integer column operations, for a
-set of coset representatives.
+which also carries right-hand-side columns through the same steps.
+``invert`` is read off it; its rows also complete the square of a positive
+definite form in int, which is how ``eustar.certify`` enumerates lattice
+points.  A rational matrix reaches it through ``clear_denominators``, the one
+place that scales to int by the lcm of the denominators; ``invert`` returns
+one integer matrix over one denominator.  ``hnf_diagonal`` is the one other
+reduction: integer column operations, for a set of coset representatives.
 """
 
 from __future__ import annotations
@@ -22,16 +21,6 @@ Mat = Tuple[Vec, ...]
 IntMat = Tuple[Tuple[int, ...], ...]
 
 
-def qvec(entries: Sequence) -> Vec:
-    return tuple(Q(e) for e in entries)
-
-
-def dot(u: Sequence, v: Sequence) -> Q:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(ints, den) with rows = ints / den, den the lcm of the entries' denominators."""
     if all(type(x) is int for row in rows for x in row):
@@ -39,30 +28,6 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     rows = [[x if type(x) is Q else Q(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def rank(m: Sequence[Sequence]) -> int:
-    """Rank over Q: the number of positive pivots of sym_elim on a Gram matrix.
-
-    The rows are scaled to int by the lcm of their denominators, and the Gram
-    matrix of the rows (of the columns, when there are fewer of them) is PSD
-    with the same rank as m.  sym_elim takes its pivots greedily, and pivot k
-    is positive iff the vector k is independent of the earlier pivots' vectors.
-    """
-    if not m or not m[0]:
-        return 0
-    rows = clear_denominators(m)[0]
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    n = len(rows)
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(rows[i], rows[j]))
-    r = sym_elim(gram)
-    if r is None:
-        raise ArithmeticError("rank: a Gram matrix is not PSD")
-    return sum(1 for k in range(n) if r[k][k] > 0)
 
 
 def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:

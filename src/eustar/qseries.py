@@ -106,13 +106,6 @@ class FourierSeries:
         return (f"FourierSeries({len(self.terms)} terms, n24_max={self.n24_max}, "
                 f"z_den={self.z_den}, character={self.character_d})")
 
-    def norm_of(self, w: Sequence[int]) -> Q:
-        """(l, l) for the stored exponent w: w^T gram^-1 w / z_den^2."""
-        form, den = self._norm_form()
-        if len(w) != len(form):
-            raise InputError(f"norm_of: w has length {len(w)}, expected {len(form)}")
-        return Q(_quad(form, w), den)
-
     def _norm_form(self) -> tuple[list[list[int]], int]:
         """(M, D), M an int matrix, with (l, l) = w^T M w / D for every w.
 
@@ -122,13 +115,6 @@ class FourierSeries:
             return [], 1
         gi, g = self.lattice.dual_gram()
         return gi, g * self.z_den ** 2
-
-    def trimmed(self, n24_max: int) -> "FourierSeries":
-        if n24_max > self.n24_max:
-            raise InputError("cannot extend a truncated series")
-        return FourierSeries(self.lattice, self.z_den,
-                             {k: c for k, c in self.terms.items() if k[0] <= n24_max},
-                             n24_max, self.character_d)
 
 
 def theta_factor(star: EutacticStar, j: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:

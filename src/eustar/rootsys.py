@@ -17,8 +17,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .lattice import InputError, InternalError, Lattice
-from .linalg import Mat, clear_denominators, invert, qvec, rank
+from .lattice import InputError, InternalError, Lattice, format_vector
+from .linalg import Mat, clear_denominators, invert
 from .star import EutacticStar, integer_support
 
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
@@ -219,12 +219,13 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     representation theory*, 10.1).
 
     S is certified as the orbit W Delta under the simple reflections with
-    |S| |Delta| pairings: the Gram M of Delta is positive definite, rank S =
-    |Delta|, each a_ij = 2 M_ij / M_jj is an integer, the closure of Delta
-    under the s_i has at most |S| elements in Delta-coordinates, and the
-    coordinates M^-1 ((v, alpha_k))_k of each representative are integral
-    and lie in it.  S spans what Delta spans, so its |S| coordinates are
-    distinct and S is that closure.  W Delta passes the last two axioms on
+    |S| |Delta| pairings: the Gram M of Delta is positive definite, each
+    a_ij = 2 M_ij / M_jj is an integer, the closure of Delta under the s_i
+    has at most |S| elements in Delta-coordinates, and the coordinates
+    M^-1 ((v, alpha_k))_k of each representative are integral, lie in it
+    and, unless Delta is a basis, rebuild v as sum_k c_k alpha_k.  So S
+    spans what Delta spans, its |S| coordinates are distinct and S is that
+    closure.  W Delta passes the last two axioms on
     every pair: s_{w alpha} = w s_alpha w^-1 is in W, and W preserves
     Z Delta, on which each alpha_j^vee takes the integer values a_kj.  Every
     root system is W Delta and passes (Humphreys 10.3; Bourbaki, *Lie groups
@@ -261,7 +262,7 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice,
     for j, v in enumerate(scaled):
         if tuple([-x for x in v]) not in sset:
             raise InputError(f"recognize: S is not symmetric under negation "
-                             f"(missing -{[str(x) for x in qvec(vec(j))]})")
+                             f"(missing -{format_vector(vec(j))})")
     n = len(scaled)
 
     # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
@@ -359,8 +360,7 @@ def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
     r = len(simple)
     M = [[sign[p] * col[p] for col in cols] for p in simple]
     inv = invert(M)
-    if inv is None or (r < l and rank(vs) != r) or \
-            any(2 * x % M[j][j] for row in M for j, x in enumerate(row)):
+    if inv is None or any(2 * x % M[j][j] for row in M for j, x in enumerate(row)):
         return None, None
     cartan = [[2 * x // M[j][j] for j, x in enumerate(row)] for row in M]
     roots = _close_under_reflections(cartan, r, limit=n)
@@ -371,6 +371,12 @@ def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
     if any(x % d for c in coords for x in c):
         return None, None
     coords = [tuple([x // d for x in c]) for c in coords]
+    # Unless Delta is a basis, the coordinates must rebuild each vector.
+    if r < l:
+        delta = [[sign[p] * x for x in vs[p]] for p in simple]
+        if any(v != tuple([sum(map(mul, c, col)) for col in zip(*delta)])
+               for v, c in zip(vs, coords)):
+            return None, None
     return (coords, cartan) if roots.issuperset(coords) else (None, None)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .lattice import (InputError, InternalError, Lattice, _read_json, format_vector,
                       lattice_from_json_dict, rational_parts)
-from .linalg import Vec, clear_denominators, dot, qvec
+from .linalg import Vec, clear_denominators
 
 
 class EutacticStar:
@@ -126,17 +126,6 @@ def is_eutactic(star: EutacticStar) -> bool:
     return all(acc[i][k] == star.lattice.gram[i][k] for i in range(l) for k in range(l))
 
 
-def embed(star: EutacticStar, x: Sequence) -> Vec:
-    """The pairing tuple ((s_1, x), ..., (s_N, x)); integral for lattice x.
-
-    For a eutactic star this is the isometric embedding of L into Z^N.
-    """
-    x = qvec(x)
-    if len(x) != star.lattice.rank:
-        raise InputError(f"embed: x has length {len(x)}, expected {star.lattice.rank}")
-    return tuple(dot(u, x) for u in star.pairings)
-
-
 def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
     """Number of star vectors lying on the line through v (v nonzero).
 
@@ -144,13 +133,12 @@ def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
     lies on the line through gram v: every 2x2 minor of u_j and w vanishes,
     with w the pairings of v scaled to int.
     """
-    v = qvec(v)
-    if len(v) != star.lattice.rank:
-        raise InputError(f"divisor_multiplicity: v has length {len(v)}, "
-                         f"expected {star.lattice.rank}")
-    if all(x == 0 for x in v):
-        raise InputError("divisor_multiplicity: v must be nonzero")
     (xs,), _ = clear_denominators([v])
+    if len(xs) != star.lattice.rank:
+        raise InputError(f"divisor_multiplicity: v has length {len(xs)}, "
+                         f"expected {star.lattice.rank}")
+    if not any(xs):
+        raise InputError("divisor_multiplicity: v must be nonzero")
     w = [sum(map(mul, r, xs)) for r in star.lattice.gram]
     l = len(w)
     return sum(all(u[i] * w[k] == u[k] * w[i] for i in range(l) for k in range(i))

@@ -29,8 +29,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eustar import certify
-from eustar.certify import (ExtremalityCertificate, b_eval, certify_extremal,
-                            certify_if_extremal, deficiency, min_deficiency)
+from eustar.certify import (ExtremalityCertificate, certify_extremal, certify_if_extremal,
+                            deficiency, min_deficiency)
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
@@ -81,6 +81,12 @@ def grid_min(star, den):
         if best is None or v < best:
             best = v
     return best
+
+
+def b_eval(x):
+    """B(x) = (y - 1/2)^2 / 2 with y = x mod 1 in [0,1): the reference for deficiency."""
+    y = x - math.floor(x)
+    return (y - Q(1, 2)) ** 2 / 2
 
 
 def test_b_eval_values():

@@ -320,6 +320,11 @@ def damaged_root_sets(draw):
 @example(([[1, 0], [0, 1]], [(1, 2), (-1, -2), (1, 0), (-1, 0)]))
 # c = 4/3 for x = (3, 0), y = (2, 1): the image (-2, 1) is integral, not in S.
 @example(([[1, 0], [0, 1]], [(3, 0), (-3, 0), (2, 1), (-2, -1)]))
+# Delta = {(1, 0)} does not span: the coordinate 1 of (1, 1) is integral but
+# does not rebuild it, and the pair ((1, 0), (1, 1)) fails closure.
+@example(([[1, 0], [0, 1]], [(1, 0), (-1, 0), (1, 1), (-1, -1)]))
+# A1 x A1 spans only a plane of the rank-3 lattice, and passes.
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]))
 def test_recognize_matches_fraction_reference(case):
     """recognize reports the same first failing axiom and witness as the
     Fraction reference, and labels exactly the supports that pass it: their

@@ -7,12 +7,10 @@ float.  Every module-level import outside ``__init__.py`` (which re-exports)
 must be used, so a helper that stops needing a module drops its import.
 In linalg.py, Fraction is built only where rational values enter or leave:
 every elimination runs in int.  The product kernel of qseries.py works on
-packed integer keys and builds no Fraction.  star.py never calls
-``Lattice.pairings``: it derives pairings, vectors and support sets from
-integer tuples and builds a Fraction only for a vector it returns or an
-error it reports, so loading a star file never round-trips through Fraction
-pairings.  No module reads the process environment, and the command line
-surface is pinned, so every output depends only on argv and the files named.
+packed integer keys and builds no Fraction.  No module reads the process
+environment, and the command line surface is pinned, so every output depends
+only on argv and the files named.  The library surface, ``eustar.__all__``,
+is pinned too.
 """
 
 import argparse
@@ -21,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import eustar
 from eustar.cli import build_parser
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "eustar").glob("*.py"))
@@ -77,12 +76,11 @@ def test_unused_import_check_sees_functions_passed_as_arguments():
 # that read, return or print rationals.  Every other function works in int.
 FRACTION_EDGES = {
     "__init__.py": set(),
-    "certify.py": {"b_eval", "deficiency", "_search", "certify_extremal",
-                   "certify_if_extremal"},
+    "certify.py": {"deficiency", "_search", "certify_extremal", "certify_if_extremal"},
     "cli.py": set(),
-    "lattice.py": {"parse_rational", "format_rational", "Lattice.pairings"},
-    "linalg.py": {"qvec", "dot", "clear_denominators"},
-    "qseries.py": {"FourierSeries.norm_of", "heat_apply", "check_holomorphic"},
+    "lattice.py": {"format_rational"},
+    "linalg.py": {"clear_denominators"},
+    "qseries.py": {"heat_apply", "check_holomorphic"},
     "rootsys.py": {"_norms", "catalog", "_recognize"},
     "search.py": set(),
     "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled",
@@ -169,17 +167,6 @@ def test_product_kernel_builds_no_fractions():
     assert not PRODUCT_KERNEL & FRACTION_EDGES["qseries.py"]
 
 
-def test_star_never_calls_lattice_pairings():
-    path = next(p for p in SOURCES if p.name == "star.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    attributes = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "pairings"]
-    assert attributes  # the walk does see the stars' own pairings
-    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "pairings"]
-    assert not calls, calls
-
-
 def _environment_reads(tree):
     """Lines that name the process environment: os.environ, os.getenv, or a
     bare environ or getenv imported from os."""
@@ -224,3 +211,22 @@ def test_cli_surface_pinned():
     surface = {name: [s for a in p._actions for s in (a.option_strings or [a.dest])]
                for name, p in sub.choices.items()}
     assert surface == CLI_SURFACE
+
+
+# The names eustar exports.  A new public helper shows up here.
+LIBRARY_SURFACE = [
+    "EutacticStar", "ExtremalityCertificate", "FourierSeries", "InputError",
+    "InternalError", "Lattice", "RecognitionReport", "RootSystemDescriptor",
+    "build_P_lattice", "build_star", "canonical_pairings", "catalog", "catalog_labels",
+    "certify_extremal", "certify_if_extremal", "check_antisymmetry", "check_holomorphic",
+    "check_singular_support", "deficiency", "divisor_multiplicity", "dump_series",
+    "dump_star", "enumerate_stars", "eta_power", "heat_apply", "is_eutactic",
+    "load_lattice", "load_star", "min_deficiency", "recognize", "reflect_series",
+    "star_from_pairings", "star_from_vectors", "support_set", "theta_block",
+    "theta_factor", "verify_theorem",
+]
+
+
+def test_library_surface_pinned():
+    assert sorted(eustar.__all__) == LIBRARY_SURFACE
+    assert all(hasattr(eustar, name) for name in eustar.__all__)
