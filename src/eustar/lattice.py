@@ -12,7 +12,7 @@ import re
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import IntMat, invert, sym_elim
+from .linalg import IntMat, invert
 
 
 class InputError(ValueError):
@@ -80,12 +80,12 @@ class Lattice:
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise InputError(f"Gram matrix is not symmetric at ({i},{j})")
-        # Positive definite iff every pivot (a leading principal minor) is > 0.
-        pivots = sym_elim(self.gram)
-        if pivots is None or any(pivots[k][k] == 0 for k in range(n)):
+        # invert is None unless the Gram matrix is positive definite.
+        inv = invert(self.gram)
+        if inv is None:
             raise InputError("Gram matrix is not positive definite")
         self.rank = n
-        self._dual_gram: tuple[IntMat, int] | None = None
+        self._dual_gram: tuple[IntMat, int] = inv
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.gram == other.gram
@@ -98,11 +98,6 @@ class Lattice:
 
     def dual_gram(self) -> tuple[IntMat, int]:
         """(gi, g) with gram^-1 = gi / g in lowest terms: the Gram of the dual basis."""
-        if self._dual_gram is None:
-            inv = invert(self.gram)
-            if inv is None:
-                raise InternalError("a positive definite Gram matrix has no inverse")
-            self._dual_gram = inv
         return self._dual_gram
 
     def to_json_dict(self) -> dict:

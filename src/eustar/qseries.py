@@ -13,8 +13,11 @@ variable (s_j, z): sum over k of (-1)^k q^{(2k+1)^2/8} zeta^{(2k+1) s_j / 2},
 stored with n24 = 3(2k+1)^2 and w = (2k+1) u_j over z_den 2.  Dedekind eta
 powers supply the q-only factor; a theta block is eta^(eta_exponent - N) times
 the product of the N theta factors.  That is the one product in the package:
-_product computes it on packed integer rows, eta last, and its docstring
-describes the kernel.  The heat, holomorphy and singular-shell checks
+_product reads the star's pairing vectors and builds each factor's rows from
+them, multiplies on packed integer rows, eta last, and truncates every step
+at one slot count, since every factor's lowest exponent is known in advance;
+its docstring describes the kernel.  theta_factor and eta_power give a single
+factor as a series of its own.  The heat, holomorphy and singular-shell checks
 evaluate the integer 12 D (2n - (l, l)) with the matrix gi of
 dual_gram() = (gi, g), gram^-1 = gi / g, and build a Fraction only off the
 shell; reflections map exponents in int over one denominator.
@@ -92,15 +95,8 @@ class FourierSeries:
         self.n24_max = n24_max
         self.character_d = character_d
 
-    @property
-    def min_n24(self) -> int:
-        return min((n for n, _ in self.terms), default=self.n24_max + 1)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __repr__(self) -> str:
         return (f"FourierSeries({len(self.terms)} terms, n24_max={self.n24_max}, "
@@ -174,22 +170,6 @@ def _quad(form: list[list[int]], w: Sequence[int]) -> int:
     return sum(x * sum(map(mul, row, w)) for x, row in zip(w, form))
 
 
-def _packed(s: FourierSeries, scale: int, radix: int, bits: int):
-    """Yield (key, row) per w: key = sum_i scale w_i R^(l-1-i), row = sum_j c_j X^j.
-
-    X = 2^bits, and slot j of the row holds the coefficient of
-    n24 = s.min_n24 + 24 j.  The eta power (w = ()) has the one key 0.
-    """
-    rows: dict = {}
-    base = s.min_n24
-    for (n24, w), c in s.terms.items():
-        key = 0
-        for x in w:
-            key = key * radix + x * scale
-        rows[key] = rows.get(key, 0) + (c << (n24 - base) // 24 * bits)
-    yield from rows.items()
-
-
 def _low_slot(v: int, bits: int) -> int:
     """The index of the lowest nonzero slot of a nonzero row.
 
@@ -220,15 +200,6 @@ def _slots(v: int, bits: int):
         v -= c << j * bits
 
 
-def _groups(rows, bits: int) -> list:
-    """A theta factor's rows +-X^t by lowest slot: (t, t bits, [(key, +-1)]) by t."""
-    groups: dict = {}
-    for k, v in rows:
-        t = _low_slot(v, bits)
-        groups.setdefault(t, []).append((k, v >> t * bits))
-    return sorted((t, t * bits, group) for t, group in groups.items())
-
-
 def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
     """out += outer * groups on rows, with slots past top unknown.
 
@@ -255,69 +226,76 @@ def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
                     out[key] = get(key, 0) - x
 
 
-def _product(lat: Lattice, thetas: Sequence[FourierSeries],
-             eta: FourierSeries) -> FourierSeries:
-    """The truncated product of the theta factors and, last, the eta power.
+def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
+             n24_max: int) -> FourierSeries:
+    """eta^eta_min times the theta factors of the pairings, to n24_max >= low.
 
-    The theta block's kernel, folded left on rows.  Every theta factor is
-    widened once to the common z_den (1 when every pairing has only even
-    entries, else 2), and a z-exponent w of width l becomes the balanced
-    base-R number key = w_1 R^(l-1) + ... + w_l, R = 2 (sum over theta
-    factors of max|w|) + 1; the eta power has the one key 0.  No digit of a
-    partial product exceeds (R-1)/2 in absolute value, so keys add as the w
-    do, key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
+    The theta block's kernel, folded left on rows.  Every theta factor starts
+    at n24 = 3 and eta at eta_min, so every term has n24 = low + 24 j with
+    low = 3 N + eta_min, and one slot count top = (n24_max - low) // 24
+    holds at every step: slot j of a partial product, times the lowest terms
+    of the factors still to come, lands on n24 = low + 24 j, so it can reach
+    the output iff j <= top.
+
+    z-exponents are taken over d = 1 when every pairing entry is even, else
+    d = 2, and a z-exponent w of width l becomes the balanced base-R number
+    key = w_1 R^(l-1) + ... + w_l.  The factor of u has, for k = 0 ... K
+    with K (K+1)/2 <= top, the two rows +-(2k+1) b with value +-(-1)^k X^t,
+    t = k (k+1)/2 and b the key of u d/2; so R = 2 sum_u (2K+1) max|u| d/2
+    + 1, and no digit of a partial product exceeds (R-1)/2 in absolute
+    value: keys add as the w do, key(-w) = -key(w), and key > 0 iff the
+    first nonzero w_i is > 0.
 
     A partial product maps each key to one int, its row: sum_j c_j X^j with
-    X = 2^bits, slot j holding the coefficient of n24 = low + 24 j, low the
-    sum of the factors' lowest exponents (every factor has a character).
+    X = 2^bits and slot j holding the coefficient of n24 = low + 24 j.
     Slots are balanced, c_j in [-2^(bits-1), 2^(bits-1)), so rows add and
-    multiply as the q-polynomials do.  bits = bitlength(B) + 1 for B the
-    product of the factors' ||s||_1: every partial sum of a coefficient is a
-    sum of distinct products of factor terms, at most B in absolute value,
-    so no slot carries.
+    multiply as the q-polynomials do.  bits = bitlength((2K+2)^N ||eta||_1)
+    + 1: every partial sum of a coefficient is a sum of distinct products of
+    factor terms, at most that product in absolute value, so no slot carries.
 
-    A theta factor's rows are monomials +-X^t, its +odd and -odd rows on one
-    t.  Grouped by t, read off v & -v, they meet a stored row v1 through one
-    shift x = v1 X^t, added as +x or -x, and the scan stops at the first t
-    whose pair starts past the cap.  The dense eta row meets each stored row
-    in one big-int multiply, cut after the last slot that can reach the cap
-    from that row's lowest slot; each cut is formed once.  Each step's cap
-    is min(cap + s.min, s.cap + low), sound since low bounds the partial
-    product's min from below.  Slots past a step's top slot stay in the rows
-    unread: the next step, and the final decode, cut each row after top by
-    one balanced mask, exact since those slots are multiples of X^(top+1).
-    The decode reads the slot of the lowest set bit and subtracts it, one
-    step per nonzero coefficient.
+    A theta factor's rows are monomials, its +-(2k+1) b rows on one t.  They
+    meet a stored row v1 through one shift x = v1 X^t, added as +x or -x,
+    and the scan stops at the first t whose pair starts past top.  The
+    dense eta row meets each stored row in one big-int multiply, cut after
+    the last slot that can reach top from that row's lowest slot; each cut
+    is formed once.  Slots past top stay in the rows unread: the next step,
+    and the final decode, cut each row after top by one balanced mask,
+    exact since those slots are multiples of X^(top+1).  The decode reads
+    the slot of the lowest set bit and subtracts it, one step per nonzero
+    coefficient.
 
     Theta factors are odd in z and eta even, so every partial product has a
-    parity eps = +-1 and is stored by its rows with key >= 0.  A theta step
-    multiplies the stored rows with w != 0 by every row of the factor; a
-    product row with key < 0 is the mirror of an unstored one, so it moves
-    to -key times eps, and one with key 0 adds to itself.  A stored w = 0
-    row is its own mirror and meets only the factor's keys >= 0.  That
-    halves the pairs; the eta step keeps every key, and the decode emits
-    both mirror terms.
+    parity eps = +-1 and is stored by its rows with key >= 0; the fold
+    starts from the even row {0: 1}.  A theta step multiplies the stored
+    rows with w != 0 by every row of the factor; a product row with key < 0
+    is the mirror of an unstored one, so it moves to -key times eps, and one
+    with key 0 adds to itself.  A stored w = 0 row is its own mirror and
+    meets only the factor's keys >= 0.  That halves the pairs; the eta step
+    keeps every key, and the decode emits both mirror terms.
     """
     width = lat.rank
-    d = math.lcm(*(s.z_den for s in thetas))
-    half = sum(max(abs(x) for _, w in s.terms for x in w) * (d // s.z_den) for s in thetas)
+    low = 3 * len(pairings) + eta_min
+    top = (n24_max - low) // 24
+    d = 1 if all(x % 2 == 0 for u in pairings for x in u) else 2
+    K = (math.isqrt(8 * top + 1) - 1) // 2  # the largest K with K (K+1)/2 <= top
+    half = (2 * K + 1) * sum(max(map(abs, u)) for u in pairings) * d // 2
     radix = 2 * half + 1
-    char = sum(s.character_d for s in (*thetas, eta)) % 24
-    bits = math.prod(sum(map(abs, s.terms.values())) for s in (*thetas, eta)).bit_length() + 1
-    first = thetas[0]
-    cap, low = first.n24_max, first.min_n24
+    eta = eta_power(eta_min, n24_max - low + eta_min).terms
+    bits = ((2 * K + 2) ** len(pairings) * sum(map(abs, eta.values()))).bit_length() + 1
+    # (t, t bits, 2k+1, (-1)^k) for the rows of index k.
+    steps = [(k * (k + 1) // 2, k * (k + 1) // 2 * bits, 2 * k + 1, 1 - 2 * (k % 2))
+             for k in range(K + 1)]
     # A partial product keeps its rows with key >= 0, and sign is its parity.
-    out = {k: v for k, v in _packed(first, d // first.z_den, radix, bits) if k >= 0}
-    sign = -1
-    for s in thetas[1:]:
-        cap = min(cap + s.min_n24, s.n24_max + low)
-        low += s.min_n24
-        top = (cap - low) // 24
-        rows = list(_packed(s, d // s.z_den, radix, bits))
+    out, sign = {0: 1}, 1
+    for u in pairings:
+        b = 0
+        for x in u:
+            b = b * radix + x * d // 2
+        groups = [(t, shift, [(o * b, c), (-o * b, -c)]) for t, shift, o, c in steps]
         # An odd partial product has no row with w = 0.
         w_zero = out.pop(0, 0)
         outer, out = out, {}
-        _accumulate(out, outer.items(), _groups(rows, bits), top, bits)
+        _accumulate(out, outer.items(), groups, top, bits)
         del outer
         # The unstored mirror half adds sign times the mirror of each row:
         # one with key < 0 moves to -key, one with key 0 becomes v + sign v.
@@ -327,14 +305,12 @@ def _product(lat: Lattice, thetas: Sequence[FourierSeries],
             out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
         # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
         if w_zero:
-            _accumulate(out, [(0, w_zero)], _groups([r for r in rows if r[0] >= 0], bits),
+            _accumulate(out, [(0, w_zero)],
+                        [(t, shift, [r for r in g if r[0] >= 0]) for t, shift, g in groups],
                         top, bits)
-    cap = min(cap + eta.min_n24, eta.n24_max + low)
-    low += eta.min_n24
-    top = (cap - low) // 24
-    m = 1 << bits * max(top + 1, 0)
+    m = 1 << bits * (top + 1)
     # eta's lowest coefficient is 1, in slot 0 of its one row.
-    [(_, eta_row)] = _packed(eta, 1, radix, bits)
+    eta_row = sum(c << (n24 - eta_min) // 24 * bits for (n24, _), c in eta.items())
     cuts: dict = {}  # stop -> eta_row cut after slot stop (0 for stop < 0)
     for key, v in out.items():
         v = _cut(v, m)
@@ -361,7 +337,7 @@ def _product(lat: Lattice, thetas: Sequence[FourierSeries],
             if mirror:
                 terms[(n24, mirror)] = sign * c
     del out  # free the rows before the constructor copies the decoded terms
-    return FourierSeries(lat, d, terms, cap, character_d=char)
+    return FourierSeries(lat, d, terms, n24_max, character_d=low % 24)
 
 
 def theta_block(star: EutacticStar, eta_exponent: int | None = None,
@@ -375,25 +351,12 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
         eta_exponent = star.lattice.rank
     if not is_eutactic(star):
         warnings.warn("theta_block of a non-eutactic star", RuntimeWarning, stacklevel=2)
-    n = star.size
-    eta_min = eta_exponent - n
-    total_min = 3 * n + eta_min
-    want = total_min % 24
-    if n24_max < total_min:
-        # Every term has n24 >= total_min, so the block is exactly 0 this far.
-        return FourierSeries(star.lattice, 1, {}, n24_max, character_d=want)
-    # A factor of lowest exponent m is needed to n24_max - (total_min - m).
-    # The dense q-only eta power goes last, so no partial product carries it.
-    thetas = [theta_factor(star, j, n24_max - total_min + 3) for j in range(n)]
-    eta = eta_power(eta_min, n24_max - total_min + eta_min)
-    # Each theta factor starts at 3 and eta at eta_min, so the kernel's cap
-    # is n24_max itself and the product is the block as it stands.
-    out = _product(star.lattice, thetas, eta)
-    if out.n24_max != n24_max:
-        raise InternalError(f"product exact to n24 {out.n24_max}, not {n24_max}")
-    if out.character_d != want:
-        raise InternalError(f"block character {out.character_d}, expected {want}")
-    return out
+    eta_min = eta_exponent - star.size
+    low = 3 * star.size + eta_min
+    if n24_max < low:
+        # Every term has n24 >= low, so the block is exactly 0 this far.
+        return FourierSeries(star.lattice, 1, {}, n24_max, character_d=low % 24)
+    return _product(star.lattice, star.pairings, eta_min, n24_max)
 
 
 def heat_apply(s: FourierSeries) -> FourierSeries:

@@ -340,11 +340,8 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice,
                     key=lambda k: positive[simple[k]])
         ids = [positive[simple[k]] for k in ks]
         a = tuple(tuple(cartan[i][j] for j in ks) for i in ks)
-        label = _match_type(a)
-        if label is None:
-            return _fail("unrecognized-component", tuple(vec(i) for i in ids))
         components.append({
-            "label": label,
+            "label": _match_type(a),
             "simple_roots": sorted(tuple(Q(x, den) for x in scaled[i]) for i in ids),
             "cartan": a,
         })
@@ -432,12 +429,17 @@ def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionRep
     return None
 
 
-def _match_type(a: Sequence[Sequence[int]]) -> str | None:
-    """Match a simple-root Cartan matrix against the catalog diagrams.
+def _match_type(a: Sequence[Sequence[int]]) -> str:
+    """The type of a connected simple-root Cartan matrix, of any rank.
 
-    The Cartan matrix is compared with each diagram of its rank, by a profile
-    of its edges and then by isomorphism; no catalog entry is built.  The
-    Cartan matrix determines the root system, so the diagram names it.
+    The Cartan matrix is compared with the diagram of each family that
+    exists at its rank (A, B, C and D have every rank from 1, 2, 3 and 4;
+    E6-E8, F4 and G2 one each), by a profile of its edges and then by
+    isomorphism; no catalog entry is built, so ranks past the catalog's are
+    named too.  The Cartan matrix determines the root system, so the diagram
+    names it.  A connected Cartan matrix with a positive definite form is of
+    finite type (Humphreys 11.4), and recognition passes only those here, so
+    a miss is an InternalError.
     """
     r = len(a)
 
@@ -461,11 +463,9 @@ def _match_type(a: Sequence[Sequence[int]]) -> str | None:
         return False
 
     prof = profile(a)
-    for lab in catalog_labels():
-        family, rk = parse_label(lab)
-        if rk != r:
-            continue
-        ref = cartan_matrix_for(family, rk)
-        if profile(ref) == prof and isomorphic(ref, []):
-            return lab
-    return None
+    for family in "ABCDEFG":
+        if _MIN_RANK[family] <= r and (family in "ABCD" or r <= _MAX_RANK[family]):
+            ref = cartan_matrix_for(family, r)
+            if profile(ref) == prof and isomorphic(ref, []):
+                return f"{family}{r}"
+    raise InternalError(f"a Cartan matrix of finite type matches no diagram: {a}")

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from eustar import lattice
-from eustar.lattice import (InputError, InternalError, Lattice, format_rational,
+from eustar.lattice import (InputError, Lattice, format_rational,
                             format_vector, lattice_from_json_dict, load_lattice,
                             rational_parts)
 from eustar.rootsys import build_P_lattice, catalog, catalog_labels
@@ -141,9 +141,10 @@ def test_json_errors(tmp_path):
 
 
 def test_dual_gram_inverse_check(monkeypatch):
+    # The inversion at construction is the positive-definiteness test.
     monkeypatch.setattr(lattice, "invert", lambda m: None)
-    with pytest.raises(InternalError):
-        Lattice([[2, 1], [1, 2]]).dual_gram()
+    with pytest.raises(InputError, match="not positive definite"):
+        Lattice([[2, 1], [1, 2]])
 
 
 def test_dual_gram_under_unimodular_change_of_basis():
@@ -187,4 +188,4 @@ def test_dual_gram_on_catalog_lattices():
         assert g > 0 and math.gcd(g, *(x for row in gi for x in row)) == 1, label
         assert [[sum(gi[i][k] * lat.gram[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)] == [[g * (i == j) for j in range(n)] for i in range(n)]
-        assert lat.dual_gram() is lat.dual_gram()  # computed once, then cached
+        assert lat.dual_gram() is lat.dual_gram()  # computed once, at construction

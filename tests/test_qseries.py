@@ -130,6 +130,11 @@ def test_eta_powers_multiply():
             assert prod.character_d == want.character_d
 
 
+def min_n24(s):
+    """The lowest exponent of s, or one past its cap when s is zero."""
+    return min((n for n, _ in s.terms), default=s.n24_max + 1)
+
+
 def test_constructor_normalization():
     lat = Lattice([[2, 1], [1, 2]])
     s = FourierSeries(lat, 4, {(0, (2, 2)): 1, (5, (0, 0)): 0}, 10)
@@ -138,7 +143,7 @@ def test_constructor_normalization():
     empty = FourierSeries(lat, 6, {}, 10)
     assert empty.z_den == 1
     assert empty.is_zero()
-    assert empty.min_n24 == 11
+    assert min_n24(empty) == 11
     with pytest.raises(InputError):
         FourierSeries(lat, 0, {}, 10)
     with pytest.raises(InputError):
@@ -175,10 +180,13 @@ def test_trimming():
 
 def test_theta_block_a1_is_single_factor(a1_star):
     # Rank 1 with one vector: the eta exponent is zero, leaving the bare theta.
-    block = theta_block(a1_star, n24_max=120)
-    theta = theta_factor(a1_star, 0, 120)
-    assert block.terms == theta.terms
-    assert block.character_d == 3
+    # The pairing (2) has only even entries, so its exponents are integers.
+    even = star_from_pairings(Lattice([[4]]), [(2,)])
+    for star, z_den in ((a1_star, 2), (even, 1)):
+        block = theta_block(star, n24_max=120)
+        theta = theta_factor(star, 0, 120)
+        assert block.terms == theta.terms
+        assert (block.z_den, block.character_d) == (z_den, 3)
 
 
 def test_theta_block_below_lowest_exponent(two_vector_star, a2_star):
@@ -189,7 +197,7 @@ def test_theta_block_below_lowest_exponent(two_vector_star, a2_star):
             block = theta_block(star, eta_exponent=eta, n24_max=order)
             assert block.is_zero() and block.n24_max == order
             assert block.character_d == low % 24
-        assert theta_block(star, eta_exponent=eta, n24_max=low).min_n24 == low
+        assert min_n24(theta_block(star, eta_exponent=eta, n24_max=low)) == low
 
 
 def test_theta_block_two_vector_frozen(two_vector_star):
@@ -304,7 +312,7 @@ def reference_multiply(a, b):
     width = lat.rank if lat is not None else 0
     d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
     sa, sb = d // a.z_den, d // b.z_den
-    cap = min(a.n24_max + b.min_n24, b.n24_max + a.min_n24)
+    cap = min(a.n24_max + min_n24(b), b.n24_max + min_n24(a))
     char = None
     if a.character_d is not None and b.character_d is not None:
         char = (a.character_d + b.character_d) % 24
@@ -454,13 +462,13 @@ def test_a3_product_chain_sizes_pinned():
 
 def test_a3_eta_last_chain_sizes_pinned():
     # theta_block's own order, theta_1 ... theta_6 then eta^-3 at order 720.
-    # The kernel on the first k theta factors and eta^0 = 1 stops at the
-    # fold's k-th partial product, so each prefix gives one step's size.
+    # The kernel on the first k pairings and eta^0 = 1, to the order that
+    # keeps the block's slot count, stops at the fold's k-th partial
+    # product, so each prefix gives one step's size.
     star = build_star(catalog("A3"))
-    total_min = 3 * 6 - 3
-    thetas = [theta_factor(star, j, 720 - total_min + 3) for j in range(6)]
-    steps = [qseries._product(star.lattice, thetas[:k], eta_power(0, 720)) for k in range(2, 7)]
-    steps.append(qseries._product(star.lattice, thetas, eta_power(-3, 720 - total_min - 3)))
+    pairings = star.pairings
+    steps = [qseries._product(star.lattice, pairings[:k], 0, 705 + 3 * k) for k in range(2, 7)]
+    steps.append(qseries._product(star.lattice, pairings, -3, 720))
     assert [len(s.terms) for s in steps] == [188, 1904, 11832, 32772, 13536, 2928]
     assert steps[-1].n24_max == 720
     assert steps[-1].terms == theta_block(star, n24_max=720).terms

@@ -22,7 +22,7 @@ from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
                             catalog, catalog_labels, parse_label, recognize,
                             recognize_star)
-from eustar.star import dump_star, is_eutactic, support_set
+from eustar.star import EutacticStar, dump_star, is_eutactic, support_set
 
 from conftest import change_basis, random_unimodular
 from test_linalg import det, gauss_jordan_rank
@@ -355,6 +355,25 @@ def test_match_type_builds_only_the_returned_entry():
         assert catalog.cache_info().misses == 0
     finally:
         catalog.cache_clear()
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_recognize_names_components_past_the_catalog(family):
+    # The catalog stops at rank 8; recognition names every rank.  The star
+    # of the positive roots on the lattice with Gram sum r r^T is eutactic.
+    cartan = rootsys.cartan_matrix_for(family, 9)
+    positive = [r for r in rootsys._close_under_reflections(cartan, 9) if min(r) >= 0]
+    gram = [[sum(r[i] * r[j] for r in positive) for j in range(9)] for i in range(9)]
+    star = EutacticStar(Lattice(gram), positive)
+    assert is_eutactic(star)
+    assert recognize_star(star).label == f"{family}9"
+
+
+def test_match_type_miss_is_internal_error():
+    # Recognition passes only Cartan matrices of finite type; the affine
+    # A1 matrix matches no diagram.
+    with pytest.raises(InternalError, match="matches no diagram"):
+        rootsys._match_type(((2, -2), (-2, 2)))
 
 
 @pytest.mark.parametrize("label", catalog_labels())

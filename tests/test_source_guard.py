@@ -153,11 +153,10 @@ def test_fraction_uses_sees_calls_and_names_passed_on():
     assert [name for name, _ in _fraction_uses(ast.parse(code))] == ["g", "C.h"]
 
 
-# The theta block's product kernel in qseries.py: row packing, lowest slot,
-# balanced cut, rows grouped by lowest slot, row pair loop, fold, eta step
-# and truncation, set-bit slot decode.  It works on packed integer keys.
-PRODUCT_KERNEL = {"_packed", "_low_slot", "_cut", "_groups", "_accumulate", "_product",
-                  "_slots"}
+# The theta block's product kernel in qseries.py: lowest slot, balanced cut,
+# row pair loop, fold with rows built from the pairings, eta step and
+# truncation, set-bit slot decode.  It works on packed integer keys.
+PRODUCT_KERNEL = {"_low_slot", "_cut", "_accumulate", "_product", "_slots"}
 
 
 def test_product_kernel_builds_no_fractions():
