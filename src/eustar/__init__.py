@@ -7,7 +7,7 @@ from .certify import (ExtremalityCertificate, certify_extremal, certify_if_extre
 from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
                       check_singular_support, dump_series, eta_power, heat_apply,
-                      reflect_series, theta_block, theta_factor)
+                      reflect_series, theta_block)
 from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
                       build_star, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
@@ -20,7 +20,7 @@ __all__ = [
     "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
     "dump_series", "eta_power", "heat_apply", "reflect_series",
-    "theta_block", "theta_factor", "RecognitionReport", "RootSystemDescriptor",
+    "theta_block", "RecognitionReport", "RootSystemDescriptor",
     "build_P_lattice", "build_star", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",
     "EutacticStar", "divisor_multiplicity", "dump_star", "is_eutactic",

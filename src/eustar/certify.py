@@ -23,8 +23,11 @@ the search runs over the classes k mod U Z^l:
     rank pass, then exchanges while one lowers |det U_I|; 1 for root stars);
     U_I^-1 = V / v is taken as (U_I^T U_I)^-1 U_I^T, so the only inverse
     computed is that of a positive definite Gram matrix;
-  * k_I runs over the |det U_I| representatives of Z^l / U_I Z^l, read off the
-    Hermite normal form diagonal; each class has exactly one k with k_I there;
+  * k_I runs over |det U_I| representatives of Z^l / U_I Z^l, keyed by
+    V k mod v: k and k' share a class iff U_I^-1 (k - k') is integral.  Each
+    class of k mod U Z^l has exactly one k with k_I there, and which
+    representative is taken does not matter, as q and the witness are
+    class invariants;
   * with k_I fixed, q is the positive definite form A = P_JJ on the other
     N - l coordinates, centred at U_J U_I^-1 (k_I + h_I) - h_J, with no
     constant term (the Schur complement of A in P is 0, as P has rank N - l);
@@ -64,12 +67,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
-from .linalg import Vec, clear_denominators, hnf_diagonal, invert, sym_elim
+from .linalg import Vec, clear_denominators, invert, sym_elim
 from .star import EutacticStar, is_eutactic
 
 
@@ -150,6 +152,25 @@ def _pick_rows(U: Sequence[Sequence[int]], l: int) -> tuple[list[int], list[list
             order = sorted(range(l), key=rows.__getitem__)
             return [rows[a] for a in order], [[row[a] for a in order] for row in V], v
         rows[best[1]] = best[2]
+
+
+def _classes(V: Sequence[Sequence[int]], v: int) -> list[tuple[int, ...]]:
+    """One k from each class of Z^l / U_I Z^l, for U_I^-1 = V / v.
+
+    k and k' share a class iff V (k - k') = 0 mod v.  A breadth-first search
+    from k = 0 adds unit vectors, which generate Z^l, keyed by V k mod v.
+    """
+    cols = list(zip(*V))  # V e_i
+    zero = (0,) * len(V)
+    classes = {zero: zero}  # V k mod v -> k
+    queue = [(zero, zero)]
+    for key, k in queue:
+        for i, col in enumerate(cols):
+            nxt = tuple([(a + b) % v for a, b in zip(key, col)])
+            if nxt not in classes:
+                classes[nxt] = step = k[:i] + (k[i] + 1,) + k[i + 1:]
+                queue.append((nxt, step))
+    return list(classes.values())
 
 
 def _close_points(r: Sequence[Sequence[int]], den: int, num: Sequence[int],
@@ -248,7 +269,7 @@ def _search(star: EutacticStar, radius: Q | None,
     # f = q / 2 < stop_below iff the integer numerator is < 2 stop_below scale.
     below = 0 if stop_below is None else -(-2 * stop_below.numerator * scale
                                            // stop_below.denominator)
-    reps = list(product(*(range(h) for h in hnf_diagonal([U[i] for i in I]))))
+    reps = _classes(V, v)
     # x = G^-1 U^T (k + h) = sum_j (2 k_j + 1) W_j / (2g) with W_j = gi u_j; the
     # witness is x mod 1, kept as numerators over 2g.  W_I is summed once per
     # k_I, and W_J is kept by columns.

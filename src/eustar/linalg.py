@@ -6,8 +6,8 @@ which also carries right-hand-side columns through the same steps.
 definite form in int, which is how ``eustar.certify`` enumerates lattice
 points.  A rational matrix reaches it through ``clear_denominators``, the one
 place that scales to int by the lcm of the denominators; ``invert`` returns
-one integer matrix over one denominator.  ``hnf_diagonal`` is the one other
-reduction: integer column operations, for a set of coset representatives.
+one integer matrix over one denominator.  No other reduction is kept: the
+coset representatives of ``eustar.certify`` are read off such an inverse.
 """
 
 from __future__ import annotations
@@ -92,32 +92,3 @@ def invert(a: Sequence[Sequence]) -> tuple[IntMat, int] | None:
                 for c in range(n)]
     g = math.gcd(det, *(v for row in x for v in row))
     return tuple(tuple(v // g for v in row) for row in x), det // g
-
-
-def hnf_diagonal(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal of the lower Hermite normal form of a nonsingular integer matrix.
-
-    Integer column operations make m lower triangular with diagonal h; the
-    box prod_i range(h[i]) is then a complete set of representatives of
-    Z^n / m Z^n, and prod(h) = |det m|.
-    """
-    a = [[int(x) for x in row] for row in m]
-    n = len(a)
-    for i in range(n):
-        while True:
-            live = [j for j in range(i, n) if a[i][j] != 0]
-            if not live:
-                raise ValueError("hnf_diagonal expects a nonsingular matrix")
-            p = min(live, key=lambda j: abs(a[i][j]))
-            for row in a:
-                row[i], row[p] = row[p], row[i]
-            done = True
-            for j in range(i + 1, n):
-                f = a[i][j] // a[i][i]
-                if f:
-                    for row in a:
-                        row[j] -= f * row[i]
-                done = done and a[i][j] == 0
-            if done:
-                break
-    return tuple(abs(a[i][i]) for i in range(n))

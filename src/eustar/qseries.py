@@ -16,16 +16,17 @@ the product of the N theta factors.  That is the one product in the package:
 _product reads the star's pairing vectors and builds each factor's rows from
 them, multiplies on packed integer rows, eta last, and truncates every step
 at one slot count, since every factor's lowest exponent is known in advance;
-its docstring describes the kernel.  theta_factor and eta_power give a single
-factor as a series of its own.  The heat, holomorphy and singular-shell checks
+its docstring describes the kernel.  eta_power gives the eta factor as a
+series of its own.  The heat, holomorphy and singular-shell checks
 evaluate the integer 12 D (2n - (l, l)) with the matrix gi of
 dual_gram() = (gi, g), gram^-1 = gi / g, and build a Fraction only off the
 shell; reflections map exponents in int over one denominator.
 
-Observed on the repeated-vector star over the rank-one even lattice, and left
-here as an unproven remark: the worst holomorphy deficit 2n - (l, l) of the
-block equals twice the gap between the star's minimum deficiency and its
-extremality threshold.  Nothing in the package relies on this.
+With the default eta exponent, the lattice rank, the least 2n - (l, l) over
+the terms of a star's block is 2 (min f - (N - rank)/24), with f the
+deficiency of eustar.certify, so the block is holomorphic iff the star is
+extremal (Gritsenko, Skoruppa and Zagier, Theta blocks, arXiv:1907.00188).
+The tests check the identity against the certificate.
 """
 
 from __future__ import annotations
@@ -111,23 +112,6 @@ class FourierSeries:
             return [], 1
         gi, g = self.lattice.dual_gram()
         return gi, g * self.z_den ** 2
-
-
-def theta_factor(star: EutacticStar, j: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
-    """The odd theta series attached to star vector j (sum side)."""
-    if not 0 <= j < star.size:
-        raise InputError(f"theta_factor: no vector {j} in a star of size {star.size}")
-    u = star.pairings[j]
-    terms = {}
-    k = 0
-    while 3 * (2 * k + 1) ** 2 <= n24_max:
-        for odd in (2 * k + 1, -(2 * k + 1)):
-            # (-1)^k for odd = 2k+1; oddness of the index pairs +odd with -odd
-            # at the opposite sign, keeping the series odd in z.
-            sign = (1 if k % 2 == 0 else -1) * (1 if odd > 0 else -1)
-            terms[(3 * odd * odd, tuple(odd * c for c in u))] = sign
-        k += 1
-    return FourierSeries(star.lattice, 2, terms, n24_max, character_d=3 % 24)
 
 
 def _pentagonal(order: int) -> list[tuple[int, int]]:

@@ -207,9 +207,10 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     The axioms, in order: no proper integer multiples, mutual distinctness,
     closure under the reflections x -> x - (2(v, x)/(v, v)) v, and integrality
     of all ratios 2(x, y)/(x, x); the first failing pair in index order is the
-    witness.  A passing S is split into orthogonal components, each named by
-    its Dynkin diagram, so the verdict is invariant under rescaling S.  S is
-    scaled to int by a common denominator, and every check runs in int.
+    witness, as Fraction tuples.  A passing S is split into orthogonal
+    components, each named by its Dynkin diagram, so the verdict is invariant
+    under rescaling S.  S is scaled to int by a common denominator, and every
+    check runs in int.
 
     Past the first two axioms, x -> -x pairs the indices of S; the indices
     before their negation's are the representatives.  A generic functional f
@@ -236,7 +237,7 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     if len(S) == 0:
         raise InputError("recognize: S is empty")
     ints, den = clear_denominators(S)
-    return _recognize([tuple(v) for v in ints], den, lattice, S)
+    return _recognize([tuple(v) for v in ints], den, lattice)
 
 
 def recognize_star(star: EutacticStar) -> RecognitionReport:
@@ -245,12 +246,11 @@ def recognize_star(star: EutacticStar) -> RecognitionReport:
     return _recognize(support, g, star.lattice)
 
 
-def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice,
-               S: Sequence[Sequence] | None = None) -> RecognitionReport:
-    """recognize on S = scaled / den; a witness is S's own vector when S is given."""
+def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> RecognitionReport:
+    """recognize on S = scaled / den; a witness is a vector of S, in Fraction."""
 
     def vec(i):
-        return S[i] if S is not None else tuple(Q(x, den) for x in scaled[i])
+        return tuple(Q(x, den) for x in scaled[i])
 
     for j, v in enumerate(scaled):
         if len(v) != lattice.rank:
@@ -383,7 +383,7 @@ def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionRep
     fails exactly when (-x, y), (x, -y) and (-x, -y) do, so that pair is one
     of representatives: only pair[p][q] = (v_p, v_q) on them is computed.
     """
-    m, l, g = len(vs), lattice.rank, lattice.gram
+    m, g = len(vs), lattice.gram
     gs = [[sum(map(mul, row, v)) for row in g] for v in vs]
     pair = [[0] * m for _ in range(m)]
     for p, x in enumerate(vs):
@@ -391,33 +391,18 @@ def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionRep
         for q in range(p + 1):
             row[q] = pair[q][p] = sum(map(mul, x, gs[q]))
 
-    # An image y - c x with integer c is looked up by its key, sum_a v_a R^a:
-    # key is linear, so key(y - c x) = key(y) - c key(x).  By Cauchy-Schwarz,
-    # c^2 <= 4 (y, y) / (x, x), so |c| <= cmax, and every entry of y - c x - w
-    # for w in S is at most (2 + cmax) times the largest entry of S, which is
-    # less than R; then equal keys mean equal vectors.  A pair with
-    # c = t/(x, x) not an integer has the image ((x, x) y - t x)/(x, x),
-    # tested on its integer numerators.
-    norms = [pair[p][p] for p in range(m)]
-    cmax = math.isqrt(4 * max(norms) // min(norms))
-    R = (2 + cmax) * max(abs(a) for v in vs for a in v) + 1
-    powers = [R ** a for a in range(l)]
-    keys = [sum(map(mul, v, powers)) for v in vs]
-    kset = set(keys) | {-k for k in keys}
+    # The image y - c x, c = t/(x, x), has the integer numerators
+    # (x, x) y - t x; it is in S iff each divides by (x, x) and the quotient
+    # is in sset.
     integral = True
-    for p, kx in enumerate(keys):
-        npp, row = norms[p], pair[p]
-        for q, ky in enumerate(keys):
+    for p, x in enumerate(vs):
+        npp, row = pair[p][p], pair[p]
+        for q, y in enumerate(vs):
             t = 2 * row[q]
             if t == 0:
                 continue
-            c, r = divmod(t, npp)
-            if r == 0:
-                if ky - c * kx in kset:
-                    continue
-                return _fail("reflection-closure", (vec(reps[p]), vec(reps[q])))
-            integral = False
-            img = [npp * b - t * a for a, b in zip(vs[p], vs[q])]
+            integral = integral and t % npp == 0
+            img = [npp * b - t * a for a, b in zip(x, y)]
             if any(z % npp for z in img) or tuple([z // npp for z in img]) not in sset:
                 return _fail("reflection-closure", (vec(reps[p]), vec(reps[q])))
     # Unless some pair had c not an integer, every 2(x, y)/(x, x) was one.

@@ -17,8 +17,7 @@ from eustar.certify import certify_extremal, deficiency, min_deficiency
 from eustar.cli import main
 from eustar.lattice import Lattice
 from eustar.qseries import (check_antisymmetry, check_holomorphic,
-                            check_singular_support, heat_apply, theta_block,
-                            theta_factor)
+                            check_singular_support, heat_apply, theta_block)
 from eustar.rootsys import build_star, catalog, catalog_labels, recognize
 from eustar.search import enumerate_stars, verify_theorem
 from eustar.star import (divisor_multiplicity, is_eutactic, star_from_vectors,
@@ -122,10 +121,11 @@ def test_acceptance_4_singular_weight_blocks():
 
 
 def test_acceptance_5_theta_triple_product(a1_star):
-    theta = theta_factor(a1_star, 0, 240)
+    # One vector on a rank-one lattice: eta^0 times the bare theta factor.
+    theta = theta_block(a1_star, eta_exponent=1, n24_max=240)
     got = {(n, w[0]): c for (n, w), c in theta.terms.items()}
-    ok = theta.z_den == 2 and got == product_side_theta(240)
-    _verdict(5, ok, "theta sum side equals the product side expansion "
+    ok = (theta.z_den, theta.character_d) == (2, 3) and got == product_side_theta(240)
+    _verdict(5, ok, "the A1 theta block equals the product side expansion "
                     "coefficientwise to order 240")
 
 

@@ -20,7 +20,7 @@ and witness must match it exactly.
 import math
 import random
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 from operator import add
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from eustar.search import enumerate_stars
 from eustar.star import load_star, star_from_vectors
 
 from conftest import rational_point
-from test_linalg import det, gauss_jordan_inverse
+from test_linalg import det, dot, gauss_jordan_inverse
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -296,6 +296,28 @@ def test_pick_rows_inverse_follows_sorted_rows(label):
         assert rows == sorted(rows)
         inv = gauss_jordan_inverse([star.pairings[i] for i in rows])
         assert tuple(tuple(Q(x, v) for x in row) for row in V) == inv
+
+
+def test_classes_are_coset_representatives():
+    # _classes lists |det a| vectors of Z^n, pairwise inequivalent mod a Z^n:
+    # v - w is in a Z^n iff a^-1 (v - w) is integral, by the test's own inverse.
+    assert sorted(certify._classes(*certify._inverse([[2, 0], [0, 3]]))) == \
+        sorted(product(range(2), range(3)))
+    rng = random.Random(5)
+    for _ in range(25):
+        n = rng.randrange(1, 5)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        d = det(a)
+        if d == 0:
+            continue
+        reps = certify._classes(*certify._inverse(a))
+        assert len(reps) == abs(d) and len(set(reps)) == len(reps)
+        if abs(d) > 40:
+            continue
+        inv = gauss_jordan_inverse(a)
+        for v, w in combinations(reps, 2):
+            diff = [x - y for x, y in zip(v, w)]
+            assert any(dot(row, diff).denominator != 1 for row in inv)
 
 
 def _form_value(A, den, num, k):

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as Q
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from operator import mul
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eustar import linalg
-from eustar.linalg import clear_denominators, hnf_diagonal, invert, sym_elim
+from eustar.linalg import clear_denominators, invert, sym_elim
 
 from conftest import as_fractions
 
@@ -293,30 +293,3 @@ def test_ldl_completes_the_square():
                            for i in range(n))
     assert sym_elim([[1, 2], [2, 1]]) is None  # indefinite
     assert sym_elim([]) == []
-
-
-def test_hnf_diagonal():
-    assert hnf_diagonal([[2, 0], [0, 3]]) == (2, 3)
-    assert hnf_diagonal([[2, 1], [0, 3]]) == (1, 6)
-    assert hnf_diagonal([[1, 0], [0, 1]]) == (1, 1)
-    assert hnf_diagonal([[-1, 1], [1, 1]]) == (1, 2)
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        d = det(a)
-        if d == 0:
-            with pytest.raises(ValueError):
-                hnf_diagonal(a)
-            continue
-        h = hnf_diagonal(a)
-        assert all(x > 0 for x in h)
-        assert abs(d) == math.prod(h)
-        if abs(d) > 40:
-            continue
-        # The box prod range(h_i) holds |det| pairwise inequivalent classes.
-        inv = gauss_jordan_inverse(a)
-        box = list(product(*(range(x) for x in h)))
-        for v, w in combinations(box, 2):
-            diff = [x - y for x, y in zip(v, w)]
-            assert any(dot(row, diff).denominator != 1 for row in inv)

@@ -1,10 +1,10 @@
 """Fourier expansions checked against product-side oracles.
 
-theta_factor builds the theta series from its explicit sum over odd indices.
-The oracle below multiplies out the corresponding infinite product directly,
-factor by factor, sharing no code with the implementation.  Likewise the
-pentagonal-number eta coefficients are compared against a naive expansion of
-prod (1 - q^n).
+theta_factor, a test-local oracle, builds one theta series from its explicit
+sum over odd indices.  product_side_theta multiplies out the corresponding
+infinite product directly, factor by factor, sharing no code with it.
+Likewise the pentagonal-number eta coefficients are compared against a naive
+expansion of prod (1 - q^n).
 
 theta_block multiplies its factors on packed integer rows, eta last, in the
 one product kernel of the package.  reference_multiply below is the plain
@@ -15,7 +15,8 @@ The kernel's set-bit decode is compared against reference_decode, which
 reads a row one slot at a time from slot 0.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
-test-local inverse.
+test-local inverse.  With that inverse, the least 2n - (l, l) of a block is
+compared against the minimum deficiency that eustar.certify certifies.
 """
 
 import hashlib
@@ -28,13 +29,33 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eustar import qseries
+from eustar.certify import min_deficiency
 from eustar.lattice import InputError, Lattice
 from eustar.qseries import (DEFAULT_ORDER, FourierSeries, check_antisymmetry,
                             check_holomorphic, check_singular_support, dump_series,
-                            eta_power, heat_apply, reflect_series, theta_block,
-                            theta_factor)
-from eustar.rootsys import build_star, catalog
+                            eta_power, heat_apply, reflect_series, theta_block)
+from eustar.rootsys import build_P_lattice, build_star, catalog
+from eustar.search import enumerate_stars
 from eustar.star import star_from_pairings, star_from_vectors, support_set
+
+from conftest import CORPUS_GRAMS
+
+
+def theta_factor(star, j, n24_max=DEFAULT_ORDER):
+    """The odd theta series attached to star vector j (sum side)."""
+    if not 0 <= j < star.size:
+        raise InputError(f"theta_factor: no vector {j} in a star of size {star.size}")
+    u = star.pairings[j]
+    terms = {}
+    k = 0
+    while 3 * (2 * k + 1) ** 2 <= n24_max:
+        for odd in (2 * k + 1, -(2 * k + 1)):
+            # (-1)^k for odd = 2k+1; oddness of the index pairs +odd with -odd
+            # at the opposite sign, keeping the series odd in z.
+            sign = (1 if k % 2 == 0 else -1) * (1 if odd > 0 else -1)
+            terms[(3 * odd * odd, tuple(odd * c for c in u))] = sign
+        k += 1
+    return FourierSeries(star.lattice, 2, terms, n24_max, character_d=3 % 24)
 
 
 def product_side_theta(n24_max):
@@ -769,3 +790,56 @@ def test_check_antisymmetry_matches_fraction_reference(case):
     s, v = case
     assert check_antisymmetry(s, v) == reference_antisymmetry(s, v)
 
+
+
+def least_gap(block):
+    """The least 2n - (l, l) over the terms of a nonzero block, with the
+    test-local inverse of the Gram matrix, cleared to inv / den."""
+    inv = fraction_inverse(block.lattice.gram)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    inv = [[int(x * den) for x in row] for row in inv]
+    scale = den * block.z_den ** 2
+    # 2n - (l, l) = (n24 scale - 12 w^T inv w) / (12 scale)
+    return Q(min(n24 * scale - 12 * sum(a * b * x for a, row in zip(w, inv)
+                                         for b, x in zip(w, row))
+                 for n24, w in block.terms), 12 * scale)
+
+
+def certified_gap(star):
+    """2 (min f - (N - l)/24), from the certificate of eustar.certify."""
+    return 2 * (min_deficiency(star)[0] - Q(star.size - star.lattice.rank, 24))
+
+
+def differential_stars():
+    """Every star of the G2, A3, B3, C3 and A4 weight lattices and of the
+    corpus Grams, and the catalog stars of A1, A2, B2, G2, A3, B3 and C3."""
+    for label in ("G2", "A3", "B3", "C3", "A4"):
+        yield from enumerate_stars(build_P_lattice(catalog(label)))
+    for gram in CORPUS_GRAMS:
+        yield from enumerate_stars(Lattice(gram))
+    for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3"):
+        yield build_star(catalog(label))
+
+
+def test_block_gap_equals_certified_gap():
+    # The least 2n - (l, l) of the block and the certified minimum of the
+    # deficiency are two computations of one number.  On these stars the
+    # block attains it at its lowest exponent 2N + l or 24 above it, so the
+    # holomorphy check agrees with the extremality verdict there.
+    stars = list(differential_stars())
+    assert len(stars) == 233
+    for star in stars:
+        block = theta_block(star, n24_max=2 * star.size + star.lattice.rank + 24)
+        gap = certified_gap(star)
+        assert least_gap(block) == gap, star.pairings
+        assert (check_holomorphic(block) == []) == (gap >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traffic_star(), st.data())
+def test_block_never_below_certified_gap(star, data):
+    # The lowest terms of the theta factors multiply to a nonzero term at
+    # n24 = 2N + l, so a block to any order past it has terms.
+    low = 2 * star.size + star.lattice.rank
+    block = theta_block(star, n24_max=data.draw(st.integers(low, 240)))
+    assert least_gap(block) >= certified_gap(star)

@@ -6,7 +6,8 @@ under src/eustar may hold an assert statement, a float literal or a call to
 float.  Every module-level import outside ``__init__.py`` (which re-exports)
 must be used, so a helper that stops needing a module drops its import.
 In linalg.py, Fraction is built only where rational values enter or leave:
-every elimination runs in int.  The product kernel of qseries.py works on
+every elimination runs in int, and its functions are pinned, so linalg.py
+keeps one kernel.  The product kernel of qseries.py works on
 packed integer keys and builds no Fraction.  No module reads the process
 environment, and the command line surface is pinned, so every output depends
 only on argv and the files named.  The library surface, ``eustar.__all__``,
@@ -166,6 +167,17 @@ def test_product_kernel_builds_no_fractions():
     assert not PRODUCT_KERNEL & FRACTION_EDGES["qseries.py"]
 
 
+# linalg.py's one elimination kernel, its rational entry and the inverse read
+# off it.  A second reduction shows up here.
+LINALG_KERNEL = {"clear_denominators", "sym_elim", "invert"}
+
+
+def test_linalg_holds_one_kernel():
+    path = next(p for p in SOURCES if p.name == "linalg.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert {top.name for top in tree.body if isinstance(top, ast.FunctionDef)} == LINALG_KERNEL
+
+
 def _environment_reads(tree):
     """Lines that name the process environment: os.environ, os.getenv, or a
     bare environ or getenv imported from os."""
@@ -222,7 +234,7 @@ LIBRARY_SURFACE = [
     "dump_star", "enumerate_stars", "eta_power", "heat_apply", "is_eutactic",
     "load_lattice", "load_star", "min_deficiency", "recognize", "reflect_series",
     "star_from_pairings", "star_from_vectors", "support_set", "theta_block",
-    "theta_factor", "verify_theorem",
+    "verify_theorem",
 ]
 
 

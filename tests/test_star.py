@@ -9,7 +9,7 @@ import pytest
 
 from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice, rational_parts
-from eustar.qseries import check_antisymmetry, reflect_series, theta_block, theta_factor
+from eustar.qseries import check_antisymmetry, reflect_series, theta_block
 from eustar.rootsys import (build_P_lattice, build_star, catalog, catalog_labels,
                             recognize)
 from eustar.search import enumerate_stars
@@ -227,8 +227,8 @@ def test_rational_point_helper_shape():
     lambda: divisor_multiplicity(build_star(catalog("A2")), (1,)),
     lambda: recognize([(1, 0, 0), (-1, 0, 0)], Lattice([[2]])),
     lambda: recognize([(1,), (-1,)], Lattice([[2, 1], [1, 2]])),
-    lambda: reflect_series(theta_factor(build_star(catalog("A2")), 0, 60), (1,)),
-    lambda: check_antisymmetry(theta_factor(build_star(catalog("A2")), 0, 60), (1, 0, 0)),
+    lambda: reflect_series(theta_block(build_star(catalog("A2")), n24_max=60), (1,)),
+    lambda: check_antisymmetry(theta_block(build_star(catalog("A2")), n24_max=60), (1, 0, 0)),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 0, 0)]),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 1), (1,)]),
 ], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short",
