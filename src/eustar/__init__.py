@@ -6,8 +6,8 @@ from .certify import (ExtremalityCertificate, certify_extremal, certify_if_extre
                       deficiency, min_deficiency)
 from .lattice import InputError, InternalError, Lattice, load_lattice
 from .qseries import (FourierSeries, check_antisymmetry, check_holomorphic,
-                      check_singular_support, dump_series, eta_power, heat_apply,
-                      reflect_series, theta_block)
+                      check_singular_support, dump_series, heat_apply, reflect_series,
+                      theta_block)
 from .rootsys import (RecognitionReport, RootSystemDescriptor, build_P_lattice,
                       build_star, catalog, catalog_labels, recognize)
 from .search import canonical_pairings, enumerate_stars, verify_theorem
@@ -19,7 +19,7 @@ __all__ = [
     "deficiency", "min_deficiency", "InputError", "InternalError", "Lattice", "load_lattice",
     "FourierSeries",
     "check_antisymmetry", "check_holomorphic", "check_singular_support",
-    "dump_series", "eta_power", "heat_apply", "reflect_series",
+    "dump_series", "heat_apply", "reflect_series",
     "theta_block", "RecognitionReport", "RootSystemDescriptor",
     "build_P_lattice", "build_star", "catalog", "catalog_labels",
     "recognize", "canonical_pairings", "enumerate_stars", "verify_theorem",

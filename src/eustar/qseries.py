@@ -16,11 +16,11 @@ the product of the N theta factors.  That is the one product in the package:
 _product reads the star's pairing vectors and builds each factor's rows from
 them, multiplies on packed integer rows, eta last, and truncates every step
 at one slot count, since every factor's lowest exponent is known in advance;
-its docstring describes the kernel.  eta_power gives the eta factor as a
-series of its own.  The heat, holomorphy and singular-shell checks
-evaluate the integer 12 D (2n - (l, l)) with the matrix gi of
-dual_gram() = (gi, g), gram^-1 = gi / g, and build a Fraction only off the
-shell; reflections map exponents in int over one denominator.
+its docstring describes the kernel.  The heat, holomorphy and singular-shell
+checks read one gap evaluator, _gaps, which gives the integer
+12 D (2n - (l, l)) of each term with the matrix gi of
+dual_gram() = (gi, g), gram^-1 = gi / g; heat_apply builds a Fraction only
+off the shell.  Reflections map exponents in int over one denominator.
 
 With the default eta exponent, the lattice rank, the least 2n - (l, l) over
 the terms of a star's block is 2 (min f - (N - rank)/24), with f the
@@ -60,12 +60,12 @@ class FourierSeries:
     InputError, since no verdict may rest on an inexact number.
     """
 
-    def __init__(self, lattice: Lattice | None, z_den: int,
+    def __init__(self, lattice: Lattice, z_den: int,
                  terms: dict, n24_max: int, character_d: int | None = None):
         if z_den < 1:
             raise InputError("z_den must be positive")
         self.lattice = lattice
-        width = lattice.rank if lattice is not None else 0
+        width = lattice.rank
         clean = {}
         for key, c in terms.items():
             n24, w = key
@@ -103,16 +103,6 @@ class FourierSeries:
         return (f"FourierSeries({len(self.terms)} terms, n24_max={self.n24_max}, "
                 f"z_den={self.z_den}, character={self.character_d})")
 
-    def _norm_form(self) -> tuple[list[list[int]], int]:
-        """(M, D), M an int matrix, with (l, l) = w^T M w / D for every w.
-
-        With dual_gram() = (gi, g), gram^-1 = gi / g: M = gi and D = g z_den^2.
-        """
-        if self.lattice is None:
-            return [], 1
-        gi, g = self.lattice.dual_gram()
-        return gi, g * self.z_den ** 2
-
 
 def _pentagonal(order: int) -> list[tuple[int, int]]:
     """(i, e_i) for the nonzero e_i, 1 <= i <= order, of prod_{n>=1} (1 - q^n)
@@ -124,16 +114,13 @@ def _pentagonal(order: int) -> list[tuple[int, int]]:
     return out
 
 
-def eta_power(k: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
-    """eta^k = q^{k/24} prod (1-q^n)^k as a q-only series (lattice-free).
+def _eta(k: int, order: int) -> list[int]:
+    """P_0 ... P_order of P = prod (1-q^n)^k, so eta^k = q^{k/24} sum P_j q^j.
 
     P = E^k for E = prod (1-q^n) = sum e_i q^i by J.C.P. Miller's recurrence
     (Knuth, TAOCP 2, 4.7): P_0 = 1 and n P_n = sum_{1<=i<=n} ((k+1) i - n) e_i
     P_{n-i}, where only the pentagonal i have e_i != 0.
     """
-    order = (n24_max - k) // 24
-    if order < 0:
-        return FourierSeries(None, 1, {}, n24_max, character_d=k % 24)
     e = _pentagonal(order)
     p = [1] + [0] * order
     for n in range(1, order + 1):
@@ -145,13 +132,7 @@ def eta_power(k: int, n24_max: int = DEFAULT_ORDER) -> FourierSeries:
         p[n], rem = divmod(s, n)
         if rem:
             raise InternalError(f"eta^{k}: coefficient {n} is not an integer")
-    terms = {(k + 24 * j, ()): c for j, c in enumerate(p) if c}
-    return FourierSeries(None, 1, terms, n24_max, character_d=k % 24)
-
-
-def _quad(form: list[list[int]], w: Sequence[int]) -> int:
-    """w^T form w."""
-    return sum(x * sum(map(mul, row, w)) for x, row in zip(w, form))
+    return p
 
 
 def _low_slot(v: int, bits: int) -> int:
@@ -221,14 +202,14 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     of the factors still to come, lands on n24 = low + 24 j, so it can reach
     the output iff j <= top.
 
-    z-exponents are taken over d = 1 when every pairing entry is even, else
-    d = 2, and a z-exponent w of width l becomes the balanced base-R number
-    key = w_1 R^(l-1) + ... + w_l.  The factor of u has, for k = 0 ... K
-    with K (K+1)/2 <= top, the two rows +-(2k+1) b with value +-(-1)^k X^t,
-    t = k (k+1)/2 and b the key of u d/2; so R = 2 sum_u (2K+1) max|u| d/2
-    + 1, and no digit of a partial product exceeds (R-1)/2 in absolute
-    value: keys add as the w do, key(-w) = -key(w), and key > 0 iff the
-    first nonzero w_i is > 0.
+    z-exponents are taken over z_den 2, which the FourierSeries constructor
+    reduces to 1 when every exponent is even, and a z-exponent w of width l
+    becomes the balanced base-R number key = w_1 R^(l-1) + ... + w_l.  The
+    factor of u has, for k = 0 ... K with K (K+1)/2 <= top, the two rows
+    +-(2k+1) b with value +-(-1)^k X^t, t = k (k+1)/2 and b the key of u;
+    so R = 2 sum_u (2K+1) max|u| + 1, and no digit of a partial product
+    exceeds (R-1)/2 in absolute value: keys add as the w do,
+    key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
 
     A partial product maps each key to one int, its row: sum_j c_j X^j with
     X = 2^bits and slot j holding the coefficient of n24 = low + 24 j.
@@ -260,12 +241,11 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     width = lat.rank
     low = 3 * len(pairings) + eta_min
     top = (n24_max - low) // 24
-    d = 1 if all(x % 2 == 0 for u in pairings for x in u) else 2
     K = (math.isqrt(8 * top + 1) - 1) // 2  # the largest K with K (K+1)/2 <= top
-    half = (2 * K + 1) * sum(max(map(abs, u)) for u in pairings) * d // 2
+    half = (2 * K + 1) * sum(max(map(abs, u)) for u in pairings)
     radix = 2 * half + 1
-    eta = eta_power(eta_min, n24_max - low + eta_min).terms
-    bits = ((2 * K + 2) ** len(pairings) * sum(map(abs, eta.values()))).bit_length() + 1
+    eta = _eta(eta_min, top)
+    bits = ((2 * K + 2) ** len(pairings) * sum(map(abs, eta))).bit_length() + 1
     # (t, t bits, 2k+1, (-1)^k) for the rows of index k.
     steps = [(k * (k + 1) // 2, k * (k + 1) // 2 * bits, 2 * k + 1, 1 - 2 * (k % 2))
              for k in range(K + 1)]
@@ -274,7 +254,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     for u in pairings:
         b = 0
         for x in u:
-            b = b * radix + x * d // 2
+            b = b * radix + x
         groups = [(t, shift, [(o * b, c), (-o * b, -c)]) for t, shift, o, c in steps]
         # An odd partial product has no row with w = 0.
         w_zero = out.pop(0, 0)
@@ -294,7 +274,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
                         top, bits)
     m = 1 << bits * (top + 1)
     # eta's lowest coefficient is 1, in slot 0 of its one row.
-    eta_row = sum(c << (n24 - eta_min) // 24 * bits for (n24, _), c in eta.items())
+    eta_row = sum(c << j * bits for j, c in enumerate(eta))
     cuts: dict = {}  # stop -> eta_row cut after slot stop (0 for stop < 0)
     for key, v in out.items():
         v = _cut(v, m)
@@ -321,7 +301,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
             if mirror:
                 terms[(n24, mirror)] = sign * c
     del out  # free the rows before the constructor copies the decoded terms
-    return FourierSeries(lat, d, terms, n24_max, character_d=low % 24)
+    return FourierSeries(lat, 2, terms, n24_max, character_d=low % 24)
 
 
 def theta_block(star: EutacticStar, eta_exponent: int | None = None,
@@ -343,35 +323,38 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
     return _product(star.lattice, star.pairings, eta_min, n24_max)
 
 
-def heat_apply(s: FourierSeries) -> FourierSeries:
-    """Multiply each term by n - (l, l)/2; coefficients become exact rationals.
+def _gaps(s: FourierSeries):
+    """Yield (key, c, gap, D) per term, with gap = 12 D (2n - (l, l)) in int.
 
-    A term on the shell 2n = (l, l) goes to 0 without building a Fraction."""
-    form, den = s._norm_form()
-    out = {}
-    for (n24, w), c in s.terms.items():
-        # n - (l, l)/2 = (n24 D - 12 w^T M w) / (24 D), see _norm_form.
-        gap = n24 * den - 12 * _quad(form, w)
-        if gap:
-            out[(n24, w)] = Q(gap * c.numerator, 24 * den * c.denominator)
+    With dual_gram() = (gi, g), gram^-1 = gi / g, the norm is
+    (l, l) = w^T gi w / D for D = g z_den^2, so gap = n24 D - 12 w^T gi w.
+    """
+    gi, g = s.lattice.dual_gram()
+    den = g * s.z_den ** 2
+    for key, c in s.terms.items():
+        n24, w = key
+        quad = sum(x * sum(map(mul, row, w)) for x, row in zip(w, gi))
+        yield key, c, n24 * den - 12 * quad, den
+
+
+def heat_apply(s: FourierSeries) -> FourierSeries:
+    """Multiply each term by n - (l, l)/2 = gap / (24 D); coefficients become
+    exact rationals.  A term on the shell 2n = (l, l) goes to 0 without
+    building a Fraction."""
+    out = {key: Q(gap * c.numerator, 24 * den * c.denominator)
+           for key, c, gap, den in _gaps(s) if gap}
     return FourierSeries(s.lattice, s.z_den, out, s.n24_max, s.character_d)
 
 
 def check_holomorphic(s: FourierSeries) -> list[tuple[int, tuple, Q]]:
     """Terms violating 2n >= (l, l), as (n24, w, deficit) sorted; empty if none."""
-    form, den = s._norm_form()
-    bad = []
-    for (n24, w) in s.terms:
-        gap = n24 * den - 12 * _quad(form, w)  # 12 D (2n - (l, l))
-        if gap < 0:
-            bad.append((n24, w, Q(gap, 12 * den)))
-    return sorted(bad)
+    return sorted((n24, w, Q(gap, 12 * den))
+                  for (n24, w), _, gap, den in _gaps(s) if gap < 0)
 
 
 def check_singular_support(s: FourierSeries) -> bool:
     """True iff every stored term sits on the singular shell 2n = (l, l)."""
-    form, den = s._norm_form()
-    return all(n24 * den == 12 * _quad(form, w) for (n24, w) in s.terms)
+    return all(gap == 0 for _, _, gap, _ in _gaps(s))
 
 
 def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:
@@ -382,8 +365,6 @@ def reflect_series(s: FourierSeries, v: Sequence) -> FourierSeries:
     one denominator.
     """
     lat = s.lattice
-    if lat is None:
-        raise InputError("reflect_series needs a lattice-bearing series")
     if len(v) != lat.rank:
         raise InputError(f"reflect_series: v has length {len(v)}, expected {lat.rank}")
     (a,), _ = clear_denominators([v])
@@ -410,8 +391,6 @@ def check_antisymmetry(s: FourierSeries, v: Sequence) -> bool:
 
 def dump_series(s: FourierSeries) -> str:
     """One line per term: 'n24 w1,...,wl/z_den coeff', sorted by (n24, w)."""
-    if s.lattice is None:
-        raise InputError("dump_series needs a lattice-bearing series")
     lines = []
     for (n24, w) in sorted(s.terms):
         c = s.terms[(n24, w)]

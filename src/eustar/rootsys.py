@@ -75,19 +75,6 @@ def cartan_matrix_for(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _norms(family: str, n: int) -> tuple[Q, ...]:
-    """Squared lengths of the simple roots, long roots normalized to 2."""
-    if family in "ADE":
-        return tuple(Q(2) for _ in range(n))
-    if family == "B":
-        return tuple(Q(2) if i < n - 1 else Q(1) for i in range(n))
-    if family == "C":
-        return tuple(Q(1) if i < n - 1 else Q(2) for i in range(n))
-    if family == "F":
-        return (Q(2), Q(2), Q(1), Q(1))
-    return (Q(2, 3), Q(2))  # G2
-
-
 @dataclass(frozen=True)
 class RootSystemDescriptor:
     label: str
@@ -128,11 +115,18 @@ def catalog(label: str) -> RootSystemDescriptor:
     """Descriptor for an irreducible type: roots, form, dual Coxeter number."""
     family, n = parse_label(label)
     cartan = cartan_matrix_for(family, n)
-    norms = _norms(family, n)
-    # M_ij = <a_i, a_j> = A_ij * <a_j, a_j> / 2; symmetry is a consistency check.
-    gram = tuple(tuple(Q(cartan[i][j]) * norms[j] / 2 for j in range(n)) for i in range(n))
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
-        raise InternalError(f"{label}: the form on the simple roots is not symmetric")
+    # <a_j, a_j> / <a_i, a_i> = A_ji / A_ij along each edge of the diagram, a
+    # connected tree, so one walk from a_1 fixes every norm up to scale.
+    norms, stack = {0: Q(1)}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if cartan[i][j] and j not in norms:
+                norms[j] = norms[i] * cartan[j][i] / cartan[i][j]
+                stack.append(j)
+    # M_ij = <a_i, a_j> = A_ij <a_j, a_j> / 2, with long roots of norm 2.
+    long = max(norms.values())
+    gram = tuple(tuple(cartan[i][j] * norms[j] / long for j in range(n)) for i in range(n))
     roots = _close_under_reflections(cartan, n)
     if not all(all(c >= 0 for c in r) or all(c <= 0 for c in r) for r in roots):
         raise InternalError(f"{label}: a root is neither positive nor negative")

@@ -3,8 +3,10 @@
 theta_factor, a test-local oracle, builds one theta series from its explicit
 sum over odd indices.  product_side_theta multiplies out the corresponding
 infinite product directly, factor by factor, sharing no code with it.
-Likewise the pentagonal-number eta coefficients are compared against a naive
-expansion of prod (1 - q^n).
+Likewise the kernel's eta coefficients, from the pentagonal-number
+recurrence, are compared against a naive expansion of prod (1 - q^n), and
+eta_power, the eta factor of the reference fold, raises that naive expansion
+(or its inverse) to the k-th power by repeated multiplication.
 
 theta_block multiplies its factors on packed integer rows, eta last, in the
 one product kernel of the package.  reference_multiply below is the plain
@@ -14,9 +16,10 @@ on random eutactic stars with repeated, antipodal and non-primitive vectors.
 The kernel's set-bit decode is compared against reference_decode, which
 reads a row one slot at a time from slot 0.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
-they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with a
-test-local inverse.  With that inverse, the least 2n - (l, l) of a block is
-compared against the minimum deficiency that eustar.certify certifies.
+they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with
+the Gauss-Jordan inverse of test_linalg.  With that inverse, the least
+2n - (l, l) of a block is compared against the minimum deficiency that
+eustar.certify certifies.
 """
 
 import hashlib
@@ -33,12 +36,13 @@ from eustar.certify import min_deficiency
 from eustar.lattice import InputError, Lattice
 from eustar.qseries import (DEFAULT_ORDER, FourierSeries, check_antisymmetry,
                             check_holomorphic, check_singular_support, dump_series,
-                            eta_power, heat_apply, reflect_series, theta_block)
+                            heat_apply, reflect_series, theta_block)
 from eustar.rootsys import build_P_lattice, build_star, catalog
 from eustar.search import enumerate_stars
 from eustar.star import star_from_pairings, star_from_vectors, support_set
 
 from conftest import CORPUS_GRAMS
+from test_linalg import gauss_jordan_inverse
 
 
 def theta_factor(star, j, n24_max=DEFAULT_ORDER):
@@ -91,6 +95,31 @@ def naive_euler(order):
     return coeffs
 
 
+def convolve(a, b, order):
+    """Coefficients 0 ... order of the product of two q-series given as lists."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(order + 1)]
+
+
+def eta_power(k, n24_max, lat):
+    """eta^k = q^(k/24) prod (1 - q^n)^k on lat, every z-exponent 0.
+
+    The naive product, or for k < 0 its inverse series, is multiplied out
+    |k| times; no pentagonal numbers are involved."""
+    order = (n24_max - k) // 24
+    base = naive_euler(max(order, 0))
+    if k < 0:
+        inv = [1]
+        for j in range(1, len(base)):
+            inv.append(-sum(base[i] * inv[j - i] for i in range(1, j + 1)))
+        base = inv
+    p = [1] + [0] * order if order >= 0 else []
+    for _ in range(abs(k)):
+        p = convolve(p, base, order)
+    zero = (0,) * lat.rank
+    return FourierSeries(lat, 1, {(k + 24 * j, zero): c for j, c in enumerate(p)},
+                         n24_max, character_d=k % 24)
+
+
 def test_theta_sum_equals_product(a1_star):
     theta = theta_factor(a1_star, 0, 240)
     assert theta.z_den == 2
@@ -118,37 +147,31 @@ def test_theta_factor_scaled_exponents():
 
 
 def test_eta_against_naive_product():
-    order = 50
-    eta = eta_power(1, n24_max=1 + 24 * order)
-    coeffs = naive_euler(order)
-    assert eta.terms == {(1 + 24 * j, ()): c for j, c in enumerate(coeffs) if c}
-    assert eta.character_d == 1
-    assert eta.lattice is None
+    assert qseries._eta(1, 50) == naive_euler(50)
+    # Every power the reference fold uses, against its repeated product.
+    lat = Lattice([[2]])
+    for k in range(-12, 13):
+        eta = eta_power(k, k + 24 * 10, lat)
+        assert eta.terms == {(k + 24 * j, (0,)): c
+                             for j, c in enumerate(qseries._eta(k, 10)) if c}, k
 
 
 def test_eta_inverse_is_partition_series():
-    inv = eta_power(-1, n24_max=-1 + 24 * 20)
     partitions = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
                   176, 231, 297, 385, 490, 627]
-    assert [inv.terms.get((-1 + 24 * j, ()), 0) for j in range(21)] == partitions
+    assert qseries._eta(-1, 20) == partitions
 
 
 def test_eta_times_inverse_is_one():
-    a = eta_power(1, 200)
-    b = eta_power(-1, 200)
-    prod = reference_multiply(a, b)
-    assert prod.terms == {(0, ()): 1}
-    assert prod.character_d == 0
+    assert convolve(qseries._eta(1, 8), qseries._eta(-1, 8), 8) == [1] + [0] * 8
 
 
 def test_eta_powers_multiply():
-    # eta^a eta^b = eta^(a+b), up to the product's cap.
+    # eta^a eta^b = eta^(a+b), coefficient by coefficient.
     for a in range(-12, 13):
         for b in range(-12, 13):
-            prod = reference_multiply(eta_power(a, 240), eta_power(b, 240))
-            want = eta_power(a + b, prod.n24_max)
-            assert prod.terms == want.terms, (a, b)
-            assert prod.character_d == want.character_d
+            assert convolve(qseries._eta(a, 10), qseries._eta(b, 10), 10) == \
+                qseries._eta(a + b, 10), (a, b)
 
 
 def min_n24(s):
@@ -192,11 +215,12 @@ def trimmed(s, n24_max):
 
 
 def test_trimming():
-    s = eta_power(1, 100)
+    lat = Lattice([[2]])
+    s = eta_power(1, 100, lat)
     t = trimmed(s, 30)
     assert t.n24_max == 30
     assert all(n <= 30 for n, _ in t.terms)
-    assert t.terms == eta_power(1, 30).terms
+    assert t.terms == eta_power(1, 30, lat).terms
 
 
 def test_theta_block_a1_is_single_factor(a1_star):
@@ -311,16 +335,17 @@ def test_antisymmetry_under_support_reflections(a2_star, b2_star):
             assert check_antisymmetry(block, v)
 
 
-def test_reflection_needs_lattice_and_nonzero():
-    with pytest.raises(InputError):
-        reflect_series(eta_power(1, 60), (1,))
+def test_reflection_needs_lattice_and_nonzero(a2_star):
+    block = theta_block(a2_star, n24_max=60)
+    with pytest.raises(InputError, match="nonzero"):
+        reflect_series(block, (0, 0))
+    with pytest.raises(InputError, match="nonzero"):
+        check_antisymmetry(block, (0, 0))
 
 
 def test_dump_series_frozen(a1_star):
     theta = theta_factor(a1_star, 0, 60)
     assert dump_series(theta) == "3 -1/2 -1\n3 1/2 1\n27 -3/2 1\n27 3/2 -1"
-    with pytest.raises(InputError):
-        dump_series(eta_power(1, 60))
 
 
 def test_default_order():
@@ -329,8 +354,6 @@ def test_default_order():
 
 def reference_multiply(a, b):
     """Pairwise truncated product: every pair of terms, keys (n24, w) tuples."""
-    lat = a.lattice if a.lattice is not None else b.lattice
-    width = lat.rank if lat is not None else 0
     d = a.z_den * b.z_den // math.gcd(a.z_den, b.z_den)
     sa, sb = d // a.z_den, d // b.z_den
     cap = min(a.n24_max + min_n24(b), b.n24_max + min_n24(a))
@@ -338,16 +361,13 @@ def reference_multiply(a, b):
     if a.character_d is not None and b.character_d is not None:
         char = (a.character_d + b.character_d) % 24
 
-    def widen(w, scale):
-        return tuple(x * scale for x in w) if w else (0,) * width
-
     out = {}
     for (n1, w1), c1 in a.terms.items():
         for (n2, w2), c2 in b.terms.items():
             if n1 + n2 <= cap:
-                key = (n1 + n2, tuple(x + y for x, y in zip(widen(w1, sa), widen(w2, sb))))
+                key = (n1 + n2, tuple(x * sa + y * sb for x, y in zip(w1, w2)))
                 out[key] = out.get(key, 0) + c1 * c2
-    return FourierSeries(lat, d, out, cap, character_d=char)
+    return FourierSeries(a.lattice, d, out, cap, character_d=char)
 
 
 def eta_first_fold(star, n24_max, eta_exponent, mul):
@@ -359,7 +379,7 @@ def eta_first_fold(star, n24_max, eta_exponent, mul):
     """
     n = star.size
     total_min = 2 * n + eta_exponent
-    series = eta_power(eta_exponent - n, n24_max - 3 * n)
+    series = eta_power(eta_exponent - n, n24_max - 3 * n, star.lattice)
     sizes = []
     for j in range(n):
         series = mul(series, theta_factor(star, j, n24_max - total_min + 3))
@@ -608,23 +628,6 @@ COEFFS = st.one_of(st.integers(-3, 3),
                    st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
 
 
-def fraction_inverse(m):
-    """Gauss-Jordan inverse over Fraction of a nonsingular square matrix."""
-    n = len(m)
-    rows = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        p = rows[col][col]
-        rows[col] = [x / p for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
 @st.composite
 def non_unimodular_lattice(draw):
     rank = draw(st.integers(1, 3))
@@ -637,7 +640,7 @@ def non_unimodular_lattice(draw):
         lat = Lattice(g)
     except InputError:
         assume(False)
-    inv = fraction_inverse(g)
+    inv = gauss_jordan_inverse(g)
     # det G = 1 iff every entry of G^-1 is an integer (Cramer's rule, G integral).
     assume(any(x.denominator != 1 for row in inv for x in row))
     return lat, inv
@@ -645,7 +648,7 @@ def non_unimodular_lattice(draw):
 
 @st.composite
 def norm_check_case(draw):
-    """(lattice, test-local inverse, terms, z_den) for a non-unimodular lattice."""
+    """(lattice, Gauss-Jordan inverse, terms, z_den) for a non-unimodular lattice."""
     lat, inv = draw(non_unimodular_lattice())
     terms = draw(st.dictionaries(
         st.tuples(st.integers(-30, 100), st.tuples(*[st.integers(-10, 10)] * lat.rank)),
@@ -794,8 +797,8 @@ def test_check_antisymmetry_matches_fraction_reference(case):
 
 def least_gap(block):
     """The least 2n - (l, l) over the terms of a nonzero block, with the
-    test-local inverse of the Gram matrix, cleared to inv / den."""
-    inv = fraction_inverse(block.lattice.gram)
+    Gauss-Jordan inverse of the Gram matrix, cleared to inv / den."""
+    inv = gauss_jordan_inverse(block.lattice.gram)
     den = math.lcm(*(x.denominator for row in inv for x in row))
     inv = [[int(x * den) for x in row] for row in inv]
     scale = den * block.z_den ** 2

@@ -80,16 +80,29 @@ def test_frozen_small_descriptors():
     assert g2.norm_gram[0][0] == Q(2, 3)  # short simple root first
 
 
-def test_broken_catalog_check_raises_internal_error(monkeypatch):
-    # With every simple root of norm 2, B2's form M_ij = A_ij <a_j, a_j> / 2 is
-    # the Cartan matrix itself, which is not symmetric.
-    monkeypatch.setattr(rootsys, "_norms", lambda family, n: (Q(2),) * n)
-    catalog.cache_clear()
-    try:
-        with pytest.raises(InternalError, match="not symmetric"):
-            catalog("B2")
-    finally:
-        catalog.cache_clear()
+def bourbaki_norms(family, n):
+    """Squared lengths of the simple roots in Bourbaki numbering, long roots 2."""
+    if family in "ADE":
+        return [2] * n
+    if family == "B":
+        return [2] * (n - 1) + [1]
+    if family == "C":
+        return [1] * (n - 1) + [2]
+    if family == "F":
+        return [2, 2, 1, 1]
+    return [Q(2, 3), 2]  # G2
+
+
+def test_simple_root_norms_match_bourbaki_table():
+    # The catalog reads the norms off the Cartan matrix; the table states
+    # which simple roots are short.
+    for label in catalog_labels():
+        desc = catalog(label)
+        diagonal = [desc.norm_gram[i][i] for i in range(desc.rank)]
+        assert diagonal == bourbaki_norms(*parse_label(label)), label
+        assert all(type(x) is Q for row in desc.norm_gram for x in row)
+        assert all(desc.norm_gram[i][j] == desc.norm_gram[j][i]
+                   for i in range(desc.rank) for j in range(desc.rank))
 
 
 def test_broken_weight_lattice_check_raises_internal_error():

@@ -82,7 +82,7 @@ FRACTION_EDGES = {
     "lattice.py": {"format_rational"},
     "linalg.py": {"clear_denominators"},
     "qseries.py": {"heat_apply", "check_holomorphic"},
-    "rootsys.py": {"_norms", "catalog", "_recognize"},
+    "rootsys.py": {"catalog", "_recognize"},
     "search.py": set(),
     "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled",
                 "support_set"},
@@ -231,7 +231,7 @@ LIBRARY_SURFACE = [
     "build_P_lattice", "build_star", "canonical_pairings", "catalog", "catalog_labels",
     "certify_extremal", "certify_if_extremal", "check_antisymmetry", "check_holomorphic",
     "check_singular_support", "deficiency", "divisor_multiplicity", "dump_series",
-    "dump_star", "enumerate_stars", "eta_power", "heat_apply", "is_eutactic",
+    "dump_star", "enumerate_stars", "heat_apply", "is_eutactic",
     "load_lattice", "load_star", "min_deficiency", "recognize", "reflect_series",
     "star_from_pairings", "star_from_vectors", "support_set", "theta_block",
     "verify_theorem",
