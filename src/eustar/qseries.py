@@ -14,13 +14,13 @@ stored with n24 = 3(2k+1)^2 and w = (2k+1) u_j over z_den 2.  Dedekind eta
 powers supply the q-only factor; a theta block is eta^(eta_exponent - N) times
 the product of the N theta factors.  That is the one product in the package:
 _product reads the star's pairing vectors and builds each factor's rows from
-them, multiplies on packed integer rows, eta last, and truncates every step
-at one slot count, since every factor's lowest exponent is known in advance;
-its docstring describes the kernel.  The heat, holomorphy and singular-shell
-checks read one gap evaluator, _gaps, which gives the integer
-12 D (2n - (l, l)) of each term with the matrix gi of
-dual_gram() = (gi, g), gram^-1 = gi / g; heat_apply builds a Fraction only
-off the shell.  Reflections map exponents in int over one denominator.
+them, multiplies on packed integer rows, factors that close triangles first
+and eta last, and truncates every step at one slot count, since every
+factor's lowest exponent is known in advance; its docstring describes the
+kernel.  The heat, holomorphy and singular-shell checks read one gap
+evaluator, _gaps, which gives the integer 12 D (2n - (l, l)) of each term
+with the matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g; heat_apply
+builds a Fraction only off the shell.  Reflections map exponents in int over one denominator.
 
 With the default eta exponent, the lattice rank, the least 2n - (l, l) over
 the terms of a star's block is 2 (min f - (N - rank)/24), with f the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
@@ -169,8 +170,9 @@ def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
     """out += outer * groups on rows, with slots past top unknown.
 
     Each outer row v1 is cut after slot top (see _cut), and a pair is
-    skipped when its lowest slot is past top.  A group of monomial rows
-    +-X^t shares one shift x = v1 X^t, which adds to each key as +x or -x.
+    skipped when its lowest slot is past top.  A group (t, shift, d) is the
+    rows X^t at key d and -X^t at -d, so it adds x = v1 X^t at k1 + d and
+    subtracts it at k1 - d.
     """
     m = 1 << bits * max(top + 1, 0)
     get = out.get
@@ -179,16 +181,56 @@ def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
         if not v1:
             continue
         stop = top - _low_slot(v1, bits)
-        for t, shift, group in groups:
+        for t, shift, d in groups:
             if t > stop:
                 break
             x = v1 << shift
-            for k2, v2 in group:
-                key = k1 + k2
-                if v2 > 0:
-                    out[key] = get(key, 0) + x
-                else:
-                    out[key] = get(key, 0) - x
+            key = k1 + d
+            out[key] = get(key, 0) + x
+            key = k1 - d
+            out[key] = get(key, 0) - x
+
+
+def _slot_bits(n: int, K: int, top: int, eta: list[int]) -> int:
+    """1 + the bit length of max_{j<=top} E_j, with E_j the coefficient of X^j
+    in (sum_{k<=K} 2 X^(k(k+1)/2))^n sum_i |eta_i| X^i: the number of ways to
+    pick one of the 2K + 2 rows of each of n theta factors and one eta slot,
+    slots totalling j.  E is formed by Kronecker substitution in slots that
+    hold the sum of all its coefficients, (2K+2)^n ||eta||_1, so none carries.
+    """
+    wide = ((2 * K + 2) ** n * sum(map(abs, eta))).bit_length()
+    theta = sum(2 << k * (k + 1) // 2 * wide for k in range(K + 1))
+    e = theta ** n * sum(abs(c) << j * wide for j, c in enumerate(eta))
+    e &= (1 << wide * (top + 1)) - 1
+    mask, most = (1 << wide) - 1, 0
+    while e:
+        most = max(most, e & mask)
+        e >>= wide
+    return most.bit_length() + 1
+
+
+def _fold_order(pairings: Sequence[Sequence[int]]) -> list[int]:
+    """The indices of the pairings in the order that _product folds them.
+
+    Next comes the remaining u with the most pairs a, b already taken with
+    u = +-a +-b, the first in input order among equals.  A pair is counted
+    as it is completed: when a is taken, v -+ a is looked up among the
+    taken vectors and their negatives for every remaining v.  The order is
+    unchanged by a change of basis and by sign flips of the vectors.
+    """
+    taken: Counter = Counter()  # a and -a for every a taken
+    score = [0] * len(pairings)
+    rest, order = list(range(len(pairings))), []
+    while rest:
+        i = max(rest, key=score.__getitem__)
+        rest.remove(i)
+        order.append(i)
+        a = pairings[i]
+        for j in rest:
+            for s in (1, -1):
+                score[j] += taken[tuple(x - s * y for x, y in zip(pairings[j], a))]
+        taken.update((tuple(a), tuple(-x for x in a)))
+    return order
 
 
 def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
@@ -205,29 +247,35 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     z-exponents are taken over z_den 2, which the FourierSeries constructor
     reduces to 1 when every exponent is even, and a z-exponent w of width l
     becomes the balanced base-R number key = w_1 R^(l-1) + ... + w_l.  The
-    factor of u has, for k = 0 ... K with K (K+1)/2 <= top, the two rows
-    +-(2k+1) b with value +-(-1)^k X^t, t = k (k+1)/2 and b the key of u;
-    so R = 2 sum_u (2K+1) max|u| + 1, and no digit of a partial product
-    exceeds (R-1)/2 in absolute value: keys add as the w do,
-    key(-w) = -key(w), and key > 0 iff the first nonzero w_i is > 0.
+    factor of u has, for k = 0 ... K with K (K+1)/2 <= top, the group
+    (t, t bits, d) with t = k (k+1)/2 and d = (-1)^k (2k+1) b, b the key of
+    u: the rows X^t at key d and -X^t at -d.  So R = 2 sum_u (2K+1) max|u|
+    + 1, and no digit of a partial product exceeds (R-1)/2 in absolute
+    value: keys add as the w do, key(-w) = -key(w), and key > 0 iff the
+    first nonzero w_i is > 0.  The factors go in the order of _fold_order,
+    which takes next the u closing the most triangles u = +-a +-b with the
+    factors already in, so that its pairs land on rows the product already
+    has; the product is commutative.
 
     A partial product maps each key to one int, its row: sum_j c_j X^j with
     X = 2^bits and slot j holding the coefficient of n24 = low + 24 j.
     Slots are balanced, c_j in [-2^(bits-1), 2^(bits-1)), so rows add and
-    multiply as the q-polynomials do.  bits = bitlength((2K+2)^N ||eta||_1)
-    + 1: every partial sum of a coefficient is a sum of distinct products of
-    factor terms, at most that product in absolute value, so no slot carries.
+    multiply as the q-polynomials do.  At any time, slot j <= top of any
+    row is a signed sum of distinct tuples of one row per factor so far
+    (and, after the eta step, one eta slot), slots totalling j: the pair
+    loop, the mirror fold and the w = 0 branch add each tuple at most once.
+    So |c_j| is at most the count E_j of _slot_bits, and with
+    bits = bitlength(max_{j<=top} E_j) + 1 no slot carries.
 
-    A theta factor's rows are monomials, its +-(2k+1) b rows on one t.  They
-    meet a stored row v1 through one shift x = v1 X^t, added as +x or -x,
-    and the scan stops at the first t whose pair starts past top.  The
-    dense eta row meets each stored row in one big-int multiply, cut after
-    the last slot that can reach top from that row's lowest slot; each cut
-    is formed once.  Slots past top stay in the rows unread: the next step,
-    and the final decode, cut each row after top by one balanced mask,
-    exact since those slots are multiples of X^(top+1).  The decode reads
-    the slot of the lowest set bit and subtracts it, one step per nonzero
-    coefficient.
+    A group meets a stored row v1 of key k1 through one shift x = v1 X^t,
+    added at k1 + d and subtracted at k1 - d, and the scan stops at the
+    first t whose pair starts past top.  The dense eta row meets each
+    stored row in one big-int multiply, cut after the last slot that can
+    reach top from that row's lowest slot; each cut is formed once.  Slots
+    past top stay in the rows unread: the next step, and the final decode,
+    cut each row after top by one balanced mask, exact since those slots
+    are multiples of X^(top+1).  The decode reads the slot of the lowest
+    set bit and subtracts it, one step per nonzero coefficient.
 
     Theta factors are odd in z and eta even, so every partial product has a
     parity eps = +-1 and is stored by its rows with key >= 0; the fold
@@ -235,8 +283,8 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     rows with w != 0 by every row of the factor; a product row with key < 0
     is the mirror of an unstored one, so it moves to -key times eps, and one
     with key 0 adds to itself.  A stored w = 0 row is its own mirror and
-    meets only the factor's keys >= 0.  That halves the pairs; the eta step
-    keeps every key, and the decode emits both mirror terms.
+    meets only the row of key |d| of each group.  That halves the pairs; the
+    eta step keeps every key, and the decode emits both mirror terms.
     """
     width = lat.rank
     low = 3 * len(pairings) + eta_min
@@ -245,17 +293,17 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     half = (2 * K + 1) * sum(max(map(abs, u)) for u in pairings)
     radix = 2 * half + 1
     eta = _eta(eta_min, top)
-    bits = ((2 * K + 2) ** len(pairings) * sum(map(abs, eta))).bit_length() + 1
-    # (t, t bits, 2k+1, (-1)^k) for the rows of index k.
-    steps = [(k * (k + 1) // 2, k * (k + 1) // 2 * bits, 2 * k + 1, 1 - 2 * (k % 2))
+    bits = _slot_bits(len(pairings), K, top, eta)
+    # (t, t bits, (-1)^k (2k+1)) for the rows of index k.
+    steps = [(k * (k + 1) // 2, k * (k + 1) // 2 * bits, (-1) ** k * (2 * k + 1))
              for k in range(K + 1)]
     # A partial product keeps its rows with key >= 0, and sign is its parity.
     out, sign = {0: 1}, 1
-    for u in pairings:
+    for i in _fold_order(pairings):
         b = 0
-        for x in u:
+        for x in pairings[i]:
             b = b * radix + x
-        groups = [(t, shift, [(o * b, c), (-o * b, -c)]) for t, shift, o, c in steps]
+        groups = [(t, shift, o * b) for t, shift, o in steps]
         # An odd partial product has no row with w = 0.
         w_zero = out.pop(0, 0)
         outer, out = out, {}
@@ -267,11 +315,14 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
         for key in [k for k in out if k <= 0]:
             v = out.pop(key)
             out[-key] = out.get(-key, v if key == 0 else 0) + sign * v
-        # A w = 0 row is its own mirror, so it meets only the inner keys >= 0.
+        # A w = 0 row meets only the row of key |d|: x at d > 0, -x at -d.
         if w_zero:
-            _accumulate(out, [(0, w_zero)],
-                        [(t, shift, [r for r in g if r[0] >= 0]) for t, shift, g in groups],
-                        top, bits)
+            stop = top - _low_slot(w_zero, bits)
+            for t, shift, d in groups:
+                if t > stop:
+                    break
+                x = w_zero << shift
+                out[abs(d)] = out.get(abs(d), 0) + (x if d > 0 else -x)
     m = 1 << bits * (top + 1)
     # eta's lowest coefficient is 1, in slot 0 of its one row.
     eta_row = sum(c << j * bits for j, c in enumerate(eta))

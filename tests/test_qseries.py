@@ -14,7 +14,9 @@ pairwise product on (n24, w) tuples, and the block's reference is an
 eta-first fold of it; the two must agree term for term, on catalog stars and
 on random eutactic stars with repeated, antipodal and non-primitive vectors.
 The kernel's set-bit decode is compared against reference_decode, which
-reads a row one slot at a time from slot 0.
+reads a row one slot at a time from slot 0; its slot width against a
+brute-force count of factor-row choices per slot; and its fold order against
+reference_fold_order, which recounts every pair of taken vectors at each step.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with
 the Gauss-Jordan inverse of test_linalg.  With that inverse, the least
@@ -23,7 +25,10 @@ eustar.certify certifies.
 """
 
 import hashlib
+import itertools
 import math
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as Q
 
@@ -41,7 +46,7 @@ from eustar.rootsys import build_P_lattice, build_star, catalog
 from eustar.search import enumerate_stars
 from eustar.star import star_from_pairings, star_from_vectors, support_set
 
-from conftest import CORPUS_GRAMS
+from conftest import CORPUS_GRAMS, random_unimodular
 from test_linalg import gauss_jordan_inverse
 
 
@@ -473,7 +478,8 @@ def test_product_kernel_matches_pairwise_fold(star, data):
 @given(st.data())
 def test_theta_block_metamorphic_order_and_signs(label, data):
     # Each theta factor is odd in z, so negating k vectors scales by (-1)^k.
-    # Reordering changes the caps of the intermediate products, not the block.
+    # Reordering may change the kernel's fold order (ties go by position),
+    # not the block.
     star = build_star(catalog(label))
     block = theta_block(star, n24_max=240)
     order = data.draw(st.permutations(range(star.size)))
@@ -502,10 +508,10 @@ def test_a3_product_chain_sizes_pinned():
 
 
 def test_a3_eta_last_chain_sizes_pinned():
-    # theta_block's own order, theta_1 ... theta_6 then eta^-3 at order 720.
-    # The kernel on the first k pairings and eta^0 = 1, to the order that
-    # keeps the block's slot count, stops at the fold's k-th partial
-    # product, so each prefix gives one step's size.
+    # A star-order fold, theta_1 ... theta_6 then eta^-3 at order 720.  The
+    # kernel on the first k pairings and eta^0 = 1, to the order that keeps
+    # the block's slot count, gives the fold's k-th partial product, in
+    # whatever order it multiplies those k factors.
     star = build_star(catalog("A3"))
     pairings = star.pairings
     steps = [qseries._product(star.lattice, pairings[:k], 0, 705 + 3 * k) for k in range(2, 7)]
@@ -513,6 +519,122 @@ def test_a3_eta_last_chain_sizes_pinned():
     assert [len(s.terms) for s in steps] == [188, 1904, 11832, 32772, 13536, 2928]
     assert steps[-1].n24_max == 720
     assert steps[-1].terms == theta_block(star, n24_max=720).terms
+
+
+def theta_tuple_counts(n, K):
+    """Per slot j, the number of ways to pick one of the 2K + 2 rows of each
+    of n theta factors (rows +-k at slot k (k+1)/2) with slots totalling j."""
+    return Counter(sum(k // 2 * (k // 2 + 1) // 2 for k in picks)
+                   for picks in itertools.product(range(2 * K + 2), repeat=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_slot_bits_is_the_per_slot_majorant(n, K):
+    # The slot width is one bit above the largest count of (factor rows,
+    # eta slot) tuples on a slot at or below top, by brute force.
+    counts = theta_tuple_counts(n, K)
+    for eta_exponent in (-6, -1, 0, 3):
+        for top in (K * (K + 1) // 2, K * (K + 1) // 2 + 3):
+            eta = qseries._eta(eta_exponent, top)
+            most = max(sum(counts[j - i] * abs(c) for i, c in enumerate(eta))
+                       for j in range(top + 1))
+            assert qseries._slot_bits(n, K, top, eta) == most.bit_length() + 1
+
+
+@pytest.mark.parametrize("label, order, bits", [
+    ("A3", 720, 37), ("B3", 480, 42), ("G2", 1440, 57),
+], ids=["A3@720", "B3@480", "G2@1440"])
+def test_product_decodes_at_the_per_slot_width(monkeypatch, label, order, bits):
+    # The kernel's rows use the width of _slot_bits; the bound over all
+    # slots, bitlength((2K+2)^N ||eta||_1) + 1, gave 51, 60 and 73 bits.
+    widths = set()
+    slots = qseries._slots
+
+    def recording(v, width):
+        widths.add(width)
+        return slots(v, width)
+
+    monkeypatch.setattr(qseries, "_slots", recording)
+    star = build_star(catalog(label))
+    theta_block(star, n24_max=order)
+    assert widths == {bits}
+    top = (order - 2 * star.size - star.lattice.rank) // 24
+    K = (math.isqrt(8 * top + 1) - 1) // 2
+    eta = qseries._eta(star.lattice.rank - star.size, top)
+    assert qseries._slot_bits(star.size, K, top, eta) == bits
+
+
+def signed_sums(a, b):
+    """The vectors +-a +-b."""
+    return [tuple(s * x + r * y for x, y in zip(a, b)) for s in (1, -1) for r in (1, -1)]
+
+
+def reference_fold_order(pairings):
+    """Each step recounts, over every pair {a, b} of taken vectors, how often
+    each remaining u is one of +-a +-b, and takes the first u with the most."""
+    order, rest = [], list(range(len(pairings)))
+    while rest:
+        sums = Counter(w for a, b in itertools.combinations(order, 2)
+                       for w in signed_sums(pairings[a], pairings[b]))
+        best = max(rest, key=lambda j: sums[tuple(pairings[j])])
+        order.append(best)
+        rest.remove(best)
+    return order
+
+
+def has_triangle(pairings):
+    return any(tuple(u) in signed_sums(a, b) for a, b, u in itertools.permutations(pairings, 3))
+
+
+FOLD_LABELS = ["A3", "B3", "G2", "F4", "A4", "D4"]
+
+
+@pytest.mark.parametrize("label", FOLD_LABELS)
+def test_fold_order_matches_recounting_reference(label):
+    pairings = build_star(catalog(label)).pairings
+    order = qseries._fold_order(pairings)
+    assert sorted(order) == list(range(len(pairings)))
+    assert order == reference_fold_order(pairings)
+
+
+def test_fold_order_keeps_stars_without_triangles_in_order(two_vector_star):
+    stars = [two_vector_star] + [star for gram in CORPUS_GRAMS
+                                 for star in enumerate_stars(Lattice(gram))]
+    plain = 0
+    for star in stars:
+        pairings = list(star.pairings)
+        order = qseries._fold_order(pairings)
+        assert order == reference_fold_order(pairings)
+        if not has_triangle(pairings):
+            plain += 1
+            assert order == list(range(len(pairings)))
+    assert plain == 7  # two_vector and six corpus stars have no triangle
+
+
+def test_fold_order_pinned():
+    # A3 closes the triangle of its first two roots, then its sums.
+    assert qseries._fold_order(build_star(catalog("A3")).pairings) == [0, 1, 3, 2, 4, 5]
+    assert qseries._fold_order(build_star(catalog("B3")).pairings) == \
+        [0, 1, 3, 5, 2, 4, 6, 7, 8]
+
+
+@pytest.mark.parametrize("label", FOLD_LABELS)
+def test_fold_order_invariant_under_basis_and_signs(label):
+    # A unimodular change of basis (u -> P^T u; with no elementary steps, the
+    # bench's signed permutation of the coordinates) and sign flips of the
+    # vectors leave the fold order as it is.
+    pairings = build_star(catalog(label)).pairings
+    want = qseries._fold_order(pairings)
+    l = len(pairings[0])
+    for seed in range(10):
+        rng = random.Random(seed)
+        P, _ = random_unimodular(rng, l, steps=seed % 3)
+        moved = []
+        for u in pairings:
+            f = rng.choice((1, -1))
+            moved.append(tuple(f * sum(P[i][j] * u[i] for i in range(l)) for j in range(l)))
+        assert qseries._fold_order(moved) == want
 
 
 @pytest.mark.parametrize("label, order, size, z_den, digest", [

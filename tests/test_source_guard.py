@@ -155,9 +155,11 @@ def test_fraction_uses_sees_calls_and_names_passed_on():
 
 
 # The theta block's product kernel in qseries.py: lowest slot, balanced cut,
-# row pair loop, fold with rows built from the pairings, eta step and
-# truncation, set-bit slot decode.  It works on packed integer keys.
-PRODUCT_KERNEL = {"_low_slot", "_cut", "_accumulate", "_product", "_slots"}
+# row pair loop, slot width, fold order, fold with rows built from the
+# pairings, eta step and truncation, set-bit slot decode.  It works on packed
+# integer keys.
+PRODUCT_KERNEL = {"_low_slot", "_cut", "_accumulate", "_slot_bits", "_fold_order",
+                  "_product", "_slots"}
 
 
 def test_product_kernel_builds_no_fractions():
