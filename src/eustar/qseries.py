@@ -14,13 +14,14 @@ stored with n24 = 3(2k+1)^2 and w = (2k+1) u_j over z_den 2.  Dedekind eta
 powers supply the q-only factor; a theta block is eta^(eta_exponent - N) times
 the product of the N theta factors.  That is the one product in the package:
 _product reads the star's pairing vectors and builds each factor's rows from
-them, multiplies on packed integer rows, factors that close triangles first
-and eta last, and truncates every step at one slot count, since every
-factor's lowest exponent is known in advance; its docstring describes the
-kernel.  The heat, holomorphy and singular-shell checks read one gap
-evaluator, _gaps, which gives the integer 12 D (2n - (l, l)) of each term
-with the matrix gi of dual_gram() = (gi, g), gram^-1 = gi / g; heat_apply
-builds a Fraction only off the shell.  Reflections map exponents in int over one denominator.
+them, multiplies on packed integer rows, starting from the eta row and
+taking the factors that close triangles first, and truncates every step at
+one slot count, since every factor's lowest exponent is known in advance;
+its docstring describes the kernel.  The heat, holomorphy and singular-shell
+checks read one gap evaluator, _gaps, which gives the integer
+12 D (2n - (l, l)) of each term with the matrix gi of dual_gram() = (gi, g),
+gram^-1 = gi / g; heat_apply builds a Fraction only off the shell.
+Reflections map exponents in int over one denominator.
 
 With the default eta exponent, the lattice rank, the least 2n - (l, l) over
 the terms of a star's block is 2 (min f - (N - rank)/24), with f the
@@ -144,15 +145,6 @@ def _low_slot(v: int, bits: int) -> int:
     return ((v & -v).bit_length() - 1) // bits
 
 
-def _cut(v: int, m: int) -> int:
-    """The row v cut after slot top, for m = 2^(bits (top + 1)) (m = 1: none kept).
-
-    The kept slots lie below 2^(bits-1) in absolute value, so they sum into
-    (-m/2, m/2) and are the balanced residue of v mod m."""
-    v &= m - 1
-    return v - m if v and v >= m >> 1 else v
-
-
 def _slots(v: int, bits: int):
     """Yield (j, c_j) for the nonzero balanced slots of the row v, lowest first:
     each step reads the slot of the lowest set bit and subtracts it."""
@@ -169,21 +161,31 @@ def _slots(v: int, bits: int):
 def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
     """out += outer * groups on rows, with slots past top unknown.
 
-    Each outer row v1 is cut after slot top (see _cut), and a pair is
-    skipped when its lowest slot is past top.  A group (t, shift, d) is the
-    rows X^t at key d and -X^t at -d, so it adds x = v1 X^t at k1 + d and
-    subtracts it at k1 - d.
+    The groups come in increasing t from t = 0, none past top.  A group
+    (t, shift, d) is the rows X^t at key d and -X^t at -d, so it adds
+    x = v1 X^t at k1 + d and subtracts it at k1 - d.  Each outer row v1 is
+    cut after slot top: its kept slots lie below 2^(bits-1) in absolute
+    value, so they sum into (-m/2, m/2) for m = 2^(bits (top + 1)) and are
+    the balanced residue of v1 mod m; the mask and m/2 are formed once per
+    call.  A pair is skipped when its lowest slot is past top, so a row with
+    lowest slot top - stop meets fits[stop], the groups with t <= stop, a
+    prefix read off a table built once per call.
     """
-    m = 1 << bits * max(top + 1, 0)
+    m = 1 << bits * (top + 1)
+    mask, half = m - 1, m >> 1
+    pairs = [(shift, d) for _, shift, d in groups]
+    ts = [t for t, _, _ in groups] + [top + 1]
+    fits = []  # fits[stop]: the pairs of the groups with t <= stop
+    for i in range(len(pairs)):
+        fits += [pairs[:i + 1]] * (ts[i + 1] - ts[i])
     get = out.get
     for k1, v1 in outer:
-        v1 = _cut(v1, m)
+        v1 &= mask
         if not v1:
             continue
-        stop = top - _low_slot(v1, bits)
-        for t, shift, d in groups:
-            if t > stop:
-                break
+        if v1 >= half:
+            v1 -= m
+        for shift, d in fits[top - _low_slot(v1, bits)]:
             x = v1 << shift
             key = k1 + d
             out[key] = get(key, 0) + x
@@ -261,30 +263,35 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     X = 2^bits and slot j holding the coefficient of n24 = low + 24 j.
     Slots are balanced, c_j in [-2^(bits-1), 2^(bits-1)), so rows add and
     multiply as the q-polynomials do.  At any time, slot j <= top of any
-    row is a signed sum of distinct tuples of one row per factor so far
-    (and, after the eta step, one eta slot), slots totalling j: the pair
-    loop, the mirror fold and the w = 0 branch add each tuple at most once.
+    row is a signed sum of distinct tuples of one eta slot and one row per
+    factor so far, slots totalling j: the pair loop, the mirror fold and
+    the w = 0 branch add each tuple at most once.
     So |c_j| is at most the count E_j of _slot_bits, and with
     bits = bitlength(max_{j<=top} E_j) + 1 no slot carries.
 
+    The fold starts from eta's one row, eta^eta_min cut after top.  That
+    is exact and costs nothing: eta depends on q alone and has constant
+    term 1, so it is a unit that commutes with every theta step, and a row
+    times it, cut after top, is never 0 and keeps its lowest slot.  So the
+    rows, their stops, the pairs visited and the width are those of a fold
+    that multiplies eta last, and no eta pass is left.
+
     A group meets a stored row v1 of key k1 through one shift x = v1 X^t,
-    added at k1 + d and subtracted at k1 - d, and the scan stops at the
-    first t whose pair starts past top.  The dense eta row meets each
-    stored row in one big-int multiply, cut after the last slot that can
-    reach top from that row's lowest slot; each cut is formed once.  Slots
-    past top stay in the rows unread: the next step, and the final decode,
-    cut each row after top by one balanced mask, exact since those slots
-    are multiples of X^(top+1).  The decode reads the slot of the lowest
-    set bit and subtracts it, one step per nonzero coefficient.
+    added at k1 + d and subtracted at k1 - d, over the groups whose pair
+    starts at or below top.  Slots past top stay in the rows unread: the
+    next step, and the final decode, cut each row after top by one
+    balanced mask, exact since those slots are multiples of X^(top+1).
+    The decode reads the slot of the lowest set bit and subtracts it, one
+    step per nonzero coefficient, and the digits of a key by powers of R.
 
     Theta factors are odd in z and eta even, so every partial product has a
     parity eps = +-1 and is stored by its rows with key >= 0; the fold
-    starts from the even row {0: 1}.  A theta step multiplies the stored
+    starts from the even row {0: eta}.  A theta step multiplies the stored
     rows with w != 0 by every row of the factor; a product row with key < 0
     is the mirror of an unstored one, so it moves to -key times eps, and one
     with key 0 adds to itself.  A stored w = 0 row is its own mirror and
-    meets only the row of key |d| of each group.  That halves the pairs; the
-    eta step keeps every key, and the decode emits both mirror terms.
+    meets only the row of key |d| of each group.  That halves the pairs,
+    and the decode emits both mirror terms.
     """
     width = lat.rank
     low = 3 * len(pairings) + eta_min
@@ -298,7 +305,8 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     steps = [(k * (k + 1) // 2, k * (k + 1) // 2 * bits, (-1) ** k * (2 * k + 1))
              for k in range(K + 1)]
     # A partial product keeps its rows with key >= 0, and sign is its parity.
-    out, sign = {0: 1}, 1
+    # The fold starts from eta's one row, eta_j in slot j.
+    out, sign = {0: sum(c << j * bits for j, c in enumerate(eta))}, 1
     for i in _fold_order(pairings):
         b = 0
         for x in pairings[i]:
@@ -324,27 +332,19 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
                 x = w_zero << shift
                 out[abs(d)] = out.get(abs(d), 0) + (x if d > 0 else -x)
     m = 1 << bits * (top + 1)
-    # eta's lowest coefficient is 1, in slot 0 of its one row.
-    eta_row = sum(c << j * bits for j, c in enumerate(eta))
-    cuts: dict = {}  # stop -> eta_row cut after slot stop (0 for stop < 0)
-    for key, v in out.items():
-        v = _cut(v, m)
-        stop = top - _low_slot(v, bits)
-        if stop not in cuts:
-            cuts[stop] = _cut(eta_row, 1 << bits * max(stop + 1, 0))
-        out[key] = v * cuts[stop]
-    terms = {}
+    mask, cut = m - 1, m >> 1
+    radices = [radix ** i for i in range(width - 1, -1, -1)]
     bias = (radix ** width - 1) // 2
+    terms = {}
     for key, v in out.items():
-        v = _cut(v, m)
+        v &= mask
         if not v:
             continue
+        if v >= cut:
+            v -= m
         # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
-        rest, w = key + bias, [0] * width
-        for i in range(width - 1, -1, -1):
-            rest, digit = divmod(rest, radix)
-            w[i] = digit - half
-        w = tuple(w)
+        rest = key + bias
+        w = tuple(rest // p % radix - half for p in radices)
         mirror = tuple(-x for x in w) if key else None
         for j, c in _slots(v, bits):
             n24 = low + 24 * j
@@ -384,7 +384,7 @@ def _gaps(s: FourierSeries):
     den = g * s.z_den ** 2
     for key, c in s.terms.items():
         n24, w = key
-        quad = sum(x * sum(map(mul, row, w)) for x, row in zip(w, gi))
+        quad = sum(map(mul, w, [sum(map(mul, row, w)) for row in gi]))
         yield key, c, n24 * den - 12 * quad, den
 
 

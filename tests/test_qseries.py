@@ -8,15 +8,18 @@ recurrence, are compared against a naive expansion of prod (1 - q^n), and
 eta_power, the eta factor of the reference fold, raises that naive expansion
 (or its inverse) to the k-th power by repeated multiplication.
 
-theta_block multiplies its factors on packed integer rows, eta last, in the
-one product kernel of the package.  reference_multiply below is the plain
-pairwise product on (n24, w) tuples, and the block's reference is an
-eta-first fold of it; the two must agree term for term, on catalog stars and
-on random eutactic stars with repeated, antipodal and non-primitive vectors.
+theta_block multiplies its factors on packed integer rows, starting from the
+eta row, in the one product kernel of the package.  reference_multiply below
+is the plain pairwise product on (n24, w) tuples, and the block's reference
+is an eta-first fold of it; the two must agree term for term, on catalog
+stars and on random eutactic stars with repeated, antipodal and
+non-primitive vectors.
 The kernel's set-bit decode is compared against reference_decode, which
 reads a row one slot at a time from slot 0; its slot width against a
 brute-force count of factor-row choices per slot; and its fold order against
 reference_fold_order, which recounts every pair of taken vectors at each step.
+elliptic_mismatches checks a block against the Jacobi elliptic law, which
+shares no code with the kernel or the pairwise product.
 The norm checks (heat, holomorphy, singular shell) work on an integer matrix;
 they are compared against w^T G^-1 w / z_den^2 evaluated in Fraction with
 the Gauss-Jordan inverse of test_linalg.  With that inverse, the least
@@ -27,6 +30,7 @@ eustar.certify certifies.
 import hashlib
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from decimal import Decimal
@@ -400,8 +404,9 @@ ETA_EXPONENTS = {"rank": lambda star: star.lattice.rank, "zero": lambda star: 0,
     pytest.param(label, eta, id=label if eta == "rank" else f"{label}-{eta}")
     for label in ("A2", "B2", "G2", "A3") for eta in ETA_EXPONENTS])
 def test_theta_block_matches_pairwise_reference(label, eta):
-    # theta_block multiplies eta last in one packed product; the reference is
-    # the pairwise product on (n24, w) tuples, folded with eta first.
+    # theta_block folds the theta factors onto the packed eta row, in its own
+    # factor order; the reference is the pairwise product on (n24, w) tuples,
+    # folded with eta first in star order.
     star = build_star(catalog(label))
     eta_exponent = ETA_EXPONENTS[eta](star)
     block = theta_block(star, eta_exponent=eta_exponent, n24_max=240)
@@ -496,8 +501,8 @@ def test_theta_block_metamorphic_order_and_signs(label, data):
 def test_a3_product_chain_sizes_pinned():
     # Output sizes of eta^-3 * theta_1 * ... * theta_6 at order 720, folded
     # with eta first through the pairwise product: a change to truncation
-    # shows up here as a count.  theta_block multiplies eta last; both orders
-    # must give the same block.
+    # shows up here as a count.  theta_block also starts from eta but takes
+    # the theta factors in its own fold order; both must give the same block.
     star = build_star(catalog("A3"))
     series, sizes = eta_first_fold(star, 720, star.lattice.rank, reference_multiply)
     assert sizes == [312, 2872, 24072, 27996, 51110, 2928]
@@ -511,7 +516,8 @@ def test_a3_eta_last_chain_sizes_pinned():
     # A star-order fold, theta_1 ... theta_6 then eta^-3 at order 720.  The
     # kernel on the first k pairings and eta^0 = 1, to the order that keeps
     # the block's slot count, gives the fold's k-th partial product, in
-    # whatever order it multiplies those k factors.
+    # whatever order it multiplies those k factors; eta commutes with them,
+    # so the kernel's eta-first fold gives the same last product.
     star = build_star(catalog("A3"))
     pairings = star.pairings
     steps = [qseries._product(star.lattice, pairings[:k], 0, 705 + 3 * k) for k in range(2, 7)]
@@ -563,6 +569,32 @@ def test_product_decodes_at_the_per_slot_width(monkeypatch, label, order, bits):
     K = (math.isqrt(8 * top + 1) - 1) // 2
     eta = qseries._eta(star.lattice.rank - star.size, top)
     assert qseries._slot_bits(star.size, K, top, eta) == bits
+
+
+@pytest.mark.parametrize("label, order, pairs", [
+    ("A3", 720, 15590), ("B3", 480, 24297), ("G2", 1440, 8264),
+], ids=["A3@720", "B3@480", "G2@1440"])
+def test_product_row_pairs_pinned(monkeypatch, label, order, pairs):
+    # The groups each stored row meets: those with t <= top - its lowest slot,
+    # over the rows not cut to 0.  Multiplying the eta row in first or last
+    # leaves every row's lowest slot, and so this count, as it is.
+    count = 0
+    accumulate = qseries._accumulate
+
+    def counting(out, outer, groups, top, bits):
+        nonlocal count
+        outer = list(outer)
+        m = 1 << bits * (top + 1)
+        for _, v in outer:
+            v = (v + (m >> 1)) % m - (m >> 1)
+            if v:
+                stop = top - qseries._low_slot(v, bits)
+                count += sum(t <= stop for t, _, _ in groups)
+        accumulate(out, outer, groups, top, bits)
+
+    monkeypatch.setattr(qseries, "_accumulate", counting)
+    theta_block(build_star(catalog(label)), n24_max=order)
+    assert count == pairs
 
 
 def signed_sums(a, b):
@@ -650,6 +682,63 @@ def test_theta_block_dump_digest_frozen(label, order, size, z_den, digest):
     assert hashlib.sha256(dump_series(block).encode()).hexdigest() == digest
 
 
+def elliptic_mismatches(block, star, span):
+    """(mismatches, compared) for the elliptic law of a theta block.
+
+    Shifting z by the lattice point a maps the term (n24, w) to
+    (n24 + 24 (w . a) / z_den + 12 a^T G a, w + z_den G a), with the sign
+    (-1)^(sum_j u_j . a) of the N odd theta factors; eta does not depend on
+    z.  Every a in {-span ... span}^l other than 0 is tried on every stored
+    term whose image lies at or below the cap, so an absent image counts
+    as a zero coefficient.
+    """
+    gram, z_den = star.lattice.gram, block.z_den
+    mismatches = compared = 0
+    for a in itertools.product(range(-span, span + 1), repeat=star.lattice.rank):
+        if not any(a):
+            continue
+        ga = [sum(map(operator.mul, row, a)) for row in gram]
+        lift = 12 * sum(map(operator.mul, a, ga))
+        sign = (-1) ** sum(sum(map(operator.mul, u, a)) for u in star.pairings)
+        for (n24, w), c in block.terms.items():
+            shift, rest = divmod(24 * sum(map(operator.mul, w, a)), z_den)
+            assert not rest
+            if n24 + shift + lift > block.n24_max:
+                continue
+            compared += 1
+            image = (n24 + shift + lift, tuple(x + z_den * y for x, y in zip(w, ga)))
+            mismatches += block.terms.get(image, 0) != sign * c
+    return mismatches, compared
+
+
+@pytest.mark.parametrize("label, order, compared", [
+    ("A3", 720, 58028), ("B3", 480, 33020), ("G2", 1440, 3828),
+], ids=["A3@720", "B3@480", "G2@1440"])
+def test_theta_block_obeys_elliptic_law(label, order, compared):
+    star = build_star(catalog(label))
+    block = theta_block(star, n24_max=order)
+    assert elliptic_mismatches(block, star, 1) == (0, compared)
+
+
+def test_elliptic_law_catches_one_changed_coefficient():
+    # The lowest term off by one breaks the law at its images and preimages.
+    star = build_star(catalog("A3"))
+    block = theta_block(star, n24_max=720)
+    terms = dict(block.terms)
+    terms[min(terms)] += 1
+    moved = FourierSeries(block.lattice, block.z_den, terms, 720, block.character_d)
+    assert elliptic_mismatches(moved, star, 1) == (52, 58028)
+
+
+@settings(max_examples=40, deadline=None)
+@given(traffic_star(), st.data())
+def test_traffic_blocks_obey_elliptic_law(star, data):
+    eta_exponent = data.draw(st.sampled_from([star.lattice.rank, 0, -3]))
+    order = data.draw(st.integers(2 * star.size + eta_exponent, 360))
+    block = theta_block(star, eta_exponent=eta_exponent, n24_max=order)
+    assert elliptic_mismatches(block, star, 1)[0] == 0
+
+
 def test_a4_theta_block_dump_digest_frozen():
     # Frozen sha256 of the A4@720 dump, recorded with the per-term packed
     # kernel that the row kernel replaced: ten theta factors, then eta^-6.
@@ -723,7 +812,9 @@ def test_set_bit_decode_matches_slot_by_slot_reference(row):
     # The decode cuts a row after top, then steps from one set slot to the
     # next: one step per nonzero coefficient, whatever lies past top.
     v, top, bits, kept = row
-    got = list(qseries._slots(qseries._cut(v, 1 << bits * max(top + 1, 0)), bits))
+    # The balanced residue of v mod m keeps the slots <= top (none for m = 1).
+    m = 1 << bits * max(top + 1, 0)
+    got = list(qseries._slots((v + (m >> 1)) % m - (m >> 1), bits))
     assert got == reference_decode(v, top, bits) == kept
 
 
@@ -732,10 +823,10 @@ def test_set_bit_decode_matches_slot_by_slot_reference(row):
     build_star(catalog("A2")),
 ], ids=["u,u,-u", "A2"])
 def test_dense_last_row_at_every_cap(star):
-    # The eta power is one dense row, multiplied last: the kernel cuts it
-    # after the last slot each stored row can reach.  The order runs over
-    # every value from 24 below the block's lowest exponent to 240 above it,
-    # so each cap cuts the eta row at another place.
+    # The eta power is one dense row, the row the fold starts from: every
+    # theta step then cuts it, and each row made from it, at the cap.  The
+    # order runs over every value from 24 below the block's lowest exponent
+    # to 240 above it, so each cap cuts the eta row at another place.
     low = 2 * star.size + star.lattice.rank
     want, _ = eta_first_fold(star, low + 240, star.lattice.rank, reference_multiply)
     for order in range(low - 24, low + 241):

@@ -154,11 +154,11 @@ def test_fraction_uses_sees_calls_and_names_passed_on():
     assert [name for name, _ in _fraction_uses(ast.parse(code))] == ["g", "C.h"]
 
 
-# The theta block's product kernel in qseries.py: lowest slot, balanced cut,
-# row pair loop, slot width, fold order, fold with rows built from the
-# pairings, eta step and truncation, set-bit slot decode.  It works on packed
-# integer keys.
-PRODUCT_KERNEL = {"_low_slot", "_cut", "_accumulate", "_slot_bits", "_fold_order",
+# The theta block's product kernel in qseries.py: lowest slot, row pair loop
+# with its balanced cut, slot width, fold order, fold from the eta row with
+# rows built from the pairings and truncation, set-bit slot decode.  It works
+# on packed integer keys.
+PRODUCT_KERNEL = {"_low_slot", "_accumulate", "_slot_bits", "_fold_order",
                   "_product", "_slots"}
 
 
