@@ -8,14 +8,24 @@ representative per orbit under reordering and per-vector sign flips; the
 residual must stay positive semidefinite at every step, which bounds entries
 by isqrt(gram_ii) and the length by the trace.
 
-Two facts keep the backtracking on live branches.  The lead positions of the
-sorted alphabet never decrease, so a node only tries the vectors whose lead
-is its residual's first nonzero diagonal entry: an earlier lead would make a
-zero diagonal entry negative, and a later one, like every vector after it,
-can never clear that entry.  And R - u u^T is PSD iff the bordered matrix
-[[R, u], [u^T, 1]] is (it is the Schur complement of the 1), so one integer
-Bareiss elimination ``linalg.sym_elim`` of [R | u_1 .. u_m] per node tests
-every candidate, O(l) each, instead of one O(l^3) elimination per child.
+Three facts keep the backtracking on live branches, each searched once.  The
+lead positions of the sorted alphabet never decrease, so a node only tries
+the vectors whose lead is its residual's first nonzero diagonal entry: an
+earlier lead would make a zero diagonal entry negative, and a later one, like
+every vector after it, can never clear that entry.  R - u u^T is PSD iff the
+bordered matrix [[R, u], [u^T, 1]] is (it is the Schur complement of the 1),
+so one integer Bareiss elimination ``linalg.sym_elim`` of [R | u_1 .. u_m]
+per node tests every candidate, O(l) each, instead of one O(l^3) elimination
+per child.  And a node's subtree depends only on its residual R and on lo,
+the least index it may still use (its parent's vector, or the first vector of
+R's lead block if that comes later), not on the prefix that reached it: two
+prefixes often leave the same R (a a^T + b b^T = c c^T + d d^T).  A table
+that lives for one call keys each node on (R, lo), expands it once and keeps
+its live children, those that reach a zero residual, so a repeated subtree
+is looked up instead of searched again.  The stars are read off the live
+nodes at the end.  The table holds every node the search reaches: on the B4
+weight lattice, about 195,000 nodes, where the plain backtracking makes
+about 660,000 eliminations.
 
 The backtracking runs in coordinates of its own choosing.  They are sorted by
 the Gram diagonal, ascending, ties by index: small diagonal entries come
@@ -39,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import product
-from operator import le, mul
+from operator import le, mul, sub
 from typing import Sequence
 
 from .certify import certify_if_extremal
@@ -100,15 +110,15 @@ def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
     return fit
 
 
-def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[EutacticStar]:
-    """All stars with sum_j u_j u_j^T = gram, complete and deterministic.
+def _search_space(lattice: Lattice):
+    """The search's Gram, sorted alphabet, lead blocks and mapped-back vectors.
 
-    One representative per reorder/sign-flip orbit, in canonical form.  The
-    keyword-only max_n aborts enumeration once a branch that can still reach
-    a zero residual needs more vectors; branches the lead-position cut
-    removes are never entered and do not count.  The search runs in sorted,
-    sign-normalized coordinates (see the module docstring); the stars come
-    back in the lattice's basis.
+    Returns (g, alphabet, squares, begin, mapped): g is the Gram in the
+    search's coordinates (see the module docstring), alphabet the vectors u
+    of the box with g - u u^T PSD in descending order, squares[k] the u_a^2
+    of alphabet[k], alphabet[begin[p]:begin[p + 1]] the vectors with lead
+    position p, and mapped[k] alphabet[k] in the lattice's basis, in
+    canonical form.
     """
     gram, l = lattice.gram, lattice.rank
     order = sorted(range(l), key=lambda i: (gram[i][i], i))
@@ -128,33 +138,89 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     fit = _fitting(g, box, [tuple(map(mul, u, u)) for u in box])
     alphabet = sorted((box[j] for j in fit), reverse=True)
     squares = [tuple(map(mul, u, u)) for u in alphabet]
-    # The alphabet vectors with lead position p are alphabet[begin[p]:begin[p + 1]].
     leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
     begin = [bisect_left(leads, p) for p in range(l + 1)]
     # Pairing order[a] in the lattice's basis is signs[a] times pairing a in the
     # search's; each alphabet vector is mapped back, sign-normalized, once.
     back = sorted(range(l), key=order.__getitem__)
     mapped = [canonical_pairings([[signs[a] * u[a] for a in back]])[0] for u in alphabet]
+    return g, alphabet, squares, begin, mapped
 
+
+def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[EutacticStar]:
+    """All stars with sum_j u_j u_j^T = gram, complete and deterministic.
+
+    One representative per reorder/sign-flip orbit, in canonical form.  The
+    keyword-only max_n raises InputError when the search reaches a nonzero
+    residual with max_n vectors chosen, whether or not that branch can still
+    reach a zero residual; branches the lead-position cut removes are never
+    entered and do not count.  The search runs in sorted, sign-normalized
+    coordinates and expands each (residual, least index) node once (see the
+    module docstring); the stars come back in the lattice's basis.
+    """
+    g, alphabet, squares, begin, mapped = _search_space(lattice)
+    l = lattice.rank
+    # A residual is its upper triangle, read row by row.
+    pairs = [(a, b) for a in range(l) for b in range(a, l)]
+    diag = [pairs.index((a, a)) for a in range(l)]
+    full = [[pairs.index((min(a, b), max(a, b))) for b in range(l)] for a in range(l)]
+    outer = [tuple(u[a] * u[b] for a, b in pairs) for u in alphabet]
+    # residual + (lo,) -> (height, live).  height is the depth of the deepest
+    # nonzero residual below the node, itself at 0.  live holds (k, the
+    # child's live) for each child alphabet[k] that reaches a zero residual,
+    # with None for the zero residual itself; a dead node's is (), and dead
+    # nodes of one height share their entry.
+    table: dict = {}
+    dead: dict = {}
+
+    def visit(residual: tuple, start: int, depth: int):
+        """The entry of residual reached by alphabet[start], made on first visit."""
+        # A PSD residual with a zero diagonal entry has a zero row there.
+        first = next((a for a, d in enumerate(diag) if residual[d] > 0), None)
+        if first is None:
+            return None
+        lo, hi = max(start, begin[first]), begin[first + 1]
+        key = residual + (lo,)
+        node = table.get(key)
+        if node is not None:
+            if max_n is not None and depth + node[0] >= max_n:
+                raise InputError(f"enumeration exceeded max_n={max_n}")
+            return node
+        if max_n is not None and depth >= max_n:
+            raise InputError(f"enumeration exceeded max_n={max_n}")
+        height, live = 0, []
+        rows = [[residual[i] for i in row] for row in full]
+        for k in _fitting(rows, alphabet[lo:hi], squares[lo:hi]):
+            k += lo
+            child = visit(tuple(map(sub, residual, outer[k])), k, depth + 1)
+            if child is None:
+                live.append((k, None))
+            else:
+                height = max(height, child[0] + 1)
+                if child[1]:
+                    live.append((k, child[1]))
+        node = table[key] = ((height, tuple(live)) if live
+                             else dead.setdefault(height, (height, ())))
+        return node
+
+    try:
+        root = visit(tuple(g[a][b] for a, b in pairs), 0, 0)
+    finally:
+        # visit refers to itself, so without this the table would outlive the
+        # call until the cycle collector runs; the live entries stay reachable.
+        table.clear()
     found: list[tuple[tuple[int, ...], ...]] = []
 
-    def backtrack(start: int, residual: Sequence[Sequence[int]], chosen: list) -> None:
-        # A PSD residual with a zero diagonal entry has a zero row there.
-        first = next((k for k in range(l) if residual[k][k] > 0), None)
-        if first is None:
+    def emit(live: tuple | None, chosen: list) -> None:
+        if live is None:
             found.append(tuple(sorted(chosen, reverse=True)))
             return
-        if max_n is not None and len(chosen) >= max_n:
-            raise InputError(f"enumeration exceeded max_n={max_n}")
-        lo, hi = max(start, begin[first]), begin[first + 1]
-        for j in _fitting(residual, alphabet[lo:hi], squares[lo:hi]):
-            u = alphabet[lo + j]
-            chosen.append(mapped[lo + j])
-            backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
-                               for a in range(l)], chosen)
+        for k, below in live:
+            chosen.append(mapped[k])
+            emit(below, chosen)
             chosen.pop()
 
-    backtrack(0, g, [])
+    emit(root[1], [])  # a Gram is positive definite, so root is a node
     found.sort(reverse=True)
     return [star_from_pairings(lattice, rep) for rep in found]
 

@@ -15,7 +15,7 @@ from eustar.certify import certify_extremal, certify_if_extremal
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.linalg import sym_elim
 from eustar.rootsys import build_P_lattice, catalog
-from eustar.search import canonical_pairings, enumerate_stars, verify_theorem
+from eustar.search import _fitting, canonical_pairings, enumerate_stars, verify_theorem
 from eustar.star import is_eutactic
 
 from conftest import CORPUS_GRAMS
@@ -179,26 +179,100 @@ def test_weight_lattice_enumerations_frozen(label):
     assert (len(pairings), digest) == FROZEN_ENUMERATIONS[label]
 
 
-def _counted_enumeration(monkeypatch, lattice):
-    """The pairings of enumerate_stars and the number of sym_elim calls it made."""
+def plain_enumeration(lattice, max_n=None):
+    """The pairing lists of the plain backtracking: enumerate_stars' search
+    space, lead-position cut and bordered search._fitting, with no node
+    table, so a subtree is searched again each time a prefix reaches it.
+    The reference for enumerate_stars' table and its max_n."""
+    g, alphabet, squares, begin, mapped = search._search_space(lattice)
+    l = lattice.rank
+    found = []
+
+    def backtrack(start, residual, chosen):
+        # A PSD residual with a zero diagonal entry has a zero row there.
+        first = next((k for k in range(l) if residual[k][k] > 0), None)
+        if first is None:
+            found.append(tuple(sorted(chosen, reverse=True)))
+            return
+        if max_n is not None and len(chosen) >= max_n:
+            raise InputError(f"enumeration exceeded max_n={max_n}")
+        lo, hi = max(start, begin[first]), begin[first + 1]
+        for j in search._fitting(residual, alphabet[lo:hi], squares[lo:hi]):
+            u = alphabet[lo + j]
+            chosen.append(mapped[lo + j])
+            backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
+                               for a in range(l)], chosen)
+            chosen.pop()
+
+    backtrack(0, g, [])
+    return sorted(found, reverse=True)
+
+
+def _stars(lattice):
+    return [s.pairings for s in enumerate_stars(lattice)]
+
+
+def _counted(monkeypatch, f, enumerate_, lattice):
+    """enumerate_(lattice) and the number of calls it made to search.<f>."""
     calls = []
 
-    def counted(m):
+    def counted(*args):
         calls.append(1)
-        return sym_elim(m)
+        return f(*args)
 
-    monkeypatch.setattr(search, "sym_elim", counted)
-    return [s.pairings for s in enumerate_stars(lattice)], len(calls)
+    monkeypatch.setattr(search, f.__name__, counted)
+    return enumerate_(lattice), len(calls)
+
+
+def _counted_enumeration(monkeypatch, lattice):
+    """The pairings of enumerate_stars and the number of sym_elim calls it made."""
+    return _counted(monkeypatch, sym_elim, _stars, lattice)
 
 
 def test_d4_weight_enumeration_work_pinned(monkeypatch):
-    # One sym_elim for the alphabet and one per node that has a candidate
-    # left after the diagonal test, in the search's sorted, sign-normalized
-    # coordinates.  In the lattice's own coordinates the same search made
-    # 3,076 calls; a fresh elimination per child residual, with no
-    # lead-position cut, made 258,840.
-    pairings, calls = _counted_enumeration(monkeypatch, build_P_lattice(catalog("D4")))
+    # The plain backtracking makes one sym_elim for the alphabet and one per
+    # node that has a candidate left after the diagonal test, in the search's
+    # sorted, sign-normalized coordinates.  In the lattice's own coordinates
+    # the same search made 3,076 calls; a fresh elimination per child
+    # residual, with no lead-position cut, made 258,840.
+    pairings, calls = _counted(monkeypatch, sym_elim, plain_enumeration,
+                               build_P_lattice(catalog("D4")))
     assert (len(pairings), calls) == (209, 2256)
+
+
+def test_d4_weight_enumeration_table_work_pinned(monkeypatch):
+    # enumerate_stars expands each (residual, least index) node once, so it
+    # makes 1,671 sym_elim calls where the plain backtracking makes 2,256.
+    pairings, calls = _counted_enumeration(monkeypatch, build_P_lattice(catalog("D4")))
+    assert (len(pairings), calls) == (209, 1671)
+
+
+@pytest.mark.parametrize("label,nodes,plain", [("B3", 378, 564), ("C3", 713, 966)])
+def test_nodes_expanded_pinned(label, nodes, plain, monkeypatch):
+    # One _fitting call for the alphabet and one per node expanded: the table
+    # expands each node once, the plain backtracking once per prefix.
+    lattice = build_P_lattice(catalog(label))
+    assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == 1 + nodes
+    assert _counted(monkeypatch, _fitting, plain_enumeration, lattice)[1] == 1 + plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_grams(max_diag=9))
+def test_table_matches_plain_enumeration(gram):
+    lattice = Lattice(gram)
+    want = plain_enumeration(lattice)
+    assert _stars(lattice) == want
+    # max_n raises at a nonzero residual reached with max_n vectors chosen,
+    # in the table exactly as in the plain backtracking.
+    for max_n in range(1, max(map(len, want), default=0) + 2):
+        outcomes = []
+        for run in (enumerate_stars, plain_enumeration):
+            try:
+                run(lattice, max_n=max_n)
+                outcomes.append(False)
+            except InputError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], max_n
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
