@@ -27,6 +27,14 @@ nodes at the end.  The table holds every node the search reaches: on the B4
 weight lattice, about 195,000 nodes, where the plain backtracking makes
 about 660,000 eliminations.
 
+Each node expanded is kept cheap.  The rows of [R | u_1 .. u_m] are slices
+of R's stored upper triangle, all that sym_elim reads.  The candidates are
+the vectors of the node's index range [lo, hi) that pass the diagonal test
+u_a^2 <= R_aa.  For integers that is |u_a| <= isqrt(R_aa), so the candidates
+depend only on lo, hi and those caps, and a memo that lives for one call
+lists them, with their entries by coordinate, once per such key: on the B4
+weight lattice, 194,904 nodes share 2,161 keys.
+
 The backtracking runs in coordinates of its own choosing.  They are sorted by
 the Gram diagonal, ascending, ties by index: small diagonal entries come
 first, so the rows that every node clears first have the smallest boxes and
@@ -49,7 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import product
-from operator import le, mul, sub
+from operator import le, sub
 from typing import Sequence
 
 from .certify import certify_if_extremal
@@ -73,29 +81,29 @@ def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return tuple(sorted(normed, reverse=True))
 
 
-def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
-             squares: Sequence[Sequence[int]]) -> list[int]:
-    """Indices j, ascending, with r - u_j u_j^T PSD, for a PSD integer matrix r.
+def _fitting(bordered: Sequence[Sequence[int]]) -> list[int]:
+    """Positions c, ascending, of the columns u_c of [R | u_0 .. u_m-1] with
+    R - u_c u_c^T PSD, for a PSD integer matrix R of which, like sym_elim,
+    only the upper triangle is read.
 
-    A vector with some u_a^2 > r[a][a], squares[j] holding the u_a^2 of
-    vectors[j], fails on the diagonal and is dropped first.  Bareiss on
-    the bordered matrix [[r, u], [u^T, 1]] runs through r's pivots and
-    leaves u's column as sym_elim carries it on [r | u]; with a zero pivot
-    that column entry must be 0, and the corner, updated at each positive
-    pivot p as (p corner - y^2) // prev (exact, by Sylvester's identity),
-    must end >= 0.
+    Bareiss on the bordered matrix [[R, u], [u^T, 1]] runs through R's pivots
+    and leaves u's column as sym_elim carries it on [R | u]; with a zero
+    pivot that column entry must be 0, and the corner, updated at each
+    positive pivot p as (p corner - y^2) // prev (exact, by Sylvester's
+    identity), must end >= 0.  With no columns there is nothing to test and
+    no elimination is made.  The test is exact for any columns; the search
+    only passes those within R's diagonal caps (see enumerate_stars), since
+    a vector with some u_a^2 > R_aa fails on the diagonal.
     """
-    l = len(r)
-    diag = [r[a][a] for a in range(l)]
-    live = [j for j, sq in enumerate(squares) if all(map(le, sq, diag))]
-    if not live:
+    l = len(bordered)
+    if len(bordered[0]) == l:
         return []
-    rows = sym_elim([list(r[i]) + [vectors[j][i] for j in live] for i in range(l)])
+    rows = sym_elim(bordered)
     if rows is None:
         raise InternalError("a residual of star enumeration is not positive semidefinite")
     pivots = [(rows[k][k], rows[k]) for k in range(l)]
     fit = []
-    for c, j in enumerate(live, l):
+    for c in range(l, len(rows[0])):
         corner, prev = 1, 1
         for p, row in pivots:
             y = row[c]
@@ -106,19 +114,18 @@ def _fitting(r: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
                 break
         else:
             if corner >= 0:
-                fit.append(j)
+                fit.append(c - l)
     return fit
 
 
 def _search_space(lattice: Lattice):
     """The search's Gram, sorted alphabet, lead blocks and mapped-back vectors.
 
-    Returns (g, alphabet, squares, begin, mapped): g is the Gram in the
-    search's coordinates (see the module docstring), alphabet the vectors u
-    of the box with g - u u^T PSD in descending order, squares[k] the u_a^2
-    of alphabet[k], alphabet[begin[p]:begin[p + 1]] the vectors with lead
-    position p, and mapped[k] alphabet[k] in the lattice's basis, in
-    canonical form.
+    Returns (g, alphabet, begin, mapped): g is the Gram in the search's
+    coordinates (see the module docstring), alphabet the vectors u of the
+    box with g - u u^T PSD in descending order, alphabet[begin[p]:begin[p + 1]]
+    the vectors with lead position p, and mapped[k] alphabet[k] in the
+    lattice's basis, in canonical form.
     """
     gram, l = lattice.gram, lattice.rank
     order = sorted(range(l), key=lambda i: (gram[i][i], i))
@@ -135,16 +142,16 @@ def _search_space(lattice: Lattice):
          for a, i in enumerate(order)]
     box = [u for u in product(*(range(-b, b + 1) for b in bound))
            if next((x for x in u if x != 0), 0) > 0]
-    fit = _fitting(g, box, [tuple(map(mul, u, u)) for u in box])
+    # Every box vector is within g's diagonal caps.
+    fit = _fitting([row + [u[a] for u in box] for a, row in enumerate(g)])
     alphabet = sorted((box[j] for j in fit), reverse=True)
-    squares = [tuple(map(mul, u, u)) for u in alphabet]
     leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
     begin = [bisect_left(leads, p) for p in range(l + 1)]
     # Pairing order[a] in the lattice's basis is signs[a] times pairing a in the
     # search's; each alphabet vector is mapped back, sign-normalized, once.
     back = sorted(range(l), key=order.__getitem__)
     mapped = [canonical_pairings([[signs[a] * u[a] for a in back]])[0] for u in alphabet]
-    return g, alphabet, squares, begin, mapped
+    return g, alphabet, begin, mapped
 
 
 def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[EutacticStar]:
@@ -158,12 +165,16 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     coordinates and expands each (residual, least index) node once (see the
     module docstring); the stars come back in the lattice's basis.
     """
-    g, alphabet, squares, begin, mapped = _search_space(lattice)
+    g, alphabet, begin, mapped = _search_space(lattice)
     l = lattice.rank
-    # A residual is its upper triangle, read row by row.
+    # A residual is its upper triangle, read row by row: row a is
+    # residual[cuts[a]], its columns a..l-1.  sym_elim reads no entry left of
+    # the diagonal, so the bordered row a is pads[a] + residual[cuts[a]] + the
+    # candidates' entries a.
     pairs = [(a, b) for a in range(l) for b in range(a, l)]
     diag = [pairs.index((a, a)) for a in range(l)]
-    full = [[pairs.index((min(a, b), max(a, b))) for b in range(l)] for a in range(l)]
+    cuts = [slice(d, d + l - a) for a, d in enumerate(diag)]
+    pads = [(0,) * a for a in range(l)]
     outer = [tuple(u[a] * u[b] for a, b in pairs) for u in alphabet]
     # residual + (lo,) -> (height, live).  height is the depth of the deepest
     # nonzero residual below the node, itself at 0.  live holds (k, the
@@ -172,6 +183,9 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     # nodes of one height share their entry.
     table: dict = {}
     dead: dict = {}
+    # (lo, hi, caps) -> (ks, cols): ks the k in [lo, hi) with every
+    # |alphabet[k][a]| <= caps[a], cols[a] their entries a.
+    candidates: dict = {}
 
     def visit(residual: tuple, start: int, depth: int):
         """The entry of residual reached by alphabet[start], made on first visit."""
@@ -188,10 +202,17 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
             return node
         if max_n is not None and depth >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
+        caps = tuple(map(math.isqrt, map(residual.__getitem__, diag)))
+        cand = candidates.get((lo, hi, caps))
+        if cand is None:
+            ks = [k for k in range(lo, hi) if all(map(le, map(abs, alphabet[k]), caps))]
+            cand = candidates[lo, hi, caps] = (
+                ks, [tuple([alphabet[k][a] for k in ks]) for a in range(l)])
+        ks, cols = cand
         height, live = 0, []
-        rows = [[residual[i] for i in row] for row in full]
-        for k in _fitting(rows, alphabet[lo:hi], squares[lo:hi]):
-            k += lo
+        for c in _fitting([pad + residual[cut] + col
+                           for pad, cut, col in zip(pads, cuts, cols)]):
+            k = ks[c]
             child = visit(tuple(map(sub, residual, outer[k])), k, depth + 1)
             if child is None:
                 live.append((k, None))
@@ -209,6 +230,7 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
         # visit refers to itself, so without this the table would outlive the
         # call until the cycle collector runs; the live entries stay reachable.
         table.clear()
+        candidates.clear()
     found: list[tuple[tuple[int, ...], ...]] = []
 
     def emit(live: tuple | None, chosen: list) -> None:

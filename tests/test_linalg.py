@@ -238,6 +238,74 @@ def test_sym_elim_carries_columns():
     assert full >= 50
 
 
+def textbook_bareiss(m, n):
+    """Bareiss on the whole of [A | B], A the leading n x n block, diagonal
+    pivots in order: every row below a pivot is updated, whatever its
+    multiplier.  A zero pivot is skipped if its row of A is zero, and None is
+    returned otherwise or at a negative pivot."""
+    rows = [list(row) for row in m]
+    width = len(rows[0]) if rows else 0
+    prev = 1
+    for k in range(n):
+        p = rows[k][k]
+        if p <= 0:
+            if p < 0 or any(rows[k][k + 1:n]):
+                return None
+            continue
+        for i in range(k + 1, n):
+            a = rows[i][k]
+            for j in range(k + 1, width):
+                rows[i][j] = (p * rows[i][j] - a * rows[k][j]) // prev
+        prev = p
+    return rows
+
+
+def sparse_symmetric(rng, n):
+    """A random symmetric n x n integer matrix with many zero entries."""
+    kind = rng.choice(("diagonal", "blocks", "zero rows", "any"))
+    if kind == "diagonal":
+        return [[rng.randrange(0, 6) * (i == j) for j in range(n)] for i in range(n)]
+    if kind == "any":
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.choice((0, 0, 0, -1, 1, 2, 3))
+        return a
+    # B^T B, PSD: block-diagonal when each row of B stays in one block of
+    # coordinates, with zero rows where a column of B is zero.
+    cut = rng.randrange(n + 1)
+    blocks = [range(cut), range(cut, n)] if kind == "blocks" else [range(n)]
+    zero = set(rng.sample(range(n), rng.randrange(n))) if kind == "zero rows" else set()
+    b = []
+    for block in blocks:
+        for _ in range(rng.randrange(len(block) + 2)):
+            b.append([rng.randrange(-2, 3) if j in block and j not in zero else 0
+                      for j in range(n)])
+    return [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+
+
+def test_sym_elim_zero_multipliers_match_textbook_bareiss():
+    # sym_elim leaves a row whose multiplier is 0 alone, or only scales it by
+    # p / prev; every entry it keeps, on and right of the diagonal and in the
+    # carried columns, must equal the textbook elimination's.
+    rng = random.Random(29)
+    sparse = kept = 0
+    for _ in range(600):
+        n = rng.randrange(1, 7)
+        a = sparse_symmetric(rng, n)
+        extra = rng.choice((0, 0, 1, 3))
+        m = [row + [rng.choice((0, 0, -1, 1, 4)) for _ in range(extra)] for row in a]
+        want, got = textbook_bareiss(m, n), sym_elim(m)
+        assert (got is None) == (want is None), m
+        if got is None:
+            continue
+        kept += 1
+        assert [row[i:] for i, row in enumerate(got)] == \
+            [row[i:] for i, row in enumerate(want)], m
+        sparse += any(m[k][k] > 0 and m[k][i] == 0 for k in range(n) for i in range(k + 1, n))
+    assert kept >= 300 and sparse >= 200
+
+
 def test_clear_denominators():
     assert clear_denominators([[Q(1, 2), Q(-1, 3)], [2, "3/4"]]) == ([[6, -4], [24, 9]], 12)
     assert clear_denominators([[1, -2]]) == ([[1, -2]], 1)

@@ -7,7 +7,7 @@ from functools import cache
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eustar import search
@@ -184,7 +184,7 @@ def plain_enumeration(lattice, max_n=None):
     space, lead-position cut and bordered search._fitting, with no node
     table, so a subtree is searched again each time a prefix reaches it.
     The reference for enumerate_stars' table and its max_n."""
-    g, alphabet, squares, begin, mapped = search._search_space(lattice)
+    g, alphabet, begin, mapped = search._search_space(lattice)
     l = lattice.rank
     found = []
 
@@ -197,11 +197,16 @@ def plain_enumeration(lattice, max_n=None):
         if max_n is not None and len(chosen) >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
         lo, hi = max(start, begin[first]), begin[first + 1]
-        for j in search._fitting(residual, alphabet[lo:hi], squares[lo:hi]):
-            u = alphabet[lo + j]
-            chosen.append(mapped[lo + j])
-            backtrack(lo + j, [[residual[a][b] - u[a] * u[b] for b in range(l)]
-                               for a in range(l)], chosen)
+        # The diagonal test, vector by vector: every u_a^2 <= residual[a][a].
+        live = [k for k in range(lo, hi)
+                if all(x * x <= residual[a][a] for a, x in enumerate(alphabet[k]))]
+        for j in search._fitting([residual[a] + [alphabet[k][a] for k in live]
+                                  for a in range(l)]):
+            k = live[j]
+            u = alphabet[k]
+            chosen.append(mapped[k])
+            backtrack(k, [[residual[a][b] - u[a] * u[b] for b in range(l)]
+                          for a in range(l)], chosen)
             chosen.pop()
 
     backtrack(0, g, [])
@@ -347,4 +352,41 @@ def test_star_set_follows_unimodular_basis_change(label, seed):
 
 def test_non_psd_residual_raises_internal_error():
     with pytest.raises(InternalError):
-        search._fitting([[1, 2], [2, 1]], [(1, 0)], [(1, 0)])
+        search._fitting([[1, 2, 1], [2, 1, 0]])
+
+
+@st.composite
+def residuals_with_candidates(draw):
+    """(R, vectors): R = B^T B, PSD and often singular, with zero rows where
+    a column of B is zero; the vectors mix rows of B, which always fit, with
+    arbitrary ones, some of them past R's diagonal."""
+    l = draw(st.integers(1, 4))
+    zero = draw(st.lists(st.booleans(), min_size=l, max_size=l))
+    entry = st.integers(-2, 2)
+    b = [[0 if z else x for x, z in zip(row, zero)]
+         for row in draw(st.lists(st.lists(entry, min_size=l, max_size=l), max_size=l + 1))]
+    r = [[sum(row[i] * row[j] for row in b) for j in range(l)] for i in range(l)]
+    vectors = draw(st.lists(st.one_of(st.sampled_from(b) if b else st.nothing(),
+                                      st.lists(st.integers(-3, 3), min_size=l, max_size=l)),
+                            max_size=8))
+    return r, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(residuals_with_candidates())
+@example(([[1, 1], [1, 1]], [(1, 1), (1, 0), (1, -1), (0, 1), (2, 2)]))
+@example(([[0, 0, 0], [0, 2, 1], [0, 1, 1]], [(0, 1, 1), (0, 1, 0), (1, 0, 0), (0, 1, -1)]))
+@example(([[0, 0], [0, 0]], [(0, 0), (0, 1)]))
+def test_fitting_matches_fresh_elimination(case):
+    # _fitting's one bordered elimination keeps exactly the vectors u for
+    # which a fresh sym_elim finds R - u u^T PSD, whether R arrives whole or,
+    # as enumerate_stars builds it, as its upper triangle padded with zeros.
+    r, vectors = case
+    l = len(r)
+    want = [c for c, u in enumerate(vectors)
+            if sym_elim([[r[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)])
+            is not None]
+    columns = [[u[a] for u in vectors] for a in range(l)]
+    assert search._fitting([r[a] + columns[a] for a in range(l)]) == want
+    assert search._fitting([[0] * a + r[a][a:] + columns[a] for a in range(l)]) == want
+    assert search._fitting(r) == []

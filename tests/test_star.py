@@ -13,9 +13,9 @@ from eustar.qseries import check_antisymmetry, reflect_series, theta_block
 from eustar.rootsys import (build_P_lattice, build_star, catalog, catalog_labels,
                             recognize)
 from eustar.search import enumerate_stars
-from eustar.star import (divisor_multiplicity, dump_star, is_eutactic, load_star,
-                         star_from_json_dict, star_from_pairings, star_from_vectors,
-                         support_set)
+from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, is_eutactic,
+                         load_star, star_from_json_dict, star_from_pairings,
+                         star_from_vectors, support_set)
 
 from conftest import change_basis, random_unimodular, rational_point
 from test_linalg import gauss_jordan_inverse
@@ -31,6 +31,48 @@ def test_construction_validation():
         star_from_vectors(lat, [(1, 0, 0)])
     with pytest.raises(InputError, match="vector 1"):
         star_from_vectors(lat, [(1, 0), (Q(1, 2), 0)])
+
+
+# Constructor inputs on the A2 Gram [[2, 1], [1, 2]], with the pairings or the
+# InputError text the per-vector loop gave them.  Int tuples take the flat
+# passes; every other row must come out the same through the loop.
+CONSTRUCTOR_TABLE = [
+    ([(1, 1), (1, 0), (0, 1)], ((1, 1), (1, 0), (0, 1))),
+    ([(2, -1), (-3, 4), (1, 0), (1, 0)], ((2, -1), (-3, 4), (1, 0), (1, 0))),
+    ([[1, 1], [1, 0], [0, 1]], ((1, 1), (1, 0), (0, 1))),
+    (((1, 1), [1, 0], (0, 1)), ((1, 1), (1, 0), (0, 1))),
+    ([(True, 0), (0, True)], ((1, 0), (0, 1))),
+    ([(True, False), (1, 1)], ((1, 0), (1, 1))),
+    ([(Q(2), 1), (0, Q(-1))], ((2, 1), (0, -1))),
+    ([(1, 0), (Q(1, 2), 0)], "vector 1: not in the dual lattice (pairings ['1/2', '0'])"),
+    ([(Q(1, 3), Q(2, 3))], "vector 0: not in the dual lattice (pairings ['1/3', '2/3'])"),
+    ([(1, 0), (0, 1), (1,)], "vector 2: length 1, expected 2"),
+    ([(1, 0, 0), (0, 1)], "vector 0: length 3, expected 2"),
+    ([(1, 0), (0, 1), (1, 1, 1)], "vector 2: length 3, expected 2"),
+    ([(1, 0), (Q(1, 2), 0, 0)], "vector 1: length 3, expected 2"),
+    ([(1, 0), (0, 0, 0)], "vector 1: length 3, expected 2"),
+    ([(1, 0), (0, 0)], "vector 1: zero vector not allowed"),
+    ([(0, 0), (1, 0)], "vector 0: zero vector not allowed"),
+    ([(1, 0), (False, 0)], "vector 1: zero vector not allowed"),
+    ([(1, 0), (Q(0), Q(0))], "vector 1: zero vector not allowed"),
+    ([(1, 0), (0, 0), (Q(1, 2), 0)], "vector 1: zero vector not allowed"),
+    ([], "a star needs at least one vector"),
+    ((), "a star needs at least one vector"),
+]
+
+
+@pytest.mark.parametrize("pairings,want", CONSTRUCTOR_TABLE)
+def test_constructor_table(pairings, want):
+    lat = Lattice([[2, 1], [1, 2]])
+    if isinstance(want, str):
+        with pytest.raises(InputError) as err:
+            EutacticStar(lat, pairings)
+        assert str(err.value) == want
+        return
+    star = EutacticStar(lat, pairings)
+    assert (star.pairings, star.size) == (want, len(want))
+    assert all(type(u) is tuple for u in star.pairings)
+    assert all(type(x) is int for u in star.pairings for x in u)
 
 
 def test_pairings_are_integer_tuples(a2_star):
