@@ -41,9 +41,6 @@ def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
     is exact (Sylvester's identity).  While no pivot has been 0, r[k][k] is
     the leading (k+1)x(k+1) minor.  A symmetric matrix is PSD iff every
     pivot is >= 0 and every zero pivot has a zero row; such a pivot is skipped.
-    A row whose multiplier piv[i] is 0 is only scaled by p/prev, exactly, and
-    left alone when p == prev: sparse and block-diagonal matrices, and the
-    residuals of star enumeration, have many such rows.
 
     Rows longer than n carry the columns past the n x n block A, a right-hand
     side B, through the same steps: Bareiss on [A | B], whose row i reads
@@ -62,12 +59,8 @@ def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
             continue
         for i in range(k + 1, n):
             row, a = rows[i], piv[i]
-            if a:
-                for j in range(i, width):
-                    row[j] = (p * row[j] - a * piv[j]) // prev
-            elif p != prev:
-                for j in range(i, width):
-                    row[j] = p * row[j] // prev
+            for j in range(i, width):
+                row[j] = (p * row[j] - a * piv[j]) // prev
         prev = p
     return rows
 

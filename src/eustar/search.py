@@ -31,9 +31,9 @@ Each node expanded is kept cheap.  The rows of [R | u_1 .. u_m] are slices
 of R's stored upper triangle, all that sym_elim reads.  The candidates are
 the vectors of the node's index range [lo, hi) that pass the diagonal test
 u_a^2 <= R_aa.  For integers that is |u_a| <= isqrt(R_aa), so the candidates
-depend only on lo, hi and those caps, and a memo that lives for one call
-lists them, with their entries by coordinate, once per such key: on the B4
-weight lattice, 194,904 nodes share 2,161 keys.
+depend only on lo and those caps (hi is set by the first nonzero cap), and a
+memo that lives for one call lists them, with their entries by coordinate,
+once per such key: on the B4 weight lattice, 194,904 nodes share 2,161 keys.
 
 The backtracking runs in coordinates of its own choosing.  They are sorted by
 the Gram diagonal, ascending, ties by index: small diagonal entries come
@@ -183,8 +183,9 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     # nodes of one height share their entry.
     table: dict = {}
     dead: dict = {}
-    # (lo, hi, caps) -> (ks, cols): ks the k in [lo, hi) with every
-    # |alphabet[k][a]| <= caps[a], cols[a] their entries a.
+    # (lo, caps) -> (ks, cols): ks the k in [lo, hi) with every
+    # |alphabet[k][a]| <= caps[a], cols[a] their entries a.  hi is
+    # begin[first + 1], and first is the first nonzero cap.
     candidates: dict = {}
 
     def visit(residual: tuple, start: int, depth: int):
@@ -203,10 +204,10 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
         if max_n is not None and depth >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
         caps = tuple(map(math.isqrt, map(residual.__getitem__, diag)))
-        cand = candidates.get((lo, hi, caps))
+        cand = candidates.get((lo, caps))
         if cand is None:
             ks = [k for k in range(lo, hi) if all(map(le, map(abs, alphabet[k]), caps))]
-            cand = candidates[lo, hi, caps] = (
+            cand = candidates[lo, caps] = (
                 ks, [tuple([alphabet[k][a] for k in ks]) for a in range(l)])
         ks, cols = cand
         height, live = 0, []

@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -36,28 +35,19 @@ class EutacticStar:
     def __init__(self, lattice: Lattice, pairings: Sequence[Sequence]):
         if len(pairings) == 0:
             raise InputError("a star needs at least one vector")
-        # Nonzero int tuples of the right length, as enumeration builds them,
-        # pass in flat passes; anything else goes through the loop, which
-        # converts what it can and reports the first vector it cannot take.
-        if (set(map(type, pairings)) == {tuple}
-                and set(map(len, pairings)) == {lattice.rank}
-                and set(map(type, chain.from_iterable(pairings))) == {int}
-                and all(map(any, pairings))):
-            ints = pairings
-        else:
-            ints = []
-            for j, u in enumerate(pairings):
-                if len(u) != lattice.rank:
-                    raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
-                row = u
-                if not all(type(x) is int for x in u):
-                    (row,), den = clear_denominators([u])
-                    if den != 1:
-                        raise InputError(f"vector {j}: not in the dual lattice "
-                                         f"(pairings {[str(Q(x)) for x in u]})")
-                if not any(row):
-                    raise InputError(f"vector {j}: zero vector not allowed")
-                ints.append(tuple(row))
+        ints, all_int = [], (int,) * lattice.rank
+        for j, u in enumerate(pairings):
+            if len(u) != lattice.rank:
+                raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
+            row = u
+            if tuple(map(type, u)) != all_int:
+                (row,), den = clear_denominators([u])
+                if den != 1:
+                    raise InputError(f"vector {j}: not in the dual lattice "
+                                     f"(pairings {[str(Q(x)) for x in u]})")
+            if not any(row):
+                raise InputError(f"vector {j}: zero vector not allowed")
+            ints.append(tuple(row))
         self.lattice = lattice
         self.pairings: tuple[tuple[int, ...], ...] = tuple(ints)
         self.size = len(ints)

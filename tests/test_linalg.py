@@ -284,10 +284,10 @@ def sparse_symmetric(rng, n):
     return [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
 
 
-def test_sym_elim_zero_multipliers_match_textbook_bareiss():
-    # sym_elim leaves a row whose multiplier is 0 alone, or only scales it by
-    # p / prev; every entry it keeps, on and right of the diagonal and in the
-    # carried columns, must equal the textbook elimination's.
+def test_sym_elim_matches_textbook_bareiss_on_sparse_matrices():
+    # sym_elim updates only the upper triangle; every entry it keeps, on and
+    # right of the diagonal and in the carried columns, must equal the
+    # textbook elimination's, also where many multipliers are 0.
     rng = random.Random(29)
     sparse = kept = 0
     for _ in range(600):
