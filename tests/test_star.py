@@ -34,8 +34,8 @@ def test_construction_validation():
 
 
 # Constructor inputs on the A2 Gram [[2, 1], [1, 2]], with the pairings or the
-# InputError text the per-vector loop gave them.  Int tuples take the flat
-# passes; every other row must come out the same through the loop.
+# InputError text the generator check `all(type(x) is int for x in u)` gave
+# them; the C-level type check must give the same on every row.
 CONSTRUCTOR_TABLE = [
     ([(1, 1), (1, 0), (0, 1)], ((1, 1), (1, 0), (0, 1))),
     ([(2, -1), (-3, 4), (1, 0), (1, 0)], ((2, -1), (-3, 4), (1, 0), (1, 0))),
