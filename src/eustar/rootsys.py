@@ -87,27 +87,35 @@ class RootSystemDescriptor:
 
 def _close_under_reflections(cartan, n: int, limit: int | None = None):
     """The orbit of the simple roots under the simple reflections, in
-    simple-root coordinates; None as soon as it would exceed limit roots.
+    simple-root coordinates, for a Cartan matrix of finite type; None as soon
+    as it would exceed limit roots.
 
     Each root r travels with its labels b_i = <r, a_i^vee> = sum_k r_k A_ki,
     so s_i r = r - b_i a_i has the labels b - b_i A_i and costs no pairing.
+    The orbit is the root system, so it is the positive roots and their
+    negatives.  Only the steps with b_i < 0, which raise r, are taken: they
+    keep a positive root positive, and each positive root that is not simple
+    is such a step from a lower one (Humphreys 10.2), so they reach every
+    positive root from the simple ones.
     """
     rows = [tuple(row) for row in cartan]
     frontier = [(tuple(int(j == i) for j in range(n)), rows[i]) for i in range(n)]
-    roots = {r for r, _ in frontier}
+    positive = {r for r, _ in frontier}
     while frontier:
         r, b = frontier.pop()
         for i, c in enumerate(b):
-            if c:
+            if c < 0:
                 img = list(r)
                 img[i] -= c
                 img = tuple(img)
-                if img not in roots:
-                    if len(roots) == limit:
+                if img not in positive:
+                    if limit is not None and 2 * (len(positive) + 1) > limit:
                         return None
-                    roots.add(img)
+                    positive.add(img)
                     frontier.append((img, tuple([x - c * y for x, y in zip(b, rows[i])])))
-    return roots
+    if limit is not None and 2 * len(positive) > limit:
+        return None
+    return positive | {tuple([-x for x in r]) for r in positive}
 
 
 @lru_cache(maxsize=None)
@@ -253,24 +261,28 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
         if not any(v):
             raise InputError(f"recognize: vector {j} is zero")
     sset = set(scaled)
-    for j, v in enumerate(scaled):
-        if tuple([-x for x in v]) not in sset:
+    minus = [tuple([-x for x in v]) for v in scaled]
+    for j, w in enumerate(minus):
+        if w not in sset:
             raise InputError(f"recognize: S is not symmetric under negation "
                              f"(missing -{format_vector(vec(j))})")
     n = len(scaled)
 
     # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
     # with p_i primitive and its first nonzero entry positive, so v_j is an
-    # integer multiple of v_i iff p_j = p_i and mult[i] divides mult[j].
+    # integer multiple of v_i iff p_j = p_i and mult[i] divides mult[j].  A
+    # tuple's first nonzero entry is negative iff it sorts below zero.
     mult, prim = [], []
     lines: dict[tuple, list[int]] = {}
+    zero = (0,) * lattice.rank
     for i, v in enumerate(scaled):
         d = math.gcd(*v)
-        if next(a for a in v if a != 0) < 0:
+        if v < zero:
             d = -d
+        p = v if d == 1 else minus[i] if d == -1 else tuple([a // d for a in v])
         mult.append(d)
-        prim.append(tuple(a // d for a in v))
-        lines.setdefault(prim[i], []).append(i)
+        prim.append(p)
+        lines.setdefault(p, []).append(i)
     for i in range(n):
         a = mult[i]
         for j in lines[prim[i]]:
@@ -285,8 +297,8 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
 
     # Representatives: the indices before their negation's, which negs holds.
     reps, negs = [], []
-    for i, v in enumerate(scaled):
-        j = seen[tuple([-x for x in v])]
+    for i, w in enumerate(minus):
+        j = seen[w]
         if i < j:
             reps.append(i)
             negs.append(j)
@@ -354,6 +366,9 @@ def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
     if inv is None or any(2 * x % M[j][j] for row in M for j, x in enumerate(row)):
         return None, None
     cartan = [[2 * x // M[j][j] for j, x in enumerate(row)] for row in M]
+    # Delta was picked with M_pk <= 0 off the diagonal, and M is positive
+    # definite, so this integral Cartan matrix is of finite type (Humphreys
+    # 11.4), as the closure needs.
     roots = _close_under_reflections(cartan, r, limit=n)
     if roots is None:
         return None, None
@@ -413,38 +428,49 @@ def _match_type(a: Sequence[Sequence[int]]) -> str:
 
     The Cartan matrix is compared with the diagram of each family that
     exists at its rank (A, B, C and D have every rank from 1, 2, 3 and 4;
-    E6-E8, F4 and G2 one each), by a profile of its edges and then by
-    isomorphism; no catalog entry is built, so ranks past the catalog's are
-    named too.  The Cartan matrix determines the root system, so the diagram
-    names it.  A connected Cartan matrix with a positive definite form is of
-    finite type (Humphreys 11.4), and recognition passes only those here, so
-    a miss is an InternalError.
+    E6-E8, F4 and G2 one each), by a profile and then by isomorphism; no
+    catalog entry is built, so ranks past the catalog's are named too.  The
+    profile is the sorted list of node signatures, a node's signature the
+    sorted (a_ij, a_ji, degree of j) over its neighbours j.  It tells every
+    family apart at every rank (the neighbours' degrees are what separate
+    D_n from E_n, n = 6, 7, 8), so the isomorphism search runs for one family
+    at most, and maps each node only to nodes of its own signature.  The
+    Cartan matrix determines the root system, so the diagram names it.  A
+    connected Cartan matrix with a positive definite form is of finite type
+    (Humphreys 11.4), and recognition passes only those here, so a miss is
+    an InternalError.
     """
     r = len(a)
 
-    def profile(m):
-        return sorted(sorted((m[i][j], m[j][i]) for j in range(r) if j != i and m[i][j])
-                      for i in range(r))
+    def signatures(m):
+        nbrs = [[j for j in range(r) if j != i and m[i][j]] for i in range(r)]
+        return [tuple(sorted((m[i][j], m[j][i], len(nbrs[j])) for j in nbrs[i]))
+                for i in range(r)]
 
-    def isomorphic(ref, perm):
+    def isomorphic(ref, ref_sig, perm):
         # Extend perm (a[perm[i]][perm[j]] == ref[i][j] so far) to all of range(r).
         i = len(perm)
         if i == r:
             return True
-        for p in range(r):
+        for p in nodes[ref_sig[i]]:
             if p not in perm and a[p][p] == ref[i][i] and \
                     all(a[p][q] == ref[i][j] and a[q][p] == ref[j][i]
                         for j, q in enumerate(perm)):
                 perm.append(p)
-                if isomorphic(ref, perm):
+                if isomorphic(ref, ref_sig, perm):
                     return True
                 perm.pop()
         return False
 
-    prof = profile(a)
+    sig = signatures(a)
+    prof = sorted(sig)
+    nodes: dict[tuple, list[int]] = {}
+    for p, x in enumerate(sig):
+        nodes.setdefault(x, []).append(p)
     for family in "ABCDEFG":
         if _MIN_RANK[family] <= r and (family in "ABCD" or r <= _MAX_RANK[family]):
             ref = cartan_matrix_for(family, r)
-            if profile(ref) == prof and isomorphic(ref, []):
+            ref_sig = signatures(ref)
+            if sorted(ref_sig) == prof and isomorphic(ref, ref_sig, []):
                 return f"{family}{r}"
     raise InternalError(f"a Cartan matrix of finite type matches no diagram: {a}")

@@ -54,15 +54,19 @@ class EutacticStar:
 
     @cached_property
     def _dual_coords(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(W, g) with s_j = W_j / g: W_j = gi u_j, with gram W_j == g u_j checked in int."""
+        """(W, g) with s_j = W_j / g: W_j = gi u_j, for the lattice's
+        gram^-1 = gi / g.
+
+        gram gi == g I is checked once, in int, before any W_j is formed; it
+        implies gram W_j == g u_j for every j, whichever columns of gi the
+        pairings use.
+        """
         gi, g = self.lattice.dual_gram()
-        ws = []
-        for j, u in enumerate(self.pairings):
-            w = tuple([sum(map(mul, r, u)) for r in gi])
-            if any(sum(map(mul, r, w)) != g * x for r, x in zip(self.lattice.gram, u)):
-                raise InternalError(f"vector {j}: gram G^-1 u != u for u = {list(u)}")
-            ws.append(w)
-        return tuple(ws), g
+        cols = list(zip(*gi))
+        for i, r in enumerate(self.lattice.gram):
+            if any(sum(map(mul, r, c)) != (g if k == i else 0) for k, c in enumerate(cols)):
+                raise InternalError(f"gram G^-1 != I in row {i}")
+        return tuple([tuple([sum(map(mul, r, u)) for r in gi]) for u in self.pairings]), g
 
     @cached_property
     def vectors(self) -> tuple[Vec, ...]:
@@ -100,7 +104,9 @@ def _star_from_scaled(lattice: Lattice, vectors: Sequence[Sequence],
             continue
         xs = next(rows)
         u = [sum(map(mul, r, xs)) for r in lattice.gram]
-        if all(x % den == 0 for x in u):
+        if den == 1:
+            pairings.append(u)
+        elif all(x % den == 0 for x in u):
             pairings.append([x // den for x in u])
         else:
             pairings.append([Q(x, den) for x in u])
@@ -172,7 +178,23 @@ def integer_support(star: EutacticStar) -> tuple[list[tuple[int, ...]], int]:
     return sorted(support), g
 
 
+class _PartsMemo(dict):
+    """rational_parts of each string key, computed on its first lookup."""
+
+    def __missing__(self, s: str) -> tuple[int, int]:
+        pq = self[s] = rational_parts(s)
+        return pq
+
+
 def star_from_json_dict(data) -> EutacticStar:
+    """The star of a JSON object {"gram": rows of ints, "vectors": rows of
+    rationals}, each rational a 'p/q' or 'n' string or an int.
+
+    A file holds few distinct strings, so each one is parsed once per call;
+    every other entry goes through rational_parts on its own.  Entries are
+    read in file order, so the first bad one raises the same InputError as
+    when each entry is parsed on its own.
+    """
     if not isinstance(data, dict) or "gram" not in data or "vectors" not in data:
         raise InputError('star JSON must be an object with "gram" and "vectors"')
     lat = lattice_from_json_dict({"gram": data["gram"]})
@@ -180,7 +202,8 @@ def star_from_json_dict(data) -> EutacticStar:
     if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
         raise InputError('"vectors" must be a list of vectors')
     # Entries are read as (p, q), and scaled to int by the lcm of the q's.
-    parts = [[rational_parts(x) for x in v] for v in vectors]
+    memo = _PartsMemo()
+    parts = [[memo[x] if type(x) is str else rational_parts(x) for x in v] for v in vectors]
     rows = [row for row in parts if len(row) == lat.rank]
     den = math.lcm(*(q for row in rows for _, q in row))
     return _star_from_scaled(lat, parts, [[p * (den // q) for p, q in row] for row in rows], den)

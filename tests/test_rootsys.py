@@ -357,9 +357,8 @@ def test_recognize_matches_fraction_reference(case):
 
 
 def test_match_type_builds_only_the_returned_entry():
-    # D8 has E8's edge profile (degrees 1, 1, 1, 2, 2, 2, 2, 3), but it is not
-    # isomorphic to E8.  The diagram names the type, so no catalog entry is
-    # built at all, not even E8's.
+    # The diagram names the type, so no catalog entry is built at all, not
+    # even E8's.
     star = build_star(catalog("E8"))
     support, _ = support_set(star)
     catalog.cache_clear()
@@ -387,6 +386,115 @@ def test_match_type_miss_is_internal_error():
     # A1 matrix matches no diagram.
     with pytest.raises(InternalError, match="matches no diagram"):
         rootsys._match_type(((2, -2), (-2, 2)))
+
+
+FINITE_TYPES = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
+                + [("C", n) for n in range(3, 13)] + [("D", n) for n in range(4, 13)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+FINITE_IDS = [f"{f}{n}" for f, n in FINITE_TYPES]
+
+
+def _edge_profile(a, with_degrees):
+    # Each node's edges (a_ij, a_ji), with the degree of j if asked, sorted.
+    r = len(a)
+    deg = [sum(1 for j in range(r) if j != i and a[i][j]) for i in range(r)]
+    return sorted(sorted((a[i][j], a[j][i]) + ((deg[j],) if with_degrees else ())
+                         for j in range(r) if j != i and a[i][j]) for i in range(r))
+
+
+def test_neighbour_degrees_tell_every_family_apart():
+    """At every rank up to 12 no two families share a profile once each edge
+    carries its neighbour's degree; without the degrees, D_n and E_n collide
+    at n = 6, 7, 8 and nothing else does."""
+    collisions = []
+    for n in range(1, 13):
+        types = [f for f, m in FINITE_TYPES if m == n]
+        for with_degrees in (True, False):
+            profiles = [_edge_profile(rootsys.cartan_matrix_for(f, n), with_degrees)
+                        for f in types]
+            for i, j in ((i, j) for i in range(len(types)) for j in range(i)):
+                if profiles[i] == profiles[j]:
+                    collisions.append((types[j] + types[i], n, with_degrees))
+    assert collisions == [("DE", n, False) for n in (6, 7, 8)]
+
+
+@pytest.mark.parametrize("family,n", FINITE_TYPES, ids=FINITE_IDS)
+def test_match_type_names_permuted_diagrams(family, n):
+    a = rootsys.cartan_matrix_for(family, n)
+    rng = random.Random(f"{family}{n}")
+    for _ in range(10):
+        perm = rng.sample(range(n), n)
+        permuted = tuple(tuple(a[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+        assert rootsys._match_type(permuted) == f"{family}{n}"
+
+
+def _diagram(n, edges):
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    return tuple(map(tuple, a))
+
+
+@pytest.mark.parametrize("a", [
+    _diagram(3, [(0, 1), (1, 2), (2, 0)]),                          # affine A2, a cycle
+    _diagram(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),                  # affine D4, four arms
+    _diagram(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # affine E6, arms 2, 2, 2
+], ids=["affine_A2", "affine_D4", "affine_E6"])
+def test_match_type_rejects_affine_diagrams(a):
+    with pytest.raises(InternalError, match="matches no diagram"):
+        rootsys._match_type(a)
+
+
+def _full_orbit(cartan, n, limit):
+    # Every simple reflection applied to every root found: the orbit by its
+    # definition, or None once it has more than limit roots.
+    roots = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        r = frontier.pop()
+        for i in range(n):
+            c = sum(r[k] * cartan[k][i] for k in range(n))
+            img = tuple(x - c * (k == i) for k, x in enumerate(r))
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+                if len(roots) > limit:
+                    return None
+    return roots
+
+
+@pytest.mark.parametrize("family,n", FINITE_TYPES, ids=FINITE_IDS)
+def test_closure_matches_the_full_orbit(family, n):
+    """The raising steps give the orbit of every finite type up to rank 12,
+    also as a sum with A1 x A2 beside it, and None exactly when the orbit
+    has more than limit roots."""
+    for a in (rootsys.cartan_matrix_for(family, n),
+              _block_sum(rootsys.cartan_matrix_for(family, n), _diagram(1, []),
+                         _diagram(2, [(0, 1)]))):
+        k = len(a)
+        orbit = _full_orbit(a, k, math.inf)
+        assert rootsys._close_under_reflections(a, k) == orbit
+        for limit in (len(orbit), len(orbit) - 1, len(orbit) // 2, 2 * k - 1):
+            want = orbit if len(orbit) <= limit else None
+            assert rootsys._close_under_reflections(a, k, limit=limit) == want
+
+
+def test_closure_limit_counts_the_negative_roots():
+    # A1 x A1 x A1 takes no raising step: its three negative roots alone
+    # take the orbit past a limit of 5.
+    a = _diagram(3, [])
+    assert rootsys._close_under_reflections(a, 3, limit=5) is None
+    assert rootsys._close_under_reflections(a, 3, limit=6) == _full_orbit(a, 3, 6)
+
+
+def _block_sum(*blocks):
+    k = sum(len(b) for b in blocks)
+    a, at = [[0] * k for _ in range(k)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            a[at + i][at:at + len(b)] = row
+        at += len(b)
+    return a
 
 
 @pytest.mark.parametrize("label", catalog_labels())

@@ -190,6 +190,17 @@ def test_star_from_pairings_broken_inverse_raises_internal_error():
         star.vectors
 
 
+def test_inverse_checked_beyond_the_columns_the_star_uses():
+    # The star's only pairing (1, 0) reads column 0 of gi; a wrong entry in
+    # column 1 is still a wrong inverse.
+    lat = Lattice([[2, 1], [1, 2]])
+    gi, g = lat.dual_gram()
+    lat._dual_gram = ((gi[0], (gi[1][0], gi[1][1] + 1)), g)
+    star = star_from_pairings(lat, [(1, 0)])
+    with pytest.raises(InternalError):
+        star.vectors
+
+
 def test_vectors_derived_only_when_read():
     # Enumeration, eutaxy, the certificate and the theta block read only the
     # pairings, so no star pays for its Fraction vectors unless they are read.
@@ -256,6 +267,63 @@ def test_json_stars_load_as_through_fractions(seed):
     assert _outcome(lambda: star_from_json_dict(data)) == want
     if damage == 0:
         assert all(type(x) is int for u in want for x in u)
+
+
+_A2, _I2 = [[2, 1], [1, 2]], [[2, 0], [0, 2]]
+_Z2, _Z6 = [[1, 0], [0, 1]], [[int(i == j) for j in range(6)] for i in range(6)]
+
+# Star files whose entries repeat, mix strings with other JSON values, or
+# spell one rational several ways, with the pairings or the InputError text
+# star_from_json_dict gave them when it parsed every entry on its own.
+READER_TABLE = [
+    (_A2, [["1/3", "1/3"]] * 40, ((1, 1),) * 40),
+    (_A2, [["1/3", "1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]] * 12,
+     ((1, 1), (1, 0), (0, 1)) * 12),
+    (_Z6, [["1" if i == j else "0" for j in range(6)] for i in range(6)] * 5,
+     tuple(tuple(int(i == j) for j in range(6)) for i in range(6)) * 5),
+    (_Z2, [["1", 1], [1, "1"], ["1", "0"]], ((1, 1), (1, 1), (1, 0))),
+    (_Z2, [[1, 1], [1, True]], "expected a rational, got the boolean True"),
+    (_Z2, [["1", "1"], ["1", True]], "expected a rational, got the boolean True"),
+    (_Z2, [[True, "x"]], "expected a rational, got the boolean True"),
+    (_Z2, [["x", True]], "bad rational 'x': expected 'p/q' or 'n'"),
+    (_Z2, [[1, "0"], [1.0, "0"]], "expected a rational string, got float"),
+    (_Z2, [["1", "0"], ["1", 1.0]], "expected a rational string, got float"),
+    (_Z2, [["1", "0"], ["1", [1]]], "expected a rational string, got list"),
+    (_Z2, [["1", "0"], ["1", None]], "expected a rational string, got NoneType"),
+    (_I2, [[" 1/2", "1/2"], ["1/2 ", "-1/2"], ["2/4", "-2/4"]], ((1, 1), (1, -1), (1, -1))),
+    (_I2, [[" 1/2", "1/2"], ["1/2", " 1/2"], ["1/2", "1/2\n"]], ((1, 1),) * 3),
+    (_I2, [["1/2", "1/2"], ["1/2", "1/0"]], "bad rational '1/0': zero denominator"),
+    (_I2, [["1/2", "1/2"], ["1.5", "1/2"], ["1.5", "1/2"]],
+     "bad rational '1.5': expected 'p/q' or 'n'"),
+    (_I2, [["+1/2", "-1/2"], ["-1/2", "+1/2"], ["1/2", "1/2"]], ((1, -1), (-1, 1), (1, 1))),
+    (_A2, [["1/2", "0"]], "vector 0: not in the dual lattice (pairings ['1', '1/2'])"),
+    (_A2, [["1/3", "1/3"], ["1/2", "0"], ["1/2", "0"]],
+     "vector 1: not in the dual lattice (pairings ['1', '1/2'])"),
+    (_A2, [["1/3", "1/3"], ["1/3"], ["1/3", "1/3"]], "vector 1: length 1, expected 2"),
+    (_A2, [["1/3", "1/3"], ["0", "0/7"]], "vector 1: zero vector not allowed"),
+    (_Z2, [["3", "-4"], [2, "0"], ["0", 5]], ((3, -4), (2, 0), (0, 5))),
+    (_Z2, [["123456789012345678901234567890", "-1"], ["2/1", "0/1"]],
+     ((123456789012345678901234567890, -1), (2, 0))),
+    (_A2, [["123456789012345678901234567891/3", "1/3"], ["1/3", "1/3"]],
+     ((82304526008230452600823045261, 41152263004115226300411522631), (1, 1))),
+    (_A2, [["246913578024691357802469135780/3", "1/3"], ["1/3", "1/3"]],
+     "vector 0: not in the dual lattice (pairings "
+     "['493827156049382715604938271561/3', '246913578024691357802469135782/3'])"),
+]
+
+
+@pytest.mark.parametrize("gram,vectors,want", READER_TABLE)
+def test_reader_table(gram, vectors, want):
+    """star_from_json_dict gives the recorded outcome, which is also that of
+    reading every entry through rational_parts on its own."""
+    data = {"gram": gram, "vectors": vectors}
+
+    def one_by_one():
+        parsed = [[Q(*rational_parts(x)) for x in v] for v in vectors]
+        return star_from_vectors(Lattice(gram), parsed)
+
+    assert _outcome(lambda: star_from_json_dict(data)) == _outcome(one_by_one) == \
+        (("error", want) if isinstance(want, str) else want)
 
 
 def test_rational_point_helper_shape():
