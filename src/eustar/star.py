@@ -104,9 +104,7 @@ def _star_from_scaled(lattice: Lattice, vectors: Sequence[Sequence],
             continue
         xs = next(rows)
         u = [sum(map(mul, r, xs)) for r in lattice.gram]
-        if den == 1:
-            pairings.append(u)
-        elif all(x % den == 0 for x in u):
+        if all(x % den == 0 for x in u):
             pairings.append([x // den for x in u])
         else:
             pairings.append([Q(x, den) for x in u])
