@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .lattice import InputError, InternalError, Lattice, format_vector
+from .lattice import InputError, InternalError, Lattice
 from .linalg import Mat, clear_denominators, invert
 from .star import EutacticStar, integer_support
 
@@ -203,19 +203,23 @@ def _fail(axiom: str, witness) -> RecognitionReport:
                              failure={"axiom": axiom, "witness": witness})
 
 
-def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
-    """Decide whether S is a root system for the lattice's form, and which one.
+def recognize_star(star: EutacticStar) -> RecognitionReport:
+    """Decide whether the star's support S = {+-s_j} is a root system for the
+    lattice's form, and which one.
 
-    The axioms, in order: no proper integer multiples, mutual distinctness,
-    closure under the reflections x -> x - (2(v, x)/(v, v)) v, and integrality
-    of all ratios 2(x, y)/(x, x); the first failing pair in index order is the
-    witness, as Fraction tuples.  A passing S is split into orthogonal
-    components, each named by its Dynkin diagram, so the verdict is invariant
-    under rescaling S.  S is scaled to int by a common denominator, and every
-    check runs in int.
+    The axioms, in order: no proper integer multiples, closure under the
+    reflections x -> x - (2(v, x)/(v, v)) v, and integrality of all ratios
+    2(x, y)/(x, x); the first failing pair in index order is the witness, as
+    Fraction tuples.  A passing S is split into orthogonal components, each
+    named by its Dynkin diagram, so the verdict is invariant under rescaling
+    the form.  S is read as the integer support W / g, and every check runs
+    in int.
 
-    Past the first two axioms, x -> -x pairs the indices of S; the indices
-    before their negation's are the representatives.  A generic functional f
+    W is the sorted set of the +-g s_j, with each g s_j a nonzero integer
+    tuple of the lattice's rank, so S has no repeats and S = -S.  Negation
+    reverses the order of int tuples, so -W_i = W_(n-1-i), and the first
+    half of W, the indices before their negation's, are the
+    representatives.  A generic functional f
     picks the positive one of each +-v; in increasing f, a positive vector is
     simple iff it pairs <= 0 with every simple one before it, which in a root
     system gives its base Delta (Humphreys, *Introduction to Lie algebras and
@@ -236,36 +240,12 @@ def recognize(S: Sequence[Sequence], lattice: Lattice) -> RecognitionReport:
     by ``_first_failing_pair``, to name the witness; a scan that finds none
     reports Delta as a "simple-system" failure.
     """
-    if len(S) == 0:
-        raise InputError("recognize: S is empty")
-    ints, den = clear_denominators(S)
-    return _recognize([tuple(v) for v in ints], den, lattice)
-
-
-def recognize_star(star: EutacticStar) -> RecognitionReport:
-    """recognize(support_set(star)[0], star.lattice), on the integer support."""
-    support, g = integer_support(star)
-    return _recognize(support, g, star.lattice)
-
-
-def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> RecognitionReport:
-    """recognize on S = scaled / den; a witness is a vector of S, in Fraction."""
+    scaled, den = integer_support(star)
+    lattice = star.lattice
 
     def vec(i):
         return tuple(Q(x, den) for x in scaled[i])
 
-    for j, v in enumerate(scaled):
-        if len(v) != lattice.rank:
-            raise InputError(f"recognize: vector {j} has length {len(v)}, "
-                             f"expected {lattice.rank}")
-        if not any(v):
-            raise InputError(f"recognize: vector {j} is zero")
-    sset = set(scaled)
-    minus = [tuple([-x for x in v]) for v in scaled]
-    for j, w in enumerate(minus):
-        if w not in sset:
-            raise InputError(f"recognize: S is not symmetric under negation "
-                             f"(missing -{format_vector(vec(j))})")
     n = len(scaled)
 
     # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
@@ -279,7 +259,7 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
         d = math.gcd(*v)
         if v < zero:
             d = -d
-        p = v if d == 1 else minus[i] if d == -1 else tuple([a // d for a in v])
+        p = v if d == 1 else scaled[n - 1 - i] if d == -1 else tuple([a // d for a in v])
         mult.append(d)
         prim.append(p)
         lines.setdefault(p, []).append(i)
@@ -289,21 +269,10 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
             b = mult[j]
             if j != i and b % a == 0 and abs(b // a) >= 2:
                 return _fail("integer-multiple", (vec(i), vec(j)))
-    seen: dict[tuple, int] = {}
-    for i, v in enumerate(scaled):
-        if v in seen:
-            return _fail("distinct", (vec(seen[v]), vec(i)))
-        seen[v] = i
 
-    # Representatives: the indices before their negation's, which negs holds.
-    reps, negs = [], []
-    for i, w in enumerate(minus):
-        j = seen[w]
-        if i < j:
-            reps.append(i)
-            negs.append(j)
-    vs = [scaled[i] for i in reps]
-    m, l, g = len(vs), lattice.rank, lattice.gram
+    # Representatives: the indices before their negation's, the first half.
+    m, l, g = n // 2, lattice.rank, lattice.gram
+    vs = scaled[:m]
 
     # Positive system from a generic linear functional (1, t, t^2, ...):
     # sign[p] = +-1 makes sign[p] v_p the positive one of +-v_p.  Each simple
@@ -316,7 +285,7 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
             break
         t += 1
     sign = [1 if x > 0 else -1 for x in f]
-    positive = [i if s > 0 else j for i, j, s in zip(reps, negs, sign)]
+    positive = [p if s > 0 else n - 1 - p for p, s in enumerate(sign)]
     simple, cols = [], []
     for p in sorted(range(m), key=lambda p: sign[p] * f[p]):
         s = sign[p]
@@ -327,7 +296,7 @@ def _recognize(scaled: list[tuple[int, ...]], den: int, lattice: Lattice) -> Rec
 
     coords, cartan = _orbit_certificate(vs, simple, sign, cols, n, l)
     if coords is None:
-        failure = _first_failing_pair(vs, reps, lattice, vec, sset)
+        failure = _first_failing_pair(vs, lattice, vec, set(scaled))
         if failure is None:
             ids = sorted(positive[p] for p in simple)
             failure = _fail("simple-system", tuple(vec(i) for i in ids))
@@ -386,11 +355,12 @@ def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
     return (coords, cartan) if roots.issuperset(coords) else (None, None)
 
 
-def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionReport | None:
+def _first_failing_pair(vs, lattice: Lattice, vec, sset) -> RecognitionReport | None:
     """The failure of the first pair in index order that fails closure or
     integrality, or None.  As s_{-x} = s_x and s_x(-y) = -s_x(y), (x, y)
     fails exactly when (-x, y), (x, -y) and (-x, -y) do, so that pair is one
-    of representatives: only pair[p][q] = (v_p, v_q) on them is computed.
+    of representatives vs, the first indices of S: only pair[p][q] =
+    (v_p, v_q) on them is computed.
     """
     m, g = len(vs), lattice.gram
     gs = [[sum(map(mul, row, v)) for row in g] for v in vs]
@@ -413,13 +383,13 @@ def _first_failing_pair(vs, reps, lattice: Lattice, vec, sset) -> RecognitionRep
             integral = integral and t % npp == 0
             img = [npp * b - t * a for a, b in zip(x, y)]
             if any(z % npp for z in img) or tuple([z // npp for z in img]) not in sset:
-                return _fail("reflection-closure", (vec(reps[p]), vec(reps[q])))
+                return _fail("reflection-closure", (vec(p), vec(q)))
     # Unless some pair had c not an integer, every 2(x, y)/(x, x) was one.
     if not integral:
         for p in range(m):
             for q in range(m):
                 if (2 * pair[p][q]) % pair[p][p] != 0:
-                    return _fail("cartan-integrality", (vec(reps[p]), vec(reps[q])))
+                    return _fail("cartan-integrality", (vec(p), vec(q)))
     return None
 
 

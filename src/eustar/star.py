@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
@@ -149,27 +148,10 @@ def divisor_multiplicity(star: EutacticStar, v: Sequence) -> int:
                for u in star.pairings)
 
 
-def support_set(star: EutacticStar) -> tuple[list[Vec], list[tuple[Vec, int]]]:
-    """The set {±s_j}, sorted, plus a report of repeated family members.
-
-    The report lists (vector, multiplicity) for each exact repeat in the family;
-    an antipodal pair s, -s is two distinct members and is not a repeat.  Both
-    are found on the integer tuples W_j = g s_j, which sort as the s_j do
-    since g > 0; only the returned vectors are built in Fraction.
-    """
-    support, g = integer_support(star)
-    q = {x: Q(x, g) for x in {x for w in support for x in w}}
-
-    def vec(w):
-        return tuple(map(q.__getitem__, w))
-
-    counts = Counter(star._dual_coords[0])
-    duplicates = [(vec(w), c) for w, c in sorted(counts.items()) if c > 1]
-    return [vec(w) for w in support], duplicates
-
-
 def integer_support(star: EutacticStar) -> tuple[list[tuple[int, ...]], int]:
-    """(W, g): the support set is W / g, for W the sorted set of the +-g s_j."""
+    """(W, g): the support set {+-s_j} is W / g, for W the sorted set of the
+    +-g s_j.  Each g s_j is a nonzero int tuple of the lattice's rank, so W
+    has no zero and no repeat, and W = -W."""
     ws, g = star._dual_coords
     support = set(ws)
     support.update(tuple([-x for x in w]) for w in ws)

@@ -1,5 +1,7 @@
 """Shared fixtures: catalog stars, small hand-built stars, the search corpus."""
 
+import math
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -57,6 +59,27 @@ def change_basis(gram, vectors, P, P_inv):
               for j in range(l)] for i in range(l)]
     return moved, [tuple(sum(P_inv[i][a] * v[a] for a in range(l)) for i in range(l))
                    for v in vectors]
+
+
+def support_set(star):
+    """The set {+-s_j} of the star's Fraction vectors, sorted, plus a report
+    of repeated family members: (vector, multiplicity) for each exact repeat.
+    An antipodal pair s, -s is two distinct members and is not a repeat."""
+    vectors = star.vectors
+    support = set(vectors) | {tuple(-x for x in v) for v in vectors}
+    repeats = sorted((v, c) for v, c in Counter(vectors).items() if c > 1)
+    return sorted(support), repeats
+
+
+def support_star(gram, S):
+    """A star whose support is the rational S = -S: its family is S, on the
+    lattice d G, for d the lcm of the denominators of the pairings G s.
+    Scaling the form keeps recognition's verdict, witness, simple roots and
+    Cartan matrices."""
+    l = len(gram)
+    d = math.lcm(*(Q(sum(gram[i][j] * s[j] for j in range(l))).denominator
+                   for s in S for i in range(l)))
+    return star_from_vectors(Lattice([[d * x for x in row] for row in gram]), S)
 
 
 @pytest.fixture

@@ -18,12 +18,11 @@ from eustar.cli import main
 from eustar.lattice import Lattice
 from eustar.qseries import (check_antisymmetry, check_holomorphic,
                             check_singular_support, heat_apply, theta_block)
-from eustar.rootsys import build_star, catalog, catalog_labels, recognize
+from eustar.rootsys import build_star, catalog, catalog_labels, recognize_star
 from eustar.search import enumerate_stars, verify_theorem
-from eustar.star import (divisor_multiplicity, is_eutactic, star_from_vectors,
-                         support_set)
+from eustar.star import divisor_multiplicity, is_eutactic, star_from_vectors
 
-from conftest import CORPUS_GRAMS, rational_point
+from conftest import CORPUS_GRAMS, rational_point, support_set
 from test_qseries import product_side_theta
 
 
@@ -175,9 +174,7 @@ def test_acceptance_8_recognition_round_trip():
     t0 = time.monotonic()
     wrong = []
     for label in catalog_labels():
-        star = build_star(catalog(label))
-        support, _ = support_set(star)
-        report = recognize(support, star.lattice)
+        report = recognize_star(build_star(catalog(label)))
         if not report.ok or report.label != label:
             wrong.append(label)
     dt = time.monotonic() - t0

@@ -3,12 +3,20 @@
 Exit code contract: 0 the property holds, 1 it fails, 2 malformed input.
 """
 
+import contextlib
+import io
 import json
+from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eustar import cli
 from eustar.cli import main
+from eustar.lattice import InputError, format_rational, rational_parts
+from eustar.rootsys import build_star, catalog, recognize_star
+from eustar.star import is_eutactic, star_from_json_dict
 
 
 @pytest.fixture
@@ -266,3 +274,71 @@ def test_parser_built_once_and_help_unchanged(capsys):
     capsys.readouterr()
     assert main(["extremal", "--type", "A1"]) == 0
     assert json.loads(capsys.readouterr().out)["witness"] == ["1/2"]
+
+
+# Star files for the 0/1/2 contract: a root star's file, or that of a star
+# on a small Gram, damaged by a few edits.
+BASE_STARS = [build_star(catalog(label)).to_json_dict() for label in ("A1", "A2", "B2", "G2", "A3")]
+BASE_STARS += [{"gram": [[2]], "vectors": [["1/2"], ["1/2"]]},
+               {"gram": [[1, 0], [0, 1]], "vectors": [["1", "0"], ["0", "1"]]}]
+BAD_ENTRIES = [True, False, 1.5, 0.0, [1], [["1"]], None, "1/0", "x", "1e3", 3, "-2/4", " 1/3 "]
+
+
+@st.composite
+def damaged_star_files(draw):
+    """The JSON of a star file with up to four edits: a vector repeated,
+    negated, doubled, dropped or replaced by a rational one, perhaps off the
+    dual lattice; a zero or wrong-length vector added; or one entry replaced
+    by a bool, float, list, null, "1/0" or another JSON value."""
+    base = draw(st.sampled_from(BASE_STARS))
+    vectors = [list(v) for v in base["vectors"]]
+    l = len(base["gram"])
+    rational = st.builds(lambda p, q: format_rational(Q(p, q)),
+                         st.integers(-6, 6), st.integers(1, 7))
+    for edit in draw(st.lists(st.sampled_from(
+            ("repeat", "negate", "double", "drop", "rational", "zero", "length", "entry")),
+            max_size=4)):
+        j = draw(st.integers(0, len(vectors))) if vectors else 0
+        if edit == "zero":
+            vectors.insert(j, ["0"] * l)
+        elif edit == "length":
+            vectors.insert(j, ["1"] * draw(st.sampled_from((0, l - 1, l + 1))))
+        elif edit == "rational":
+            vectors.insert(j, draw(st.lists(rational, min_size=l, max_size=l)))
+        elif j < len(vectors) and vectors[j]:
+            v = vectors[j]
+            if edit == "repeat":
+                vectors.append(list(v))
+            elif edit == "drop":
+                del vectors[j]
+            elif edit == "entry":
+                v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+            else:
+                c = -1 if edit == "negate" else 2
+                with contextlib.suppress(InputError):
+                    vectors[j] = [format_rational(c * Q(*rational_parts(x))) for x in v]
+    return {"gram": base["gram"], "vectors": vectors}
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_star_files())
+def test_check_and_recognize_keep_the_exit_contract(tmp_path_factory, data):
+    """check and recognize exit 0, 1 or 2 on any star file, with no escaping
+    exception.  Exit 2 comes only with the InputError that loading the file
+    raises, as one error line on stderr: no star the loader accepts makes
+    either command reject its input."""
+    path = tmp_path_factory.getbasetemp() / "generated.star.json"
+    path.write_text(json.dumps(data))
+    try:
+        star, message = star_from_json_dict(data), None
+    except InputError as exc:
+        star, message = None, str(exc)
+    for command, holds in (("check", is_eutactic), ("recognize", lambda s: recognize_star(s).ok)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        if star is None:
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+        else:
+            assert code == (0 if holds(star) else 1) and err.getvalue() == ""
+            assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1

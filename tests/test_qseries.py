@@ -48,9 +48,9 @@ from eustar.qseries import (DEFAULT_ORDER, FourierSeries, check_antisymmetry,
                             heat_apply, reflect_series, theta_block)
 from eustar.rootsys import build_P_lattice, build_star, catalog
 from eustar.search import enumerate_stars
-from eustar.star import star_from_pairings, star_from_vectors, support_set
+from eustar.star import star_from_pairings, star_from_vectors
 
-from conftest import CORPUS_GRAMS, random_unimodular
+from conftest import CORPUS_GRAMS, random_unimodular, support_set
 from test_linalg import gauss_jordan_inverse
 
 

@@ -20,11 +20,10 @@ from eustar import rootsys
 from eustar.cli import main
 from eustar.lattice import InputError, InternalError, Lattice
 from eustar.rootsys import (RecognitionReport, build_P_lattice, build_star,
-                            catalog, catalog_labels, parse_label, recognize,
-                            recognize_star)
-from eustar.star import EutacticStar, dump_star, is_eutactic, support_set
+                            catalog, catalog_labels, parse_label, recognize_star)
+from eustar.star import EutacticStar, dump_star, is_eutactic, star_from_vectors
 
-from conftest import change_basis, random_unimodular
+from conftest import change_basis, random_unimodular, support_set, support_star
 from test_linalg import det, gauss_jordan_rank
 
 
@@ -151,9 +150,7 @@ def test_built_star_vectors_are_roots_over_h(label):
 @pytest.mark.parametrize("label", ["A1", "A2", "A4", "B2", "B3", "C3", "D4",
                                    "D5", "E6", "F4", "G2"])
 def test_recognize_round_trip(label):
-    star = build_star(catalog(label))
-    support, _ = support_set(star)
-    report = recognize(support, star.lattice)
+    report = recognize_star(build_star(catalog(label)))
     assert report.ok and bool(report)
     assert report.label == label
     assert len(report.components) == 1
@@ -161,45 +158,34 @@ def test_recognize_round_trip(label):
 
 
 def test_recognize_is_scale_invariant(a2_star):
-    support, _ = support_set(a2_star)
-    tripled = [tuple(3 * x for x in v) for v in support]
-    report = recognize(tripled, a2_star.lattice)
+    tripled = [tuple(3 * x for x in v) for v in a2_star.vectors]
+    report = recognize_star(star_from_vectors(a2_star.lattice, tripled))
     assert report.ok and report.label == "A2"
 
 
 def test_recognize_reducible(i2):
-    report = recognize([(1, 0), (-1, 0), (0, 1), (0, -1)], i2)
+    report = recognize_star(star_from_vectors(i2, [(1, 0), (0, -1)]))
     assert report.ok
     assert report.label == "A1 x A1"
     assert len(report.components) == 2
 
 
 def test_recognize_b2_configuration(i2):
-    vecs = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    s = vecs + [tuple(-x for x in v) for v in vecs]
-    report = recognize(s, i2)
+    star = star_from_vectors(i2, [(1, 0), (0, 1), (1, 1), (1, -1)])
+    report = recognize_star(star)
     assert report.ok and report.label == "B2"
 
 
 def test_recognize_integer_multiple_failure():
-    lat = Lattice([[1]])
-    report = recognize([(1,), (-1,), (2,), (-2,)], lat)
+    # A star can hold both v and 2v; its support then fails the first axiom.
+    report = recognize_star(star_from_vectors(Lattice([[1]]), [(1,), (2,)]))
     assert not report.ok
-    assert report.failure["axiom"] == "integer-multiple"
+    assert report.failure == {"axiom": "integer-multiple", "witness": ((-1,), (-2,))}
     assert report.label is None
 
 
-def test_recognize_distinctness_failure():
-    lat = Lattice([[1]])
-    report = recognize([(1,), (1,), (-1,), (-1,)], lat)
-    assert not report.ok
-    assert report.failure["axiom"] == "distinct"
-
-
 def test_recognize_reflection_closure_failure(i2):
-    vecs = [(1, 0), (0, 1), (1, 1)]
-    s = vecs + [tuple(-x for x in v) for v in vecs]
-    report = recognize(s, i2)
+    report = recognize_star(star_from_vectors(i2, [(1, 0), (0, 1), (1, 1)]))
     assert not report.ok
     assert report.failure["axiom"] == "reflection-closure"
 
@@ -207,36 +193,28 @@ def test_recognize_reflection_closure_failure(i2):
 def test_recognize_cartan_integrality_failure():
     # {±2, ±3} is closed under its reflections (they are all negations) but
     # 2(3,2)/(3,3) = 4/3 is not an integer, so this is not a root system.
-    lat = Lattice([[1]])
-    report = recognize([(2,), (-2,), (3,), (-3,)], lat)
+    report = recognize_star(star_from_vectors(Lattice([[1]]), [(2,), (-3,)]))
     assert not report.ok
     assert report.failure["axiom"] == "cartan-integrality"
-
-
-def test_recognize_preconditions(i2):
-    with pytest.raises(InputError):
-        recognize([], i2)
-    with pytest.raises(InputError):
-        recognize([(0, 0)], i2)
-    with pytest.raises(InputError):
-        recognize([(1, 0), (0, 1)], i2)  # negations missing
 
 
 def test_report_truthiness():
     ok = RecognitionReport(ok=True, label="A1", components=[], failure=None)
     bad = RecognitionReport(ok=False, label=None, components=[],
-                            failure={"axiom": "distinct", "witness": ()})
+                            failure={"axiom": "integer-multiple", "witness": ()})
     assert ok and not bad
 
 
 def reference_failure(S, gram):
-    """The four axiom checks of recognize, in order, in Fraction form.
+    """The three axiom checks of recognize_star, in order, in Fraction form,
+    on a set S = -S.
 
-    A reference that shares no code with recognize: the first failing pair in
-    index order, as {"axiom": ..., "witness": ...}, or None if S passes all four.
+    A reference that shares no code with recognize_star: the first failing
+    pair in index order, as {"axiom": ..., "witness": ...}, or None if S
+    passes all three.
     """
     vs = [tuple(Q(x) for x in v) for v in S]
-    l, n = len(gram), len(vs)
+    l = len(gram)
 
     def ip(a, b):
         return sum(a[i] * gram[i][j] * b[j] for i in range(l) for j in range(l))
@@ -251,9 +229,6 @@ def reference_failure(S, gram):
             if j != i and c.denominator == 1 and abs(c) >= 2 \
                     and all(y[a] == c * x[a] for a in range(l)):
                 return fail("integer-multiple", i, j)
-    for j in range(n):
-        if vs[j] in vs[:j]:
-            return fail("distinct", vs.index(vs[j]), j)
     for i, x in enumerate(vs):
         for j, y in enumerate(vs):
             c = 2 * ip(x, y) / ip(x, x)
@@ -268,8 +243,9 @@ def reference_failure(S, gram):
 
 @st.composite
 def supports(draw):
-    """A rank 1-3 positive definite, non-unimodular Gram and a rational S = -S,
-    with perhaps a multiple c v of one vector and a duplicate, shuffled."""
+    """A rank 1-3 positive definite, non-unimodular Gram and a rational family
+    S = -S, with perhaps a multiple c v of one vector and a repeated member,
+    shuffled."""
     l = draw(st.integers(1, 3))
     gram = [[0] * l for _ in range(l)]
     for i in range(l):
@@ -301,27 +277,21 @@ DAMAGED_LABELS = ("A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4")
 def damaged_root_sets(draw):
     """A catalog root set of rank 2-4 with one +-pair +-r removed, or replaced
     by +-w, w = a + b for two roots a != -b, shuffled and moved by a signed
-    permutation: up to 24 vectors.  At times the vectors orthogonal to r and
-    w come first.  Only a reflection in a vector that pairs with r or w can
-    map a root onto +-r or move +-w, so the first failure then comes late in
-    the index order."""
+    permutation: up to 24 vectors.  The permutation moves the damage around
+    the sorted order of the support."""
     star = build_star(catalog(draw(st.sampled_from(DAMAGED_LABELS))))
     support, _ = support_set(star)
     rng = draw(st.randoms(use_true_random=False))
-    damaged = [rng.choice(star.vectors)]
-    S = [v for v in support if v not in (damaged[0], tuple(-x for x in damaged[0]))]
+    r = rng.choice(star.vectors)
+    S = [v for v in support if v not in (r, tuple(-x for x in r))]
     if draw(st.booleans()):
         a = rng.choice(support)
         b = rng.choice([v for v in support if v != tuple(-x for x in a)])
-        damaged.append(tuple(x + y for x, y in zip(a, b)))
-        S += [damaged[1], tuple(-x for x in damaged[1])]
+        w = tuple(x + y for x, y in zip(a, b))
+        S += [w, tuple(-x for x in w)]
     rng.shuffle(S)
     g = star.lattice.gram
-    l = len(g)
-    if draw(st.booleans()):
-        S.sort(key=lambda v: any(sum(v[i] * g[i][j] * d[j] for i in range(l) for j in range(l))
-                                 for d in damaged))
-    return change_basis(g, S, *random_unimodular(rng, l, steps=0))
+    return change_basis(g, S, *random_unimodular(rng, len(g), steps=0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,12 +309,14 @@ def damaged_root_sets(draw):
 # A1 x A1 spans only a plane of the rank-3 lattice, and passes.
 @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]))
 def test_recognize_matches_fraction_reference(case):
-    """recognize reports the same first failing axiom and witness as the
-    Fraction reference, and labels exactly the supports that pass it: their
-    components' root counts and ranks add up to those of S."""
+    """recognize_star on the star of S reports the same first failing axiom
+    and witness as the Fraction reference on the sorted support, and labels
+    exactly the supports that pass it: their components' root counts and
+    ranks add up to those of the support."""
     gram, S = case
-    report = recognize(S, Lattice(gram))
-    expected = reference_failure(S, gram)
+    report = recognize_star(support_star(gram, S))
+    support = sorted(set(S))
+    expected = reference_failure(support, gram)
     if expected is not None:
         assert not report.ok and report.label is None
         assert report.failure == expected
@@ -352,18 +324,54 @@ def test_recognize_matches_fraction_reference(case):
     assert report.ok and report.failure is None
     labels = report.label.split(" x ")
     assert labels == [c["label"] for c in report.components]
-    assert sum(2 * len(catalog(lab).positive_roots) for lab in labels) == len(S)
-    assert sum(parse_label(lab)[1] for lab in labels) == gauss_jordan_rank(S)
+    assert sum(2 * len(catalog(lab).positive_roots) for lab in labels) == len(support)
+    assert sum(parse_label(lab)[1] for lab in labels) == gauss_jordan_rank(support)
+
+
+def support_variants(star, rng):
+    """Stars with the support of star: its family shuffled, with a nonempty
+    set of members negated, with one member repeated, and all three at once."""
+    pairings = list(star.pairings)
+    flips = set(rng.sample(range(len(pairings)), rng.randrange(1, len(pairings) + 1)))
+    negated = [tuple(-x for x in u) if j in flips else u for j, u in enumerate(pairings)]
+    repeated = pairings + [rng.choice(pairings)]
+    mixed = rng.sample(negated, len(negated)) + [rng.choice(negated)]
+    return [EutacticStar(star.lattice, family)
+            for family in (rng.sample(pairings, len(pairings)), negated, repeated, mixed)]
+
+
+def assert_support_only(star, rng):
+    report = recognize_star(star)
+    support, _ = support_set(star)
+    for k, variant in enumerate(support_variants(star, rng)):
+        moved, repeats = support_set(variant)
+        assert moved == support and (k < 2 or repeats)
+        assert recognize_star(variant) == report
+
+
+@pytest.mark.parametrize("label", catalog_labels())
+def test_root_star_report_depends_only_on_the_support(label):
+    """The whole report of a catalog star, label, components, simple roots
+    and Cartan matrices, is that of every star with the same support."""
+    assert_support_only(build_star(catalog(label)), random.Random(label))
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_root_sets(), st.randoms(use_true_random=False))
+def test_damaged_report_depends_only_on_the_support(case, rng):
+    """A damaged root set's report, its failing axiom and witness when it
+    fails, does not change when its star's pairings are shuffled, negated or
+    repeated."""
+    assert_support_only(support_star(*case), rng)
 
 
 def test_match_type_builds_only_the_returned_entry():
     # The diagram names the type, so no catalog entry is built at all, not
     # even E8's.
     star = build_star(catalog("E8"))
-    support, _ = support_set(star)
     catalog.cache_clear()
     try:
-        assert recognize(support, star.lattice).label == "E8"
+        assert recognize_star(star).label == "E8"
         assert catalog.cache_info().misses == 0
     finally:
         catalog.cache_clear()
@@ -512,7 +520,7 @@ def test_recognize_label_invariant_under_basis_change(label, data):
             for i in range(l)] == [[int(i == j) for j in range(l)] for i in range(l)]
     gram, moved = change_basis(star.lattice.gram, data.draw(st.permutations(support)),
                                P, P_inv)
-    report = recognize(moved, Lattice(gram))
+    report = recognize_star(support_star(gram, moved))
     assert report.ok and report.label == label
 
 
@@ -520,7 +528,7 @@ def reference_simple_roots(S, gram):
     """{sorted simple roots: Cartan matrix} per component, by the rule
     "positive roots that are not a sum of two positive roots".
 
-    The positive system is that of recognize: f(v) > 0 for f(v) =
+    The positive system is that of recognize_star: f(v) > 0 for f(v) =
     sum_a v_a t^a with the least t >= 1 such that no f(v) is 0.  Components
     are the classes of simple roots joined by nonzero inner products, and each
     Cartan matrix A_ij = 2(a_i, a_j)/(a_j, a_j) lists its roots in S's order.
@@ -573,17 +581,18 @@ def orthogonal_sum(labels):
                          + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1")],
                          ids=lambda labels: "x".join(labels))
 def test_simple_roots_match_sum_rule(labels):
-    """recognize's simple roots, read off the pair matrix, and each component's
-    Cartan matrix are those of the sum rule, in a moved and shuffled basis."""
+    """recognize_star's simple roots, read off the pair matrix, and each
+    component's Cartan matrix are those of the sum rule on the sorted
+    support, in a moved basis with the family shuffled."""
     gram, S = orthogonal_sum(labels)
     rng = random.Random("x".join(labels))
     gram, S = change_basis(gram, S, *random_unimodular(rng, len(gram)))
     rng.shuffle(S)
-    report = recognize(S, Lattice(gram))
+    report = recognize_star(support_star(gram, S))
     assert report.ok
     assert report.label == " x ".join(sorted(labels))
     assert {tuple(c["simple_roots"]): c["cartan"] for c in report.components} == \
-        reference_simple_roots(S, gram)
+        reference_simple_roots(sorted(S), gram)
 
 
 class ScanCalled(Exception):
@@ -599,21 +608,23 @@ def no_scan(*args):
                          ids=lambda labels: "x".join(labels))
 def test_certificate_alone_recognizes_root_systems(labels, monkeypatch):
     """With the pairwise scan unreachable, the orbit certificate recognizes
-    every catalog label and orthogonal sum, as given and in a moved and
-    shuffled basis, with the sum rule's simple roots and Cartan matrices."""
+    every catalog label and orthogonal sum, as given and in a moved basis
+    with the family shuffled, with the sum rule's simple roots and Cartan
+    matrices.  A catalog label's root star, whose family holds only the
+    positive roots, gets the same report as the star of its whole support."""
     monkeypatch.setattr(rootsys, "_first_failing_pair", no_scan)
     gram, S = orthogonal_sum(labels)
     rng = random.Random("certificate " + "x".join(labels))
     moved_gram, moved = change_basis(gram, S, *random_unimodular(rng, len(gram)))
     rng.shuffle(moved)
     for g, vs in ((gram, S), (moved_gram, moved)):
-        report = recognize(vs, Lattice(g))
+        report = recognize_star(support_star(g, vs))
         assert report.ok and report.label == " x ".join(sorted(labels))
         assert {tuple(c["simple_roots"]): c["cartan"] for c in report.components} == \
-            reference_simple_roots(vs, g)
+            reference_simple_roots(sorted(vs), g)
     if len(labels) == 1:
         star = build_star(catalog(labels[0]))
-        assert recognize_star(star) == recognize(support_set(star)[0], star.lattice)
+        assert recognize_star(star) == recognize_star(support_star(gram, S))
 
 
 def test_failed_certificate_on_a_root_system_is_a_simple_system_failure(
@@ -623,7 +634,7 @@ def test_failed_certificate_on_a_root_system_is_a_simple_system_failure(
     monkeypatch.setattr(rootsys, "_orbit_certificate", lambda *args: (None, None))
     star = build_star(catalog("B3"))
     support, _ = support_set(star)
-    report = recognize(support, star.lattice)
+    report = recognize_star(star)
     assert not report.ok and report.label is None
     assert report.failure["axiom"] == "simple-system"
     (simple,) = reference_simple_roots(support, star.lattice.gram)
@@ -646,15 +657,17 @@ def test_failed_certificate_on_a_root_system_is_a_simple_system_failure(
 # so a Cartan matrix rounded to A2's would close up on S.
 @example(([[2, -1], [-1, 3]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]))
 def test_certificate_accepts_only_root_systems(case):
-    """With the pairwise scan unreachable, recognize labels exactly the sets
-    that pass the Fraction reference: the certificate rejects every set that
-    fails closure or integrality, and accepts every one that passes."""
+    """With the pairwise scan unreachable, recognize_star labels exactly the
+    supports that pass the Fraction reference: the certificate rejects every
+    support that fails closure or integrality, and accepts every one that
+    passes."""
     gram, S = case
-    expected = reference_failure(S, gram)
+    star = support_star(gram, S)
+    expected = reference_failure(sorted(set(S)), gram)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rootsys, "_first_failing_pair", no_scan)
         try:
-            report = recognize(S, Lattice(gram))
+            report = recognize_star(star)
         except ScanCalled:
             assert expected is not None
             assert expected["axiom"] in ("reflection-closure", "cartan-integrality")

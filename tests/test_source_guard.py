@@ -82,10 +82,9 @@ FRACTION_EDGES = {
     "lattice.py": {"format_rational"},
     "linalg.py": {"clear_denominators"},
     "qseries.py": {"heat_apply", "check_holomorphic"},
-    "rootsys.py": {"catalog", "_recognize"},
+    "rootsys.py": {"catalog", "recognize_star"},
     "search.py": set(),
-    "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled",
-                "support_set"},
+    "star.py": {"EutacticStar.__init__", "EutacticStar.vectors", "_star_from_scaled"},
 }
 
 
@@ -234,9 +233,8 @@ LIBRARY_SURFACE = [
     "certify_extremal", "certify_if_extremal", "check_antisymmetry", "check_holomorphic",
     "check_singular_support", "deficiency", "divisor_multiplicity", "dump_series",
     "dump_star", "enumerate_stars", "heat_apply", "is_eutactic",
-    "load_lattice", "load_star", "min_deficiency", "recognize", "reflect_series",
-    "star_from_pairings", "star_from_vectors", "support_set", "theta_block",
-    "verify_theorem",
+    "load_lattice", "load_star", "min_deficiency", "recognize_star", "reflect_series",
+    "star_from_pairings", "star_from_vectors", "theta_block", "verify_theorem",
 ]
 
 

@@ -1,6 +1,7 @@
 """Star construction, eutaxy, embedding, support sets."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 from operator import mul
@@ -10,14 +11,13 @@ import pytest
 from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice, rational_parts
 from eustar.qseries import check_antisymmetry, reflect_series, theta_block
-from eustar.rootsys import (build_P_lattice, build_star, catalog, catalog_labels,
-                            recognize)
+from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
-from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, is_eutactic,
-                         load_star, star_from_json_dict, star_from_pairings,
-                         star_from_vectors, support_set)
+from eustar.star import (EutacticStar, divisor_multiplicity, dump_star, integer_support,
+                         is_eutactic, load_star, star_from_json_dict, star_from_pairings,
+                         star_from_vectors)
 
-from conftest import change_basis, random_unimodular, rational_point
+from conftest import change_basis, random_unimodular, rational_point, support_set
 from test_linalg import gauss_jordan_inverse
 
 
@@ -122,21 +122,37 @@ def test_divisor_multiplicity(a2_star, two_vector_star):
         divisor_multiplicity(a2_star, (0, 0))
 
 
+def fraction_support(star):
+    """(sorted set of the +-gram^-1 u_j, lcm of their denominators), with the
+    inverse computed here in Fraction."""
+    inv = gauss_jordan_inverse(star.lattice.gram)
+    vectors = {tuple(sum(map(mul, row, u)) for row in inv) for u in star.pairings}
+    support = sorted(vectors | {tuple(-x for x in v) for v in vectors})
+    return support, math.lcm(*(x.denominator for v in support for x in v))
+
+
 def test_support_set(a2_star, two_vector_star):
-    support, repeats = support_set(a2_star)
-    assert len(support) == 6
-    assert support == sorted(support)
-    assert repeats == []
-    support, repeats = support_set(two_vector_star)
-    assert support == [(Q(-1, 2),), (Q(1, 2),)]
-    assert repeats == [((Q(1, 2),), 2)]
+    """integer_support is the Fraction support scaled to int by the
+    denominator of gram^-1; a repeated member, which the test helper
+    support_set reports, leaves one +-pair."""
+    for star in (a2_star, two_vector_star):
+        support, den = fraction_support(star)
+        ws, g = integer_support(star)
+        assert g == star.lattice.dual_gram()[1] and g % den == 0
+        assert ws == [tuple(int(x * g) for x in v) for v in support]
+        assert support_set(star)[0] == support
+    assert integer_support(a2_star) == \
+        ([(-2, 1), (-1, -1), (-1, 2), (1, -2), (1, 1), (2, -1)], 3)
+    assert integer_support(two_vector_star) == ([(-1,), (1,)], 2)
+    assert support_set(two_vector_star) == ([(Q(-1, 2),), (Q(1, 2),)], [((Q(1, 2),), 2)])
 
 
 @pytest.mark.parametrize("label", catalog_labels())
 def test_int_derivation_matches_fraction_inverse(label):
-    """In a moved basis, the vectors and the support set derived in int equal
-    gram^-1 u computed here in Fraction, repeats included, and both the
-    vectors and the star's JSON load back to the same pairings."""
+    """In a moved basis, the vectors and the integer support derived in int
+    equal gram^-1 u computed here in Fraction, and both the vectors and the
+    star's JSON load back to the same pairings.  Two members are repeated,
+    and the support holds each once."""
     star = build_star(catalog(label))
     P, P_inv = random_unimodular(random.Random(label), star.lattice.rank)
     gram, _ = change_basis(star.lattice.gram, [], P, P_inv)
@@ -149,8 +165,9 @@ def test_int_derivation_matches_fraction_inverse(label):
                      for u in pairings)
     assert moved.vectors == expected
     negated = {tuple(-x for x in v) for v in expected}
-    assert support_set(moved) == (sorted(set(expected) | negated),
-                                  sorted((v, expected.count(v)) for v in set(expected[-2:])))
+    ws, g = integer_support(moved)
+    assert [tuple(Q(x, g) for x in w) for w in ws] == sorted(set(expected) | negated)
+    assert len(ws) == 2 * len(star.pairings)
     assert star_from_vectors(moved.lattice, expected).pairings == moved.pairings
     assert star_from_json_dict(json.loads(dump_star(moved))).pairings == moved.pairings
 
@@ -335,15 +352,12 @@ def test_rational_point_helper_shape():
 @pytest.mark.parametrize("call", [
     lambda: deficiency(build_star(catalog("A2")), (Q(1, 3),)),
     lambda: divisor_multiplicity(build_star(catalog("A2")), (1,)),
-    lambda: recognize([(1, 0, 0), (-1, 0, 0)], Lattice([[2]])),
-    lambda: recognize([(1,), (-1,)], Lattice([[2, 1], [1, 2]])),
     lambda: reflect_series(theta_block(build_star(catalog("A2")), n24_max=60), (1,)),
     lambda: check_antisymmetry(theta_block(build_star(catalog("A2")), n24_max=60), (1, 0, 0)),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 0, 0)]),
     lambda: star_from_pairings(Lattice([[2, 1], [1, 2]]), [(1, 1), (1,)]),
-], ids=["deficiency", "divisor_multiplicity", "recognize_long", "recognize_short",
-        "reflect_series", "check_antisymmetry", "star_from_pairings_long",
-        "star_from_pairings_short"])
+], ids=["deficiency", "divisor_multiplicity", "reflect_series", "check_antisymmetry",
+        "star_from_pairings_long", "star_from_pairings_short"])
 def test_wrong_length_vectors_rejected(call):
     # zip would truncate a long vector and indexing would fail on a short one.
     with pytest.raises(InputError, match="length"):
