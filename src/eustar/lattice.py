@@ -12,11 +12,7 @@ import re
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import IntMat, invert
-
-
-class InputError(ValueError):
-    """Malformed or out-of-contract input (maps to CLI exit code 2)."""
+from .linalg import InputError, IntMat, invert
 
 
 class InternalError(RuntimeError):

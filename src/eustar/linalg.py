@@ -8,6 +8,8 @@ points.  A rational matrix reaches it through ``clear_denominators``, the one
 place that scales to int by the lcm of the denominators; ``invert`` returns
 one integer matrix over one denominator.  No other reduction is kept: the
 coset representatives of ``eustar.certify`` are read off such an inverse.
+``InputError`` lives here, in the module that imports no other, so that
+``clear_denominators`` can raise it; ``eustar.lattice`` re-exports it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,18 @@ Mat = Tuple[Vec, ...]
 IntMat = Tuple[Tuple[int, ...], ...]
 
 
+class InputError(ValueError):
+    """Malformed or out-of-contract input (maps to CLI exit code 2)."""
+
+
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(ints, den) with rows = ints / den, den the lcm of the entries' denominators."""
+    """(ints, den) with rows = ints / den, den the lcm of the entries' denominators;
+    a float, complex or bool entry is an InputError, as no verdict may rest on one."""
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows], 1
+    for x in (x for row in rows for x in row if type(x) not in (Q, int)):
+        if isinstance(x, (bool, float, complex)):
+            raise InputError(f"{type(x).__name__} entry {x!r} is not an exact rational")
     rows = [[x if type(x) is Q else Q(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den

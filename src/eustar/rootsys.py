@@ -9,7 +9,6 @@ identity sum_{r>0} <r, z>^2 = h <z, z>, never from a table.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -232,12 +231,14 @@ def recognize_star(star: EutacticStar) -> RecognitionReport:
     M^-1 ((v, alpha_k))_k of each representative are integral, lie in it
     and, unless Delta is a basis, rebuild v as sum_k c_k alpha_k.  So S
     spans what Delta spans, its |S| coordinates are distinct and S is that
-    closure.  W Delta passes the last two axioms on
-    every pair: s_{w alpha} = w s_alpha w^-1 is in W, and W preserves
+    closure.  W Delta passes all three axioms on every pair: it is the
+    reduced root system of its Cartan matrix, so it holds no proper integer
+    multiples; s_{w alpha} = w s_alpha w^-1 is in W; and W preserves
     Z Delta, on which each alpha_j^vee takes the integer values a_kj.  Every
-    root system is W Delta and passes (Humphreys 10.3; Bourbaki, *Lie groups
-    and Lie algebras* VI 1.5).  Only an S that fails is scanned pair by pair,
-    by ``_first_failing_pair``, to name the witness; a scan that finds none
+    root system is W Delta and passes (Humphreys 10.3, 11.4; Bourbaki, *Lie
+    groups and Lie algebras* VI 1.5).  So the certificate alone decides; only
+    an S that it rejects is scanned pair by pair, by ``_first_failing_pair``,
+    to name the failing axiom and its witness, and a scan that finds none
     reports Delta as a "simple-system" failure.
     """
     scaled, den = integer_support(star)
@@ -246,31 +247,8 @@ def recognize_star(star: EutacticStar) -> RecognitionReport:
     def vec(i):
         return tuple(Q(x, den) for x in scaled[i])
 
-    n = len(scaled)
-
-    # Only vectors on one line can be integer multiples.  v_i = mult[i] p_i
-    # with p_i primitive and its first nonzero entry positive, so v_j is an
-    # integer multiple of v_i iff p_j = p_i and mult[i] divides mult[j].  A
-    # tuple's first nonzero entry is negative iff it sorts below zero.
-    mult, prim = [], []
-    lines: dict[tuple, list[int]] = {}
-    zero = (0,) * lattice.rank
-    for i, v in enumerate(scaled):
-        d = math.gcd(*v)
-        if v < zero:
-            d = -d
-        p = v if d == 1 else scaled[n - 1 - i] if d == -1 else tuple([a // d for a in v])
-        mult.append(d)
-        prim.append(p)
-        lines.setdefault(p, []).append(i)
-    for i in range(n):
-        a = mult[i]
-        for j in lines[prim[i]]:
-            b = mult[j]
-            if j != i and b % a == 0 and abs(b // a) >= 2:
-                return _fail("integer-multiple", (vec(i), vec(j)))
-
     # Representatives: the indices before their negation's, the first half.
+    n = len(scaled)
     m, l, g = n // 2, lattice.rank, lattice.gram
     vs = scaled[:m]
 
@@ -356,11 +334,14 @@ def _orbit_certificate(vs, simple, sign, cols, n: int, l: int):
 
 
 def _first_failing_pair(vs, lattice: Lattice, vec, sset) -> RecognitionReport | None:
-    """The failure of the first pair in index order that fails closure or
-    integrality, or None.  As s_{-x} = s_x and s_x(-y) = -s_x(y), (x, y)
-    fails exactly when (-x, y), (x, -y) and (-x, -y) do, so that pair is one
-    of representatives vs, the first indices of S: only pair[p][q] =
-    (v_p, v_q) on them is computed.
+    """The failure of the first pair in index order that fails an axiom, the
+    axioms taken in order, or None; run only on a support that the orbit
+    certificate rejected.  Each axiom holds for (x, y) exactly when it holds
+    for (-x, y), (x, -y) and (-x, -y): y = k x iff -y = (-k) x iff
+    y = (-k)(-x), s_{-x} = s_x, s_x(-y) = -s_x(y), and 2(x, y)/(x, x) only
+    changes sign.  As -S_i = S_(n-1-i) comes before S_i in the second half,
+    each axiom's first failing pair is one of representatives vs, the first
+    indices of S: only pair[p][q] = (v_p, v_q) on them is computed.
     """
     m, g = len(vs), lattice.gram
     gs = [[sum(map(mul, row, v)) for row in g] for v in vs]
@@ -369,6 +350,16 @@ def _first_failing_pair(vs, lattice: Lattice, vec, sset) -> RecognitionReport | 
         row = pair[p]
         for q in range(p + 1):
             row[q] = pair[q][p] = sum(map(mul, x, gs[q]))
+
+    # The form is positive definite, so y is k x iff (x, y)^2 = (x, x)(y, y),
+    # with k = (x, y)/(x, x); it is a proper integer multiple iff k is an
+    # integer with |k| >= 2.
+    for p in range(m):
+        npp, row = pair[p][p], pair[p]
+        for q in range(m):
+            t = row[q]
+            if abs(t) >= 2 * npp and t % npp == 0 and t * t == npp * pair[q][q]:
+                return _fail("integer-multiple", (vec(p), vec(q)))
 
     # The image y - c x, c = t/(x, x), has the integer numerators
     # (x, x) y - t x; it is in S iff each divides by (x, x) and the quotient

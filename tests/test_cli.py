@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eustar import cli
+from eustar.certify import certify_extremal
 from eustar.cli import main
 from eustar.lattice import InputError, format_rational, rational_parts
 from eustar.rootsys import build_star, catalog, recognize_star
@@ -323,22 +324,29 @@ def damaged_star_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(damaged_star_files())
 def test_check_and_recognize_keep_the_exit_contract(tmp_path_factory, data):
-    """check and recognize exit 0, 1 or 2 on any star file, with no escaping
-    exception.  Exit 2 comes only with the InputError that loading the file
-    raises, as one error line on stderr: no star the loader accepts makes
-    either command reject its input."""
+    """check, recognize and extremal exit 0, 1 or 2 on any star file, with no
+    escaping exception.  Exit 2 comes only with the InputError that loading
+    the file raises, or from extremal on a star that is not eutactic, as one
+    error line on stderr: no other star the loader accepts makes a command
+    reject its input, and extremal's exit follows certify_extremal."""
     path = tmp_path_factory.getbasetemp() / "generated.star.json"
     path.write_text(json.dumps(data))
     try:
         star, message = star_from_json_dict(data), None
     except InputError as exc:
         star, message = None, str(exc)
-    for command, holds in (("check", is_eutactic), ("recognize", lambda s: recognize_star(s).ok)):
+    for command, holds in (("check", is_eutactic),
+                           ("recognize", lambda s: recognize_star(s).ok),
+                           ("extremal", lambda s: certify_extremal(s).is_extremal)):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path)])
         if star is None:
             assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+        elif command == "extremal" and not is_eutactic(star):
+            # certify_extremal's one InputError: its search needs a eutactic star.
+            assert (code, out.getvalue(), err.getvalue()) == \
+                (2, "", "error: min_deficiency requires a eutactic star\n")
         else:
             assert code == (0 if holds(star) else 1) and err.getvalue() == ""
             assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1

@@ -245,7 +245,9 @@ def reference_failure(S, gram):
 def supports(draw):
     """A rank 1-3 positive definite, non-unimodular Gram and a rational family
     S = -S, with perhaps a multiple c v of one vector and a repeated member,
-    shuffled."""
+    shuffled.  The multiple is drawn one time in four: with c = +-2 or 3, or
+    1/2, which makes v the multiple, it fails the first axiom at once, and
+    the other axioms need examples too."""
     l = draw(st.integers(1, 3))
     gram = [[0] * l for _ in range(l)]
     for i in range(l):
@@ -261,7 +263,7 @@ def supports(draw):
         for w in (v, tuple(-x for x in v)):
             if w not in S:
                 S.append(w)
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 3:
         c = draw(st.sampled_from((Q(2), Q(-2), Q(3), Q(1, 2), Q(2, 3))))
         v = tuple(c * x for x in draw(st.sampled_from(S)))
         S += [v, tuple(-x for x in v)]
@@ -308,6 +310,17 @@ def damaged_root_sets(draw):
 @example(([[1, 0], [0, 1]], [(1, 0), (-1, 0), (1, 1), (-1, -1)]))
 # A1 x A1 spans only a plane of the rank-3 lattice, and passes.
 @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]))
+# The family holds v = 1 and -2v: the witness is (-1, -2), k = 2 on the
+# representatives, not (1, -2) or (-1, 2) with k = -2.
+@example(([[3]], [(1,), (-2,), (-1,), (2,)]))
+# The multiple (2, 0) of (1, 0) sorts into the second half of S; the witness
+# is the mirror pair ((-1, 0), (-2, 0)) in the first half.
+@example(([[1, 0], [0, 2]], [(1, 0), (0, 1), (2, 0), (-1, 0), (0, -1), (-2, 0)]))
+# Two lines carry multiples.  S's first half sorts as (-3, 3), (-2, 0),
+# (-1, 0), (-1, 1): the triple of (-1, 1) comes first, but the first failing
+# pair in index order is ((-1, 0), (-2, 0)), as (-1, 0) sorts before (-1, 1).
+@example(([[2, 1], [1, 2]], [(1, 0), (2, 0), (1, -1), (3, -3),
+                             (-1, 0), (-2, 0), (-1, 1), (-3, 3)]))
 def test_recognize_matches_fraction_reference(case):
     """recognize_star on the star of S reports the same first failing axiom
     and witness as the Fraction reference on the sorted support, and labels
@@ -659,8 +672,8 @@ def test_failed_certificate_on_a_root_system_is_a_simple_system_failure(
 def test_certificate_accepts_only_root_systems(case):
     """With the pairwise scan unreachable, recognize_star labels exactly the
     supports that pass the Fraction reference: the certificate rejects every
-    support that fails closure or integrality, and accepts every one that
-    passes."""
+    support that fails any of the three axioms, integer multiples included,
+    and accepts every one that passes."""
     gram, S = case
     star = support_star(gram, S)
     expected = reference_failure(sorted(set(S)), gram)
@@ -670,7 +683,8 @@ def test_certificate_accepts_only_root_systems(case):
             report = recognize_star(star)
         except ScanCalled:
             assert expected is not None
-            assert expected["axiom"] in ("reflection-closure", "cartan-integrality")
+            assert expected["axiom"] in ("integer-multiple", "reflection-closure",
+                                         "cartan-integrality")
             return
     assert report.ok == (expected is None)
     if expected is not None:

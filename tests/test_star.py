@@ -10,6 +10,7 @@ import pytest
 
 from eustar.certify import certify_extremal, deficiency
 from eustar.lattice import InputError, InternalError, Lattice, rational_parts
+from eustar.linalg import clear_denominators
 from eustar.qseries import check_antisymmetry, reflect_series, theta_block
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
@@ -35,14 +36,15 @@ def test_construction_validation():
 
 # Constructor inputs on the A2 Gram [[2, 1], [1, 2]], with the pairings or the
 # InputError text the generator check `all(type(x) is int for x in u)` gave
-# them; the C-level type check must give the same on every row.
+# them; the C-level type check must give the same on every row.  The one
+# change: bool entries, which that check took as 0 and 1, are an InputError.
 CONSTRUCTOR_TABLE = [
     ([(1, 1), (1, 0), (0, 1)], ((1, 1), (1, 0), (0, 1))),
     ([(2, -1), (-3, 4), (1, 0), (1, 0)], ((2, -1), (-3, 4), (1, 0), (1, 0))),
     ([[1, 1], [1, 0], [0, 1]], ((1, 1), (1, 0), (0, 1))),
     (((1, 1), [1, 0], (0, 1)), ((1, 1), (1, 0), (0, 1))),
-    ([(True, 0), (0, True)], ((1, 0), (0, 1))),
-    ([(True, False), (1, 1)], ((1, 0), (1, 1))),
+    ([(True, 0), (0, True)], "bool entry True is not an exact rational"),
+    ([(True, False), (1, 1)], "bool entry True is not an exact rational"),
     ([(Q(2), 1), (0, Q(-1))], ((2, 1), (0, -1))),
     ([(1, 0), (Q(1, 2), 0)], "vector 1: not in the dual lattice (pairings ['1/2', '0'])"),
     ([(Q(1, 3), Q(2, 3))], "vector 0: not in the dual lattice (pairings ['1/3', '2/3'])"),
@@ -53,7 +55,7 @@ CONSTRUCTOR_TABLE = [
     ([(1, 0), (0, 0, 0)], "vector 1: length 3, expected 2"),
     ([(1, 0), (0, 0)], "vector 1: zero vector not allowed"),
     ([(0, 0), (1, 0)], "vector 0: zero vector not allowed"),
-    ([(1, 0), (False, 0)], "vector 1: zero vector not allowed"),
+    ([(1, 0), (False, 0)], "bool entry False is not an exact rational"),
     ([(1, 0), (Q(0), Q(0))], "vector 1: zero vector not allowed"),
     ([(1, 0), (0, 0), (Q(1, 2), 0)], "vector 1: zero vector not allowed"),
     ([], "a star needs at least one vector"),
@@ -347,6 +349,26 @@ def test_rational_point_helper_shape():
     rng = random.Random(0)
     p = rational_point(rng, 3)
     assert len(p) == 3 and all(isinstance(x, Q) for x in p)
+
+
+@pytest.mark.parametrize("entry", [True, False, 0.5, 1.0, 1j])
+def test_inexact_and_boolean_entries_rejected(entry):
+    # Every library entry point that reads rationals goes through
+    # clear_denominators, which must take neither True as 1 nor 0.5 as 1/2,
+    # just as the file loader and Lattice reject such entries.
+    a2 = build_star(catalog("A2"))
+    lat = Lattice([[2]])
+    for call in (lambda: clear_denominators([[Q(1, 2), entry]]),
+                 lambda: star_from_vectors(lat, [(entry,)]),
+                 lambda: star_from_vectors(a2.lattice, [(Q(1, 3), 0), (0, entry)]),
+                 lambda: star_from_pairings(lat, [(entry,)]),
+                 lambda: EutacticStar(a2.lattice, [(1, 0), (entry, 1)]),
+                 lambda: deficiency(a2, (entry, 0)),
+                 lambda: divisor_multiplicity(a2, (1, entry)),
+                 lambda: reflect_series(theta_block(a2, n24_max=12), (entry, 1))):
+        with pytest.raises(InputError, match=f"^{type(entry).__name__} entry "
+                                             ".* is not an exact rational$"):
+            call()
 
 
 @pytest.mark.parametrize("call", [
