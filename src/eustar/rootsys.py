@@ -10,6 +10,7 @@ identity sum_{r>0} <r, z>^2 = h <z, z>, never from a table.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -23,6 +24,17 @@ from .star import EutacticStar, integer_support
 _LABEL_RE = re.compile(r"^([A-G])([1-9][0-9]*)$")
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"A": 8, "B": 8, "C": 8, "D": 8, "E": 8, "F": 4, "G": 2}
+# Positive roots and short simple roots of each family at rank r (Bourbaki,
+# *Lie groups and Lie algebras* VI, Plates I-IX).
+_COUNTS = {
+    "A": lambda r: (r * (r + 1) // 2, 0),
+    "B": lambda r: (r * r, 1),
+    "C": lambda r: (r * r, r - 1),
+    "D": lambda r: (r * (r - 1), 0),
+    "E": lambda r: ({6: 36, 7: 63, 8: 120}[r], 0),
+    "F": lambda r: (24, 2),
+    "G": lambda r: (6, 1),
+}
 
 
 def parse_label(label: str) -> tuple[str, int]:
@@ -210,9 +222,9 @@ def recognize_star(star: EutacticStar) -> RecognitionReport:
     reflections x -> x - (2(v, x)/(v, v)) v, and integrality of all ratios
     2(x, y)/(x, x); the first failing pair in index order is the witness, as
     Fraction tuples.  A passing S is split into orthogonal components, each
-    named by its Dynkin diagram, so the verdict is invariant under rescaling
-    the form.  S is read as the integer support W / g, and every check runs
-    in int.
+    named by its rank and root counts, so the verdict is invariant under
+    rescaling the form.  S is read as the integer support W / g, and every
+    check runs in int.
 
     W is the sorted set of the +-g s_j, with each g s_j a nonzero integer
     tuple of the lattice's rank, so S has no repeats and S = -S.  Negation
@@ -281,22 +293,25 @@ def recognize_star(star: EutacticStar) -> RecognitionReport:
         return failure
 
     # Components of the Dynkin diagram, comp[k] the least simple root joined
-    # to alpha_k, in the order of their first representative.
+    # to alpha_k, in the order of their first representative.  Each
+    # representative's Delta-coordinates lie in one component, so heads counts
+    # each component's positive roots; alpha_k has the norm sign[p] cols[k][p].
     r = len(simple)
     comp = list(range(r))
     for _ in range(r):
         comp = [min(comp[j] for j in range(r) if cartan[k][j]) for k in range(r)]
-    heads = dict.fromkeys(comp[next(k for k, x in enumerate(c) if x)] for c in coords)
+    heads = Counter(comp[next(k for k, x in enumerate(c) if x)] for c in coords)
+    norms = [sign[p] * col[p] for p, col in zip(simple, cols)]
     components = []
-    for head in heads:
+    for head, roots in heads.items():
         ks = sorted((k for k in range(r) if comp[k] == head),
                     key=lambda k: positive[simple[k]])
         ids = [positive[simple[k]] for k in ks]
-        a = tuple(tuple(cartan[i][j] for j in ks) for i in ks)
+        long = max(norms[k] for k in ks)
         components.append({
-            "label": _match_type(a),
+            "label": _match_type(len(ks), roots, sum(norms[k] < long for k in ks)),
             "simple_roots": sorted(tuple(Q(x, den) for x in scaled[i]) for i in ids),
-            "cartan": a,
+            "cartan": tuple(tuple(cartan[i][j] for j in ks) for i in ks),
         })
     components.sort(key=lambda c: (c["label"], c["simple_roots"]))
     label = " x ".join(c["label"] for c in components)
@@ -384,54 +399,20 @@ def _first_failing_pair(vs, lattice: Lattice, vec, sset) -> RecognitionReport | 
     return None
 
 
-def _match_type(a: Sequence[Sequence[int]]) -> str:
-    """The type of a connected simple-root Cartan matrix, of any rank.
-
-    The Cartan matrix is compared with the diagram of each family that
-    exists at its rank (A, B, C and D have every rank from 1, 2, 3 and 4;
-    E6-E8, F4 and G2 one each), by a profile and then by isomorphism; no
-    catalog entry is built, so ranks past the catalog's are named too.  The
-    profile is the sorted list of node signatures, a node's signature the
-    sorted (a_ij, a_ji, degree of j) over its neighbours j.  It tells every
-    family apart at every rank (the neighbours' degrees are what separate
-    D_n from E_n, n = 6, 7, 8), so the isomorphism search runs for one family
-    at most, and maps each node only to nodes of its own signature.  The
-    Cartan matrix determines the root system, so the diagram names it.  A
-    connected Cartan matrix with a positive definite form is of finite type
-    (Humphreys 11.4), and recognition passes only those here, so a miss is
-    an InternalError.
+def _match_type(r: int, roots: int, short: int) -> str:
+    """The type of a connected component of finite type and rank r, named by
+    its number of positive roots and its number of short simple roots
+    (Bourbaki, *Lie groups and Lie algebras* VI, Plates I-IX): A_r
+    (r(r+1)/2, 0), B_r (r^2, 1), C_r (r^2, r-1), D_r (r(r-1), 0), E6, E7
+    and E8 (36, 63 and 120, 0), F4 (24, 2) and G2 (6, 1).  No two types of
+    one rank share these counts, so no catalog entry is built and ranks past
+    the catalog's are named too.  Recognition passes only components that
+    the orbit certificate proved of finite type, so a miss is an
+    InternalError.
     """
-    r = len(a)
-
-    def signatures(m):
-        nbrs = [[j for j in range(r) if j != i and m[i][j]] for i in range(r)]
-        return [tuple(sorted((m[i][j], m[j][i], len(nbrs[j])) for j in nbrs[i]))
-                for i in range(r)]
-
-    def isomorphic(ref, ref_sig, perm):
-        # Extend perm (a[perm[i]][perm[j]] == ref[i][j] so far) to all of range(r).
-        i = len(perm)
-        if i == r:
-            return True
-        for p in nodes[ref_sig[i]]:
-            if p not in perm and a[p][p] == ref[i][i] and \
-                    all(a[p][q] == ref[i][j] and a[q][p] == ref[j][i]
-                        for j, q in enumerate(perm)):
-                perm.append(p)
-                if isomorphic(ref, ref_sig, perm):
-                    return True
-                perm.pop()
-        return False
-
-    sig = signatures(a)
-    prof = sorted(sig)
-    nodes: dict[tuple, list[int]] = {}
-    for p, x in enumerate(sig):
-        nodes.setdefault(x, []).append(p)
     for family in "ABCDEFG":
-        if _MIN_RANK[family] <= r and (family in "ABCD" or r <= _MAX_RANK[family]):
-            ref = cartan_matrix_for(family, r)
-            ref_sig = signatures(ref)
-            if sorted(ref_sig) == prof and isomorphic(ref, ref_sig, []):
-                return f"{family}{r}"
-    raise InternalError(f"a Cartan matrix of finite type matches no diagram: {a}")
+        if _MIN_RANK[family] <= r and (family in "ABCD" or r <= _MAX_RANK[family]) \
+                and _COUNTS[family](r) == (roots, short):
+            return f"{family}{r}"
+    raise InternalError(f"a component of rank {r} with {roots} positive roots and "
+                        f"{short} short simple roots matches no type")

@@ -40,7 +40,10 @@ class EutacticStar:
                 raise InputError(f"vector {j}: length {len(u)}, expected {lattice.rank}")
             row = u
             if tuple(map(type, u)) != all_int:
-                (row,), den = clear_denominators([u])
+                try:
+                    (row,), den = clear_denominators([u])
+                except InputError as e:
+                    raise InputError(f"vector {j}: {e}") from None
                 if den != 1:
                     raise InputError(f"vector {j}: not in the dual lattice "
                                      f"(pairings {[str(Q(x)) for x in u]})")

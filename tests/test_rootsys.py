@@ -321,6 +321,16 @@ def damaged_root_sets(draw):
 # pair in index order is ((-1, 0), (-2, 0)), as (-1, 0) sorts before (-1, 1).
 @example(([[2, 1], [1, 2]], [(1, 0), (2, 0), (1, -1), (3, -3),
                              (-1, 0), (-2, 0), (-1, 1), (-3, 3)]))
+# B2's roots and +-(3/2) e_i for the form I: s_{3e_1/2} = s_{e_1}, so S is
+# closed, but 2((3/2) e_1, e_1 + e_2)/((3/2) e_1, (3/2) e_1) = 4/3.
+@example(([[1, 0], [0, 1]], [tuple(c * x for x in v) for c in (1, -1) for v in
+                             [(1, 0), (0, 1), (1, 1), (1, -1), (Q(3, 2), 0), (0, Q(3, 2))]]))
+# The same in rank 3, with B3's roots: the witness is again the pair
+# ((-3/2) e_1, -e_1 - e_2) at 4/3, which is not parallel.
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          [tuple(c * x for x in v) for c in (1, -1) for v in
+           [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+            (0, 1, 1), (0, 1, -1), (Q(3, 2), 0, 0), (0, Q(3, 2), 0), (0, 0, Q(3, 2))]]))
 def test_recognize_matches_fraction_reference(case):
     """recognize_star on the star of S reports the same first failing axiom
     and witness as the Fraction reference on the sorted support, and labels
@@ -403,10 +413,11 @@ def test_recognize_names_components_past_the_catalog(family):
 
 
 def test_match_type_miss_is_internal_error():
-    # Recognition passes only Cartan matrices of finite type; the affine
-    # A1 matrix matches no diagram.
-    with pytest.raises(InternalError, match="matches no diagram"):
-        rootsys._match_type(((2, -2), (-2, 2)))
+    # Recognition passes only components of finite type.  No type has these
+    # counts: B2's roots with one length, E6's at rank 9, F4's at rank 3.
+    for counts in ((2, 4, 0), (9, 36, 0), (3, 24, 2)):
+        with pytest.raises(InternalError, match="matches no type"):
+            rootsys._match_type(*counts)
 
 
 FINITE_TYPES = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
@@ -415,38 +426,26 @@ FINITE_TYPES = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 1
 FINITE_IDS = [f"{f}{n}" for f, n in FINITE_TYPES]
 
 
-def _edge_profile(a, with_degrees):
-    # Each node's edges (a_ij, a_ji), with the degree of j if asked, sorted.
-    r = len(a)
-    deg = [sum(1 for j in range(r) if j != i and a[i][j]) for i in range(r)]
-    return sorted(sorted((a[i][j], a[j][i]) + ((deg[j],) if with_degrees else ())
-                         for j in range(r) if j != i and a[i][j]) for i in range(r))
-
-
-def test_neighbour_degrees_tell_every_family_apart():
-    """At every rank up to 12 no two families share a profile once each edge
-    carries its neighbour's degree; without the degrees, D_n and E_n collide
-    at n = 6, 7, 8 and nothing else does."""
-    collisions = []
-    for n in range(1, 13):
-        types = [f for f, m in FINITE_TYPES if m == n]
-        for with_degrees in (True, False):
-            profiles = [_edge_profile(rootsys.cartan_matrix_for(f, n), with_degrees)
-                        for f in types]
-            for i, j in ((i, j) for i in range(len(types)) for j in range(i)):
-                if profiles[i] == profiles[j]:
-                    collisions.append((types[j] + types[i], n, with_degrees))
-    assert collisions == [("DE", n, False) for n in (6, 7, 8)]
-
-
-@pytest.mark.parametrize("family,n", FINITE_TYPES, ids=FINITE_IDS)
-def test_match_type_names_permuted_diagrams(family, n):
-    a = rootsys.cartan_matrix_for(family, n)
-    rng = random.Random(f"{family}{n}")
-    for _ in range(10):
-        perm = rng.sample(range(n), n)
-        permuted = tuple(tuple(a[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        assert rootsys._match_type(permuted) == f"{family}{n}"
+def test_match_type_names_every_type_by_its_counts():
+    """For all 63 types through rank 16, the closure of the Cartan matrix has
+    the classical number of positive roots, the Bourbaki norms are those of
+    the Cartan matrix, _match_type names the type from its rank, roots and
+    short simple roots, and no two types of one rank share these counts."""
+    types = ([("A", n) for n in range(1, 17)] + [("B", n) for n in range(2, 17)]
+             + [("C", n) for n in range(3, 17)] + [("D", n) for n in range(4, 17)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    seen = set()
+    for family, n in types:
+        a = rootsys.cartan_matrix_for(family, n)
+        roots = len(rootsys._close_under_reflections(a, n)) // 2
+        assert roots == classical_positive_count(family, n)
+        # A_ij d_j = 2 <a_i, a_j> = A_ji d_i for the norms d of the a_i.
+        d = bourbaki_norms(family, n)
+        assert all(a[i][j] * d[j] == a[j][i] * d[i] for i in range(n) for j in range(n))
+        counts = (n, roots, sum(x < max(d) for x in d))
+        assert rootsys._match_type(*counts) == f"{family}{n}"
+        seen.add(counts)
+    assert len(types) == len(seen) == 63
 
 
 def _diagram(n, edges):
@@ -454,16 +453,6 @@ def _diagram(n, edges):
     for i, j in edges:
         a[i][j] = a[j][i] = -1
     return tuple(map(tuple, a))
-
-
-@pytest.mark.parametrize("a", [
-    _diagram(3, [(0, 1), (1, 2), (2, 0)]),                          # affine A2, a cycle
-    _diagram(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),                  # affine D4, four arms
-    _diagram(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # affine E6, arms 2, 2, 2
-], ids=["affine_A2", "affine_D4", "affine_E6"])
-def test_match_type_rejects_affine_diagrams(a):
-    with pytest.raises(InternalError, match="matches no diagram"):
-        rootsys._match_type(a)
 
 
 def _full_orbit(cartan, n, limit):
@@ -591,7 +580,8 @@ def orthogonal_sum(labels):
 
 
 @pytest.mark.parametrize("labels", [(lab,) for lab in catalog_labels()]
-                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1")],
+                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1"), ("B3", "C3"),
+                            ("E6", "B6"), ("C4", "F4"), ("B2", "G2", "A2")],
                          ids=lambda labels: "x".join(labels))
 def test_simple_roots_match_sum_rule(labels):
     """recognize_star's simple roots, read off the pair matrix, and each
@@ -617,7 +607,8 @@ def no_scan(*args):
 
 
 @pytest.mark.parametrize("labels", [(lab,) for lab in catalog_labels()]
-                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1")],
+                         + [("A1", "A1"), ("B2", "G2"), ("A2", "A2", "A1"), ("B3", "C3"),
+                            ("E6", "B6"), ("C4", "F4"), ("B2", "G2", "A2")],
                          ids=lambda labels: "x".join(labels))
 def test_certificate_alone_recognizes_root_systems(labels, monkeypatch):
     """With the pairwise scan unreachable, the orbit certificate recognizes

@@ -43,8 +43,8 @@ CONSTRUCTOR_TABLE = [
     ([(2, -1), (-3, 4), (1, 0), (1, 0)], ((2, -1), (-3, 4), (1, 0), (1, 0))),
     ([[1, 1], [1, 0], [0, 1]], ((1, 1), (1, 0), (0, 1))),
     (((1, 1), [1, 0], (0, 1)), ((1, 1), (1, 0), (0, 1))),
-    ([(True, 0), (0, True)], "bool entry True is not an exact rational"),
-    ([(True, False), (1, 1)], "bool entry True is not an exact rational"),
+    ([(True, 0), (0, True)], "vector 0: bool entry True is not an exact rational"),
+    ([(True, False), (1, 1)], "vector 0: bool entry True is not an exact rational"),
     ([(Q(2), 1), (0, Q(-1))], ((2, 1), (0, -1))),
     ([(1, 0), (Q(1, 2), 0)], "vector 1: not in the dual lattice (pairings ['1/2', '0'])"),
     ([(Q(1, 3), Q(2, 3))], "vector 0: not in the dual lattice (pairings ['1/3', '2/3'])"),
@@ -55,7 +55,7 @@ CONSTRUCTOR_TABLE = [
     ([(1, 0), (0, 0, 0)], "vector 1: length 3, expected 2"),
     ([(1, 0), (0, 0)], "vector 1: zero vector not allowed"),
     ([(0, 0), (1, 0)], "vector 0: zero vector not allowed"),
-    ([(1, 0), (False, 0)], "bool entry False is not an exact rational"),
+    ([(1, 0), (False, 0)], "vector 1: bool entry False is not an exact rational"),
     ([(1, 0), (Q(0), Q(0))], "vector 1: zero vector not allowed"),
     ([(1, 0), (0, 0), (Q(1, 2), 0)], "vector 1: zero vector not allowed"),
     ([], "a star needs at least one vector"),
@@ -355,18 +355,20 @@ def test_rational_point_helper_shape():
 def test_inexact_and_boolean_entries_rejected(entry):
     # Every library entry point that reads rationals goes through
     # clear_denominators, which must take neither True as 1 nor 0.5 as 1/2,
-    # just as the file loader and Lattice reject such entries.
+    # just as the file loader and Lattice reject such entries.  The
+    # constructor names the vector, as its other errors do.
     a2 = build_star(catalog("A2"))
     lat = Lattice([[2]])
-    for call in (lambda: clear_denominators([[Q(1, 2), entry]]),
-                 lambda: star_from_vectors(lat, [(entry,)]),
-                 lambda: star_from_vectors(a2.lattice, [(Q(1, 3), 0), (0, entry)]),
-                 lambda: star_from_pairings(lat, [(entry,)]),
-                 lambda: EutacticStar(a2.lattice, [(1, 0), (entry, 1)]),
-                 lambda: deficiency(a2, (entry, 0)),
-                 lambda: divisor_multiplicity(a2, (1, entry)),
-                 lambda: reflect_series(theta_block(a2, n24_max=12), (entry, 1))):
-        with pytest.raises(InputError, match=f"^{type(entry).__name__} entry "
+    for prefix, call in (
+            ("", lambda: clear_denominators([[Q(1, 2), entry]])),
+            ("", lambda: star_from_vectors(lat, [(entry,)])),
+            ("", lambda: star_from_vectors(a2.lattice, [(Q(1, 3), 0), (0, entry)])),
+            ("vector 0: ", lambda: star_from_pairings(lat, [(entry,)])),
+            ("vector 1: ", lambda: EutacticStar(a2.lattice, [(1, 0), (entry, 1)])),
+            ("", lambda: deficiency(a2, (entry, 0))),
+            ("", lambda: divisor_multiplicity(a2, (1, entry))),
+            ("", lambda: reflect_series(theta_block(a2, n24_max=12), (entry, 1)))):
+        with pytest.raises(InputError, match=f"^{prefix}{type(entry).__name__} entry "
                                              ".* is not an exact rational$"):
             call()
 
