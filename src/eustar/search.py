@@ -8,32 +8,44 @@ representative per orbit under reordering and per-vector sign flips; the
 residual must stay positive semidefinite at every step, which bounds entries
 by isqrt(gram_ii) and the length by the trace.
 
-Three facts keep the backtracking on live branches, each searched once.  The
+Four facts keep the backtracking on live branches, each searched once.  The
 lead positions of the sorted alphabet never decrease, so a node only tries
-the vectors whose lead is its residual's first nonzero diagonal entry: an
+the vectors whose lead is its residual's first nonzero diagonal entry f: an
 earlier lead would make a zero diagonal entry negative, and a later one, like
 every vector after it, can never clear that entry.  R - u u^T is PSD iff the
 bordered matrix [[R, u], [u^T, 1]] is (it is the Schur complement of the 1),
 so one integer Bareiss elimination ``linalg.sym_elim`` of [R | u_1 .. u_m]
 per node tests every candidate, O(l) each, instead of one O(l^3) elimination
-per child.  And a node's subtree depends only on its residual R and on lo,
-the least index it may still use (its parent's vector, or the first vector of
-R's lead block if that comes later), not on the prefix that reached it: two
-prefixes often leave the same R (a a^T + b b^T = c c^T + d d^T).  A table
-that lives for one call keys each node on (R, lo), expands it once and keeps
-its live children, those that reach a zero residual, so a repeated subtree
-is looked up instead of searched again.  The stars are read off the live
-nodes at the end.  The table holds every node the search reaches: on the B4
-weight lattice, about 195,000 nodes, where the plain backtracking makes
-about 660,000 eliminations.
+per child.  Where R_ff = 1 no test is needed: a u with lead f and
+R - u u^T PSD has u_f = 1, so (R - u u^T)_ff = 0, that row of the PSD
+matrix vanishes and u is R's row f; conversely R - u u^T for that row is
+the Schur complement of a unit pivot, PSD (Cottle, Linear Algebra Appl. 8,
+1974).  The row is always in the alphabet: u_b^2 <= R_ff R_bb <= G_bb, its
+lead is 1, and G - u u^T is R - u u^T plus the vectors already chosen.  So
+such a node has one child, found by one lookup, if that row's index is not
+below lo, and none otherwise.  And a node's subtree depends only on its
+residual R and on lo, the least index it may still use (its parent's vector,
+or the first vector of R's lead block if that comes later), not on the
+prefix that reached it: two prefixes often leave the same R
+(a a^T + b b^T = c c^T + d d^T).  A table that lives for one call keys each
+node on (R, lo), expands it once and keeps its live children, those that
+reach a zero residual, so a repeated subtree is looked up instead of
+searched again.  The stars are read off the live nodes at the end.  The
+table holds every node the search reaches: on the B4 weight lattice 194,904
+nodes, of which 92,710 run an elimination, where the plain backtracking
+makes about 660,000.
 
-Each node expanded is kept cheap.  The rows of [R | u_1 .. u_m] are slices
-of R's stored upper triangle, all that sym_elim reads.  The candidates are
-the vectors of the node's index range [lo, hi) that pass the diagonal test
-u_a^2 <= R_aa.  For integers that is |u_a| <= isqrt(R_aa), so the candidates
-depend only on lo and those caps (hi is set by the first nonzero cap), and a
-memo that lives for one call lists them, with their entries by coordinate,
-once per such key: on the B4 weight lattice, 194,904 nodes share 2,161 keys.
+Each node expanded is kept cheap.  Its f is found by scanning the diagonal
+from its parent's f, since a vector is zero before its lead.  The rows of
+[R | u_1 .. u_m] are slices of R's stored upper triangle, all that sym_elim
+reads.  The candidates are the vectors of the node's index range [lo, hi)
+that pass the diagonal test u_a^2 <= R_aa.  For integers that is
+|u_a| <= isqrt(R_aa), so the candidates depend only on lo and those caps
+(hi is set by the first nonzero cap), and a memo that lives for one call
+lists them, with their entries by coordinate, once per such key.  A node
+whose entry lists none is dead at once, with no bordered rows.  On the B4
+weight lattice 65,227 nodes have a unit pivot, and the other 129,677 share
+1,842 memo keys; 36,967 of them have no candidate.
 
 The backtracking runs in coordinates of its own choosing.  They are sorted by
 the Gram diagonal, ascending, ties by index: small diagonal entries come
@@ -84,7 +96,7 @@ def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
 def _fitting(bordered: Sequence[Sequence[int]]) -> list[int]:
     """Positions c, ascending, of the columns u_c of [R | u_0 .. u_m-1] with
     R - u_c u_c^T PSD, for a PSD integer matrix R of which, like sym_elim,
-    only the upper triangle is read.
+    only the upper triangle is read.  The one PSD test of star enumeration.
 
     Bareiss on the bordered matrix [[R, u], [u^T, 1]] runs through R's pivots
     and leaves u's column as sym_elim carries it on [R | u]; with a zero
@@ -93,7 +105,9 @@ def _fitting(bordered: Sequence[Sequence[int]]) -> list[int]:
     identity), must end >= 0.  With no columns there is nothing to test and
     no elimination is made.  The test is exact for any columns; the search
     only passes those within R's diagonal caps (see enumerate_stars), since
-    a vector with some u_a^2 > R_aa fails on the diagonal.
+    a vector with some u_a^2 > R_aa fails on the diagonal.  It passes them
+    only at a node with a candidate and no unit pivot: a unit pivot's one
+    child is known without a test.
     """
     l = len(bordered)
     if len(bordered[0]) == l:
@@ -163,7 +177,10 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     reach a zero residual; branches the lead-position cut removes are never
     entered and do not count.  The search runs in sorted, sign-normalized
     coordinates and expands each (residual, least index) node once (see the
-    module docstring); the stars come back in the lattice's basis.
+    module docstring): a node with a unit pivot takes its one child by an
+    alphabet lookup, a node with no candidate is dead at once, and only the
+    others run an elimination.  The stars come back in the lattice's basis.
+    An alphabet that lacks a unit-pivot row is an InternalError.
     """
     g, alphabet, begin, mapped = _search_space(lattice)
     l = lattice.rank
@@ -176,6 +193,7 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     cuts = [slice(d, d + l - a) for a, d in enumerate(diag)]
     pads = [(0,) * a for a in range(l)]
     outer = [tuple(u[a] * u[b] for a, b in pairs) for u in alphabet]
+    index = {u: k for k, u in enumerate(alphabet)}
     # residual + (lo,) -> (height, live).  height is the depth of the deepest
     # nonzero residual below the node, itself at 0.  live holds (k, the
     # child's live) for each child alphabet[k] that reaches a zero residual,
@@ -188,11 +206,13 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     # begin[first + 1], and first is the first nonzero cap.
     candidates: dict = {}
 
-    def visit(residual: tuple, start: int, depth: int):
-        """The entry of residual reached by alphabet[start], made on first visit."""
+    def visit(residual: tuple, start: int, depth: int, first: int):
+        """The entry of residual reached by alphabet[start], made on first
+        visit; the diagonal of residual is zero before first."""
         # A PSD residual with a zero diagonal entry has a zero row there.
-        first = next((a for a, d in enumerate(diag) if residual[d] > 0), None)
-        if first is None:
+        while first < l and not residual[diag[first]]:
+            first += 1
+        if first == l:
             return None
         lo, hi = max(start, begin[first]), begin[first + 1]
         key = residual + (lo,)
@@ -203,18 +223,28 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
             return node
         if max_n is not None and depth >= max_n:
             raise InputError(f"enumeration exceeded max_n={max_n}")
-        caps = tuple(map(math.isqrt, map(residual.__getitem__, diag)))
-        cand = candidates.get((lo, caps))
-        if cand is None:
-            ks = [k for k in range(lo, hi) if all(map(le, map(abs, alphabet[k]), caps))]
-            cand = candidates[lo, caps] = (
-                ks, [tuple([alphabet[k][a] for k in ks]) for a in range(l)])
-        ks, cols = cand
+        if residual[diag[first]] == 1:
+            # A unit pivot: the one vector that fits is the residual's row first.
+            k = index.get(pads[first] + residual[cuts[first]])
+            if k is None:
+                raise InternalError("a unit-pivot row of star enumeration is not "
+                                    "in the alphabet")
+            fits = [k] if k >= lo else []
+        else:
+            caps = tuple(map(math.isqrt, map(residual.__getitem__, diag)))
+            cand = candidates.get((lo, caps))
+            if cand is None:
+                ks = [k for k in range(lo, hi) if all(map(le, map(abs, alphabet[k]), caps))]
+                cand = candidates[lo, caps] = (
+                    ks, [tuple([alphabet[k][a] for k in ks]) for a in range(l)])
+            ks, cols = cand
+            fits = []
+            if ks:
+                rows = [pad + residual[cut] + col for pad, cut, col in zip(pads, cuts, cols)]
+                fits = [ks[c] for c in _fitting(rows)]
         height, live = 0, []
-        for c in _fitting([pad + residual[cut] + col
-                           for pad, cut, col in zip(pads, cuts, cols)]):
-            k = ks[c]
-            child = visit(tuple(map(sub, residual, outer[k])), k, depth + 1)
+        for k in fits:
+            child = visit(tuple(map(sub, residual, outer[k])), k, depth + 1, first)
             if child is None:
                 live.append((k, None))
             else:
@@ -226,7 +256,7 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
         return node
 
     try:
-        root = visit(tuple(g[a][b] for a, b in pairs), 0, 0)
+        root = visit(tuple(g[a][b] for a, b in pairs), 0, 0, 0)
     finally:
         # visit refers to itself, so without this the table would outlive the
         # call until the cycle collector runs; the live entries stay reachable.

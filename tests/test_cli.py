@@ -6,16 +6,17 @@ Exit code contract: 0 the property holds, 1 it fails, 2 malformed input.
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eustar import cli
+from eustar import cli, search
 from eustar.certify import certify_extremal
 from eustar.cli import main
-from eustar.lattice import InputError, format_rational, rational_parts
+from eustar.lattice import InputError, format_rational, lattice_from_json_dict, rational_parts
 from eustar.rootsys import build_star, catalog, recognize_star
 from eustar.star import is_eutactic, star_from_json_dict
 
@@ -350,3 +351,83 @@ def test_check_and_recognize_keep_the_exit_contract(tmp_path_factory, data):
         else:
             assert code == (0 if holds(star) else 1) and err.getvalue() == ""
             assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1
+
+
+# Lattice files for the 0/1/2 contract of search: a small positive definite
+# Gram, damaged by a few edits.
+BASE_GRAMS = [[[1]], [[2]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[4, 1], [1, 4]],
+              [[3, 3], [3, 6]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+              [[3, 2, 1], [2, 4, 2], [1, 2, 3]]]
+BAD_GRAM_ENTRIES = [True, False, 1.5, 2.0, "1", "1/0", " 2/4", [1], [[2]], None]
+
+
+@st.composite
+def damaged_lattice_files(draw):
+    """The JSON of a lattice file with up to four edits to a small positive
+    definite Gram: a row dropped, added or cut short (non-square), one side
+    of an off-diagonal pair changed (non-symmetric), a row and its column
+    copied onto another (singular), a diagonal entry negated (indefinite), a
+    symmetric pair or a diagonal entry set to 10^400 (huge), one entry
+    replaced by a bool, float, string, list or null, or a row by a non-list."""
+    gram = [list(row) for row in draw(st.sampled_from(BASE_GRAMS))]
+    for edit in draw(st.lists(st.sampled_from(
+            ("shape", "asymmetric", "copy", "negate", "huge", "entry")), max_size=3)):
+        if not gram or not all(isinstance(row, list) and row for row in gram):
+            break
+        n = len(gram)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        numeric = all(type(x) is int for row in gram for x in row)
+        if edit == "shape":
+            shape = draw(st.sampled_from(("drop", "add", "cut", "row")))
+            if shape == "drop":
+                del gram[i]
+            elif shape == "add":
+                gram.append([draw(st.integers(-2, 2)) for _ in gram[0]])
+            elif shape == "cut":
+                gram[i] = gram[i][:-1]
+            else:
+                gram[i] = draw(st.sampled_from((1, "1", None, {"1": 1})))
+        elif any(len(row) != n for row in gram):
+            continue
+        elif edit == "asymmetric" and numeric and i != j:
+            gram[i][j] += draw(st.sampled_from((-1, 1)))
+        elif edit == "copy" and numeric and i != j:
+            for row in gram:
+                row[j] = row[i]
+            gram[j] = list(gram[i])
+        elif edit == "negate" and numeric:
+            gram[i][i] = -gram[i][i]
+        elif edit == "huge":
+            gram[i][j] = gram[j][i] = 10 ** 400
+        elif edit == "entry":
+            gram[i][j] = draw(st.sampled_from(BAD_GRAM_ENTRIES))
+    return {"gram": gram}
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_lattice_files())
+def test_search_keeps_the_exit_contract(tmp_path_factory, data):
+    """search exits 0, 1 or 2 on any lattice file, with no escaping
+    exception.  Exit 2 comes only with the InputError that loading the file
+    raises, or with the alphabet box's budget on a lattice the loader
+    accepts, as one error line on stderr; otherwise the report is one JSON
+    line, and the exit is 1 iff it lists a counterexample."""
+    path = tmp_path_factory.getbasetemp() / "generated.lattice.json"
+    path.write_text(json.dumps(data))
+    try:
+        lattice, message = lattice_from_json_dict(data), None
+    except InputError as exc:
+        lattice, message = None, str(exc)
+    if lattice is not None and math.prod(2 * math.isqrt(lattice.gram[i][i]) + 1
+                                         for i in range(lattice.rank)) > search.MAX_BOX_VECTORS:
+        message = (f"the alphabet box of this Gram matrix has more than "
+                   f"{search.MAX_BOX_VECTORS} vectors")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["search", str(path)])
+    if message is not None:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+    else:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+        report = json.loads(out.getvalue())
+        assert code == (1 if report["counterexamples"] else 0)

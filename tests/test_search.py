@@ -246,18 +246,22 @@ def test_d4_weight_enumeration_work_pinned(monkeypatch):
 
 
 def test_d4_weight_enumeration_table_work_pinned(monkeypatch):
-    # enumerate_stars expands each (residual, least index) node once, so it
-    # makes 1,671 sym_elim calls where the plain backtracking makes 2,256.
+    # enumerate_stars expands each (residual, least index) node once, and
+    # eliminates only at a node whose lead diagonal entry is not 1 and that
+    # has a candidate, so it makes 1,111 sym_elim calls where the plain
+    # backtracking makes 2,256.
     pairings, calls = _counted_enumeration(monkeypatch, build_P_lattice(catalog("D4")))
-    assert (len(pairings), calls) == (209, 1671)
+    assert (len(pairings), calls) == (209, 1111)
 
 
-@pytest.mark.parametrize("label,nodes,plain", [("B3", 378, 564), ("C3", 713, 966)])
-def test_nodes_expanded_pinned(label, nodes, plain, monkeypatch):
-    # One _fitting call for the alphabet and one per node expanded: the table
-    # expands each node once, the plain backtracking once per prefix.
+@pytest.mark.parametrize("label,fitted,plain", [("B3", 175, 564), ("C3", 326, 966)])
+def test_nodes_expanded_pinned(label, fitted, plain, monkeypatch):
+    # One _fitting call for the alphabet and one per node expanded that has
+    # no unit pivot and has a candidate: the table expands each of its 378
+    # (B3) or 713 (C3) nodes once, the plain backtracking calls _fitting once
+    # per prefix.
     lattice = build_P_lattice(catalog(label))
-    assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == 1 + nodes
+    assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == 1 + fitted
     assert _counted(monkeypatch, _fitting, plain_enumeration, lattice)[1] == 1 + plain
 
 
@@ -353,6 +357,55 @@ def test_star_set_follows_unimodular_basis_change(label, seed):
 def test_non_psd_residual_raises_internal_error():
     with pytest.raises(InternalError):
         search._fitting([[1, 2, 1], [2, 1, 0]])
+
+
+def test_unit_pivot_row_missing_raises_internal_error(monkeypatch):
+    # On Z^2 the root's unit pivot picks (1, 0), and the residual it leaves
+    # has its unit pivot at (0, 1): an alphabet without that vector breaks
+    # the invariant that every unit-pivot row is in the alphabet.
+    space = search._search_space
+
+    def without_0_1(lattice):
+        g, alphabet, begin, mapped = space(lattice)
+        k = alphabet.index((0, 1))
+        return (g, alphabet[:k] + alphabet[k + 1:],
+                [b - (b > k) for b in begin], mapped[:k] + mapped[k + 1:])
+
+    lattice = Lattice([[1, 0], [0, 1]])
+    assert len(enumerate_stars(lattice)) == 1
+    monkeypatch.setattr(search, "_search_space", without_0_1)
+    with pytest.raises(InternalError):
+        enumerate_stars(lattice)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_grams(max_diag=9), st.randoms(use_true_random=False))
+def test_unit_pivot_keeps_only_its_row(gram, rng):
+    # Along a random enumeration path, R = G - sum v v^T.  Wherever R's first
+    # nonzero diagonal entry R_ff is 1, of every vector with lead f only R's
+    # row f leaves R - u u^T PSD: enumerate_stars takes that row as the
+    # node's one child without an elimination.
+    g, alphabet, begin, mapped = search._search_space(Lattice(gram))
+    l = len(g)
+    residual, start = [list(row) for row in g], 0
+    while True:
+        first = next((a for a in range(l) if residual[a][a] > 0), None)
+        if first is None:
+            break
+        block = range(begin[first], begin[first + 1])
+        fit = search._fitting([residual[a] + [alphabet[k][a] for k in block]
+                               for a in range(l)])
+        if residual[first][first] == 1:
+            assert [alphabet[block[c]] for c in fit] == [tuple(residual[first])]
+            u = residual[first]
+            assert sym_elim([[residual[a][b] - u[a] * u[b] for b in range(l)]
+                             for a in range(l)]) is not None
+        children = [block[c] for c in fit if block[c] >= start]
+        if not children:
+            break
+        start = rng.choice(children)
+        u = alphabet[start]
+        residual = [[residual[a][b] - u[a] * u[b] for b in range(l)] for a in range(l)]
 
 
 @st.composite
