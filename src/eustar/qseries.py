@@ -17,11 +17,16 @@ _product reads the star's pairing vectors and builds each factor's rows from
 them, multiplies on packed integer rows, starting from the eta row and
 taking the factors that close triangles first, and truncates every step at
 one slot count, since every factor's lowest exponent is known in advance;
-its docstring describes the kernel.  The heat, holomorphy and singular-shell
-checks read one gap evaluator, _gaps, which gives the integer
-12 D (2n - (l, l)) of each term with the matrix gi of dual_gram() = (gi, g),
-gram^-1 = gi / g; heat_apply builds a Fraction only off the shell.
-Reflections map exponents in int over one denominator.
+its docstring describes the kernel.  The kernel decodes each term once, in
+canonical form: every exponent of a block is w = sum_j u_j mod 2 over z_den 2,
+so z_den is read off sum_j u_j mod 2, and the series is built with no second
+pass.  The FourierSeries constructor is the validating path for every other
+series: outside input, heat_apply and reflect_series.
+The heat, holomorphy and singular-shell checks read one gap evaluator,
+_gaps, which gives the integer 12 D (2n - (l, l)) of each term from the
+diagonal and the doubled upper triangle of the matrix gi of
+dual_gram() = (gi, g), gram^-1 = gi / g; heat_apply builds a Fraction only
+off the shell.  Reflections map exponents in int over one denominator.
 
 With the default eta exponent, the lattice rank, the least 2n - (l, l) over
 the terms of a star's block is 2 (min f - (N - rank)/24), with f the
@@ -46,9 +51,15 @@ from .star import EutacticStar, is_eutactic
 DEFAULT_ORDER = 480
 
 
+def _is_int(x) -> bool:
+    """True iff x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _norm_coeff(c):
-    """c as an int or a Fraction with denominator > 1; any other type is an error."""
-    if isinstance(c, int):
+    """c as an int or a Fraction with denominator > 1; any other type, bool
+    included, is an error."""
+    if _is_int(c):
         return c
     if not isinstance(c, Q):
         raise InputError(f"coefficient {c!r} is not an int or a Fraction")
@@ -58,26 +69,46 @@ def _norm_coeff(c):
 class FourierSeries:
     """Truncated series with exact integer (or, after heat, rational) terms.
 
-    Coefficients are int or Fraction; a float, Decimal or complex one is an
-    InputError, since no verdict may rest on an inexact number.
+    The constructor validates its input and stores it in canonical form: it
+    drops zero terms and terms above n24_max, and divides z_den and every
+    exponent by their common content (z_den 1 for the zero series).  It
+    raises InputError for a z_den that is not a positive int, an n24_max or
+    character_d that is not an int, a key that is not a pair (n24, w) with
+    n24 an int and w a tuple or list of lattice-rank ints, a kept term off
+    the character (n24 = character_d mod 24), and a coefficient that is not
+    an int or a Fraction: a float, Decimal or complex one, since no verdict
+    may rest on an inexact number.  Here an int is never a bool.  Every term
+    is checked for these types, also one the constructor then drops.
+
+    The theta-block kernel builds its series through _canonical instead,
+    since its terms hold all of this by construction.
     """
 
     def __init__(self, lattice: Lattice, z_den: int,
                  terms: dict, n24_max: int, character_d: int | None = None):
-        if z_den < 1:
-            raise InputError("z_den must be positive")
+        if not _is_int(z_den) or z_den < 1:
+            raise InputError(f"z_den {z_den!r} is not a positive int")
+        if not _is_int(n24_max):
+            raise InputError(f"n24_max {n24_max!r} is not an int")
+        if character_d is not None and not _is_int(character_d):
+            raise InputError(f"character_d {character_d!r} is not an int")
         self.lattice = lattice
         width = lattice.rank
         clean = {}
         for key, c in terms.items():
-            n24, w = key
+            try:
+                n24, w = key
+            except (TypeError, ValueError):
+                raise InputError(f"key {key!r} is not a pair (n24, w)") from None
+            if not _is_int(n24):
+                raise InputError(f"n24 {n24!r} is not an int")
+            if not isinstance(w, (tuple, list)) or len(w) != width:
+                raise InputError(f"z-exponent {w!r} is not a sequence of length {width}")
+            if not all(map(_is_int, w)):
+                raise InputError(f"z-exponent {w!r} has an entry that is not an int")
             c = _norm_coeff(c)
-            if c == 0:
+            if c == 0 or n24 > n24_max:
                 continue
-            if n24 > n24_max:
-                continue
-            if len(w) != width:
-                raise InputError(f"z-exponent {w} has wrong length (want {width})")
             if character_d is not None and (n24 - character_d) % 24 != 0:
                 raise InputError(f"term n24={n24} violates character {character_d}")
             clean[key if type(w) is tuple else (n24, tuple(w))] = c
@@ -97,6 +128,21 @@ class FourierSeries:
         self.terms = clean
         self.n24_max = n24_max
         self.character_d = character_d
+
+    @classmethod
+    def _canonical(cls, lattice: Lattice, z_den: int, terms: dict, n24_max: int,
+                   character_d: int | None) -> FourierSeries:
+        """The series of terms already in canonical form, taken as they are.
+
+        Nothing is checked or copied: every key is (int n24 <= n24_max on the
+        character, a tuple of lattice-rank ints), every coefficient a nonzero
+        int or a Fraction with denominator > 1, and z_den is 1 or shares no
+        factor with the content of the exponents, 1 if there are none.
+        """
+        s = cls.__new__(cls)
+        s.lattice, s.z_den, s.terms = lattice, z_den, terms
+        s.n24_max, s.character_d = n24_max, character_d
+        return s
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -185,7 +231,8 @@ def _accumulate(out: dict, outer, groups: list, top: int, bits: int) -> None:
             continue
         if v1 >= half:
             v1 -= m
-        for shift, d in fits[top - _low_slot(v1, bits)]:
+        # top - _low_slot(v1, bits), inlined: this loop runs once per stored row.
+        for shift, d in fits[top - ((v1 & -v1).bit_length() - 1) // bits]:
             x = v1 << shift
             key = k1 + d
             out[key] = get(key, 0) + x
@@ -246,8 +293,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     of the factors still to come, lands on n24 = low + 24 j, so it can reach
     the output iff j <= top.
 
-    z-exponents are taken over z_den 2, which the FourierSeries constructor
-    reduces to 1 when every exponent is even, and a z-exponent w of width l
+    z-exponents are taken over z_den 2, and a z-exponent w of width l
     becomes the balanced base-R number key = w_1 R^(l-1) + ... + w_l.  The
     factor of u has, for k = 0 ... K with K (K+1)/2 <= top, the group
     (t, t bits, d) with t = k (k+1)/2 and d = (-1)^k (2k+1) b, b the key of
@@ -292,6 +338,17 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     with key 0 adds to itself.  A stored w = 0 row is its own mirror and
     meets only the row of key |d| of each group.  That halves the pairs,
     and the decode emits both mirror terms.
+
+    The decode writes each term in canonical form, so the series is built
+    with no second pass.  A term picks one row of each theta factor, an odd
+    multiple of its u, and eta adds 0, so every exponent is w = sum_j u_j
+    mod 2.  Hence z_den is 1 iff every coordinate of sum_j u_j is even, and
+    then every w, and so every key, is even: the decode reads the digits of
+    key / 2, which are w / 2.  Otherwise some coordinate of every w is odd,
+    so no factor of 2 is common to them all.  The block is not empty: slot 0
+    is prod_j (zeta^(u_j/2) - zeta^(-u_j/2)), which is not 0.  Coefficients
+    are nonzero ints, widths are l and every n24 = low + 24 j <= n24_max is
+    on the character.
     """
     width = lat.rank
     low = 3 * len(pairings) + eta_min
@@ -335,6 +392,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
     mask, cut = m - 1, m >> 1
     radices = [radix ** i for i in range(width - 1, -1, -1)]
     bias = (radix ** width - 1) // 2
+    z_den = 1 if all(sum(col) % 2 == 0 for col in zip(*pairings)) else 2
     terms = {}
     for key, v in out.items():
         v &= mask
@@ -342,8 +400,9 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
             continue
         if v >= cut:
             v -= m
-        # Adding the bias makes every digit w_i + (R-1)/2 lie in [0, R).
-        rest = key + bias
+        # Over z_den 1 the digits are read off key / 2.  Adding the bias
+        # makes every digit w_i + (R-1)/2 lie in [0, R).
+        rest = (key >> 2 - z_den) + bias
         w = tuple(rest // p % radix - half for p in radices)
         mirror = tuple(-x for x in w) if key else None
         for j, c in _slots(v, bits):
@@ -351,8 +410,7 @@ def _product(lat: Lattice, pairings: Sequence[Sequence[int]], eta_min: int,
             terms[(n24, w)] = c
             if mirror:
                 terms[(n24, mirror)] = sign * c
-    del out  # free the rows before the constructor copies the decoded terms
-    return FourierSeries(lat, 2, terms, n24_max, character_d=low % 24)
+    return FourierSeries._canonical(lat, z_den, terms, n24_max, low % 24)
 
 
 def theta_block(star: EutacticStar, eta_exponent: int | None = None,
@@ -361,9 +419,14 @@ def theta_block(star: EutacticStar, eta_exponent: int | None = None,
 
     Default eta_exponent is the lattice rank.  Works for any star; eutaxy is
     what makes the result interesting, so its absence only triggers a warning.
+    An eta_exponent or n24_max that is not an int (a bool included) is an
+    InputError, since the kernel builds its series unchecked.
     """
     if eta_exponent is None:
         eta_exponent = star.lattice.rank
+    for name, value in (("eta_exponent", eta_exponent), ("n24_max", n24_max)):
+        if not _is_int(value):
+            raise InputError(f"{name} {value!r} is not an int")
     if not is_eutactic(star):
         warnings.warn("theta_block of a non-eutactic star", RuntimeWarning, stacklevel=2)
     eta_min = eta_exponent - star.size
@@ -379,12 +442,20 @@ def _gaps(s: FourierSeries):
 
     With dual_gram() = (gi, g), gram^-1 = gi / g, the norm is
     (l, l) = w^T gi w / D for D = g z_den^2, so gap = n24 D - 12 w^T gi w.
+    gi is symmetric, so w^T gi w is the sum of gi_ii w_i^2 over the diagonal
+    and of 2 gi_ij w_i w_j over the upper triangle, i < j; the nonzero
+    coefficients of both are formed once per call.
     """
     gi, g = s.lattice.dual_gram()
     den = g * s.z_den ** 2
+    l = len(gi)
+    quadratic = [(i, j, gi[i][j] if i == j else 2 * gi[i][j])
+                 for i in range(l) for j in range(i, l) if gi[i][j]]
     for key, c in s.terms.items():
         n24, w = key
-        quad = sum(map(mul, w, [sum(map(mul, row, w)) for row in gi]))
+        quad = 0
+        for i, j, x in quadratic:
+            quad += x * w[i] * w[j]
         yield key, c, n24 * den - 12 * quad, den
 
 

@@ -7,13 +7,14 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eustar import cli, search
+from eustar import cli, qseries, search
 from eustar.certify import certify_extremal
 from eustar.cli import main
 from eustar.lattice import InputError, format_rational, lattice_from_json_dict, rational_parts
@@ -351,6 +352,51 @@ def test_check_and_recognize_keep_the_exit_contract(tmp_path_factory, data):
         else:
             assert code == (0 if holds(star) else 1) and err.getvalue() == ""
             assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1
+
+
+EXPAND_VERDICTS = [
+    ((), None),
+    (("--check-holomorphic",), lambda block: not qseries.check_holomorphic(block)),
+    (("--check-singular",), qseries.check_singular_support),
+    (("--heat",), lambda block: qseries.heat_apply(block).is_zero()),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_star_files())
+def test_expand_keeps_the_exit_contract(tmp_path_factory, data):
+    """expand exits 0, 1 or 2 on any star file at --order 60, plain and with
+    each check, with no escaping exception.  Exit 2 comes only with the
+    InputError that loading the file raises, as one error line on stderr.
+    Otherwise a check's exit follows its qseries predicate, a plain dump
+    exits 0, and stderr stays empty; the one warning is theta_block's
+    RuntimeWarning for a star that is not eutactic."""
+    path = tmp_path_factory.getbasetemp() / "generated.star.json"
+    path.write_text(json.dumps(data))
+    try:
+        star, message = star_from_json_dict(data), None
+    except InputError as exc:
+        star, message = None, str(exc)
+    if star is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            block = qseries.theta_block(star, n24_max=60)
+        eutactic = is_eutactic(star)
+    for flags, holds in EXPAND_VERDICTS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["expand", str(path), "--order", "60", *flags])
+        warned = [(w.category, str(w.message)) for w in caught]
+        if star is None:
+            assert (code, out.getvalue(), err.getvalue(), warned) == \
+                (2, "", f"error: {message}\n", [])
+            continue
+        assert code == (0 if holds is None or holds(block) else 1)
+        assert err.getvalue() == ""
+        assert warned == ([] if eutactic else
+                          [(RuntimeWarning, "theta_block of a non-eutactic star")])
 
 
 # Lattice files for the 0/1/2 contract of search: a small positive definite

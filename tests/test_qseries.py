@@ -205,9 +205,9 @@ def test_constructor_normalization():
         FourierSeries(lat, 1, {(1, (0, 0)): 1}, 10, character_d=0)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("1"), Decimal("0.5"), 1 + 0j, 1j],
+@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("1"), Decimal("0.5"), 1 + 0j, 1j, True],
                          ids=["float", "float-integral", "Decimal-integral", "Decimal",
-                              "complex-real", "complex"])
+                              "complex-real", "complex", "bool"])
 def test_constructor_rejects_inexact_coefficients(c):
     lat = Lattice([[2]])
     with pytest.raises(InputError, match="not an int or a Fraction"):
@@ -215,6 +215,38 @@ def test_constructor_rejects_inexact_coefficients(c):
     # Also above the cap, where the term itself would be dropped.
     with pytest.raises(InputError, match="not an int or a Fraction"):
         FourierSeries(lat, 1, {(0, (1,)): 1, (24, (1,)): c}, 10)
+
+
+@pytest.mark.parametrize("z_den, terms, n24_max, character_d, message", [
+    (True, {(24, (2,)): 1}, 48, None, "z_den True is not a positive int"),
+    (2.0, {(24, (2,)): 1}, 48, None, "z_den 2.0 is not a positive int"),
+    ("2", {(24, (2,)): 1}, 48, None, "z_den '2' is not a positive int"),
+    (1, {(24.0, (2,)): 1}, 48, None, "n24 24.0 is not an int"),
+    (1, {("24", (2,)): 1}, 48, None, "n24 '24' is not an int"),
+    (1, {(False, (2,)): 1}, 48, None, "n24 False is not an int"),
+    (2, {(24, (2.0,)): 1}, 48, None, r"z-exponent \(2.0,\) has an entry that is not an int"),
+    (2, {(24, (True,)): 1}, 48, None, r"z-exponent \(True,\) has an entry that is not an int"),
+    (1, {(24, 2): 1}, 48, None, "z-exponent 2 is not a sequence of length 1"),
+    (1, {24: 1}, 48, None, "key 24 is not a pair"),
+    (1, {(24, (2,), 0): 1}, 48, None, r"key \(24, \(2,\), 0\) is not a pair"),
+    (1, {(24, (2,)): 1}, 48.0, None, "n24_max 48.0 is not an int"),
+    (1, {(24, (2,)): 1}, True, None, "n24_max True is not an int"),
+    (1, {(24, (2,)): 1}, 48, 0.0, "character_d 0.0 is not an int"),
+    # Above the cap, where the term itself would be dropped.
+    (1, {(72.0, (2,)): 1}, 48, None, "n24 72.0 is not an int"),
+    (1, {(72, (2.5,)): 1}, 48, None, r"z-exponent \(2.5,\) has an entry that is not an int"),
+    # A zero coefficient, whose term would be dropped too.
+    (1, {(24, (2, 0)): 0}, 48, None, r"z-exponent \(2, 0\) is not a sequence of length 1"),
+], ids=["z_den-bool", "z_den-float", "z_den-str", "n24-float", "n24-str", "n24-bool",
+        "w-float", "w-bool", "w-int", "key-int", "key-triple", "cap-float", "cap-bool",
+        "character-float", "n24-float-above-cap", "w-float-above-cap", "w-length-zero-coefficient"])
+def test_constructor_rejects_non_int_fields(z_den, terms, n24_max, character_d, message):
+    # Every field but the coefficients is an int, never a bool: before these
+    # checks, z_den True was stored and dumped as '24 2/True 1', a float n24
+    # as '24.0', and a float z_den or entry of w, or a string n24, escaped as
+    # a bare TypeError.
+    with pytest.raises(InputError, match=message):
+        FourierSeries(Lattice([[2]]), z_den, terms, n24_max, character_d)
 
 
 def trimmed(s, n24_max):
@@ -252,6 +284,20 @@ def test_theta_block_below_lowest_exponent(two_vector_star, a2_star):
             assert block.is_zero() and block.n24_max == order
             assert block.character_d == low % 24
         assert min_n24(theta_block(star, eta_exponent=eta, n24_max=low)) == low
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n24_max": 240.0}, "n24_max 240.0 is not an int"),
+    ({"n24_max": True}, "n24_max True is not an int"),
+    ({"eta_exponent": 2.0}, "eta_exponent 2.0 is not an int"),
+    ({"eta_exponent": False}, "eta_exponent False is not an int"),
+], ids=["order-float", "order-bool", "eta-float", "eta-bool"])
+def test_theta_block_rejects_non_int_arguments(a2_star, kwargs, message):
+    # The kernel builds its series unchecked, so the entry point checks its
+    # own numbers: a float order or eta exponent used to escape as a bare
+    # TypeError, and a bool was taken as 0 or 1.
+    with pytest.raises(InputError, match=message):
+        theta_block(a2_star, **kwargs)
 
 
 def test_theta_block_two_vector_frozen(two_vector_star):
@@ -455,6 +501,47 @@ def traffic_star(draw):
     except InputError:  # the u do not span
         assume(False)
     return star_from_pairings(lat, pairings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traffic_star(), st.data())
+def test_canonical_decode_matches_validating_constructor(star, data):
+    # The kernel builds its series with no check and no normalising pass; the
+    # validating constructor, given the same terms over z_den 2, must build
+    # the same series.  z_den is 1 iff the block is empty or every coordinate
+    # of the pairing sum is even.
+    low = 2 * star.size + star.lattice.rank
+    order = data.draw(st.integers(low - 24, low + 240))
+    block = theta_block(star, n24_max=order)
+    scale = 2 // block.z_den
+    want = FourierSeries(star.lattice, 2, {(n24, tuple(scale * x for x in w)): c
+                                           for (n24, w), c in block.terms.items()},
+                         order, block.character_d)
+    assert (block.z_den, block.terms, block.n24_max, block.character_d) == \
+        (want.z_den, want.terms, want.n24_max, want.character_d)
+    assert all(type(c) is int and c != 0 for c in block.terms.values())
+    assert all(type(w) is tuple for _, w in block.terms)
+    even = all(sum(col) % 2 == 0 for col in zip(*star.pairings))
+    assert block.z_den == (1 if even or block.is_zero() else 2)
+    assert block.is_zero() == (order < low)
+
+
+@pytest.mark.parametrize("label, z_den", [
+    ("G2", 1), ("A2", 1), ("A4", 1), ("A3", 2), ("B3", 2),
+])
+def test_block_z_den_is_the_pairing_sum_parity(label, z_den):
+    # Every exponent is w = sum_j u_j mod 2 over z_den 2, so the block's z_den
+    # is read off the sum of the pairings; below its lowest exponent the block
+    # is empty, with z_den 1.
+    star = build_star(catalog(label))
+    even = all(sum(col) % 2 == 0 for col in zip(*star.pairings))
+    assert even == (z_den == 1)
+    low = 2 * star.size + star.lattice.rank
+    block = theta_block(star, n24_max=low + 48)
+    assert block.z_den == z_den and not block.is_zero()
+    assert any(x % 2 for _, w in block.terms for x in w)
+    below = theta_block(star, n24_max=low - 1)
+    assert below.is_zero() and below.z_den == 1
 
 
 @settings(max_examples=150, deadline=None)
