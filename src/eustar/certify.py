@@ -35,8 +35,8 @@ the search runs over the classes k mod U Z^l:
     with q <= radius.
 
 The enumeration runs in int: with G^-1 = gi / g and the centre num / (2v),
-g (2v)^2 q is an integer form in k_J, completed to squares on the Bareiss rows
-of sym_elim(g A), with exact interval ends from math.isqrt and floor division.
+g (2v)^2 q is an integer form in k_J, walked by ``linalg._close_points`` on
+the Bareiss rows of sym_elim(g A), exactly, by math.isqrt and floor division.
 Leaves compare as (scaled q, witness numerators over 2g); Fraction appears
 only in the returned minimum and witness, which ``deficiency`` re-evaluates.
 
@@ -64,14 +64,13 @@ extremal star is searched once.  No floats are consulted anywhere.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
-from .linalg import Vec, clear_denominators, invert, sym_elim
+from .linalg import Vec, _close_points, clear_denominators, invert, sym_elim
 from .star import EutacticStar, is_eutactic
 
 
@@ -171,58 +170,6 @@ def _classes(V: Sequence[Sequence[int]], v: int) -> list[tuple[int, ...]]:
                 classes[nxt] = step = k[:i] + (k[i] + 1,) + k[i + 1:]
                 queue.append((nxt, step))
     return list(classes.values())
-
-
-def _close_points(r: Sequence[Sequence[int]], den: int, num: Sequence[int],
-                  bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every integer k with q(k) <= bound, with q(k), where q(k) = z^T A z for
-    z = den k - num, an integer positive definite A and r = sym_elim(A).
-
-    Completing the square on the Bareiss rows gives
-    q(k) = sum_i (sum_{j>=i} r[i][j] z_j)^2 / (r[i][i] r[i-1][i-1]).  With L the
-    lcm of those denominators, L q(k) = sum_i coef_i (a_i k_i - b_i)^2 where
-    a_i = den r[i][i] and b_i = r[i][i] num_i - sum_{j>i} r[i][j] z_j, all int.
-    The walk fixes k from the last coordinate down, on an explicit stack:
-    rem[i] is what L bound leaves for coordinates below i, and hi[i] the
-    last value of k_i in range.
-    """
-    n = len(r)
-    if n == 0:
-        yield (), 0
-        return
-    dens = [r[i][i] * (r[i - 1][i - 1] if i else 1) for i in range(n)]
-    L = math.lcm(*dens)
-    coef = [L // x for x in dens]
-    a = [den * r[i][i] for i in range(n)]
-    tails = [r[i][i + 1:] for i in range(n)]
-    k = [0] * n
-    z = [0] * n
-    b = [0] * n
-    hi = [0] * n
-    rem = [0] * (n + 1)
-    rem[n] = L * bound
-    i = n - 1
-    while True:
-        # Enter coordinate i: coef_i (a_i t - b_i)^2 <= rem[i + 1] iff
-        # |a_i t - b_i| <= s, as a_i t - b_i is an int.
-        b[i] = bi = r[i][i] * num[i] - sum(map(mul, tails[i], z[i + 1:]))
-        s = math.isqrt(rem[i + 1] // coef[i])
-        k[i] = -((s - bi) // a[i]) - 1
-        hi[i] = (bi + s) // a[i]
-        # Step k_i; past its range, step the coordinate above.
-        while True:
-            t = k[i] = k[i] + 1
-            if t > hi[i]:
-                i += 1
-                if i == n:
-                    return
-                continue
-            rem[i] = rem[i + 1] - coef[i] * (a[i] * t - b[i]) ** 2
-            z[i] = den * t - num[i]
-            if i:
-                break
-            yield tuple(k), bound - rem[0] // L
-        i -= 1
 
 
 def _search(star: EutacticStar, radius: Q | None,

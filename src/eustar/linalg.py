@@ -3,11 +3,12 @@
 There is one elimination, the fraction-free symmetric kernel ``sym_elim``,
 which also carries right-hand-side columns through the same steps.
 ``invert`` is read off it; its rows also complete the square of a positive
-definite form in int, which is how ``eustar.certify`` enumerates lattice
-points.  A rational matrix reaches it through ``clear_denominators``, the one
-place that scales to int by the lcm of the denominators; ``invert`` returns
-one integer matrix over one denominator.  No other reduction is kept: the
-coset representatives of ``eustar.certify`` are read off such an inverse.
+definite form in int, on which the one lattice-point walker ``_close_points``
+serves ``eustar.certify`` and ``eustar.search``.  A rational matrix reaches it
+through ``clear_denominators``, the one place that scales to int by the lcm of
+the denominators; ``invert`` returns one integer matrix over one denominator.
+No other reduction is kept: the coset representatives of ``eustar.certify``
+are read off such an inverse.
 ``InputError`` lives here, in the module that imports no other, so that
 ``clear_denominators`` can raise it; ``eustar.lattice`` re-exports it.
 """
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from typing import Sequence, Tuple
+from operator import mul
+from typing import Iterator, Sequence, Tuple
 
 Vec = Tuple[Q, ...]
 Mat = Tuple[Vec, ...]
@@ -73,6 +75,58 @@ def sym_elim(m: Sequence[Sequence[int]]) -> list[list[int]] | None:
                 row[j] = (p * row[j] - a * piv[j]) // prev
         prev = p
     return rows
+
+
+def _close_points(r: Sequence[Sequence[int]], den: int, num: Sequence[int],
+                  bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every integer k with q(k) <= bound, with q(k), where q(k) = z^T A z for
+    z = den k - num, an integer positive definite A and r = sym_elim(A).
+
+    Completing the square on the Bareiss rows gives
+    q(k) = sum_i (sum_{j>=i} r[i][j] z_j)^2 / (r[i][i] r[i-1][i-1]).  With L the
+    lcm of those denominators, L q(k) = sum_i coef_i (a_i k_i - b_i)^2 where
+    a_i = den r[i][i] and b_i = r[i][i] num_i - sum_{j>i} r[i][j] z_j, all int.
+    The walk fixes k from the last coordinate down, on an explicit stack:
+    rem[i] is what L bound leaves for coordinates below i, and hi[i] the
+    last value of k_i in range.
+    """
+    n = len(r)
+    if n == 0:
+        yield (), 0
+        return
+    dens = [r[i][i] * (r[i - 1][i - 1] if i else 1) for i in range(n)]
+    L = math.lcm(*dens)
+    coef = [L // x for x in dens]
+    a = [den * r[i][i] for i in range(n)]
+    tails = [r[i][i + 1:] for i in range(n)]
+    k = [0] * n
+    z = [0] * n
+    b = [0] * n
+    hi = [0] * n
+    rem = [0] * (n + 1)
+    rem[n] = L * bound
+    i = n - 1
+    while True:
+        # Enter coordinate i: coef_i (a_i t - b_i)^2 <= rem[i + 1] iff
+        # |a_i t - b_i| <= s, as a_i t - b_i is an int.
+        b[i] = bi = r[i][i] * num[i] - sum(map(mul, tails[i], z[i + 1:]))
+        s = math.isqrt(rem[i + 1] // coef[i])
+        k[i] = -((s - bi) // a[i]) - 1
+        hi[i] = (bi + s) // a[i]
+        # Step k_i; past its range, step the coordinate above.
+        while True:
+            t = k[i] = k[i] + 1
+            if t > hi[i]:
+                i += 1
+                if i == n:
+                    return
+                continue
+            rem[i] = rem[i + 1] - coef[i] * (a[i] * t - b[i]) ** 2
+            z[i] = den * t - num[i]
+            if i:
+                break
+            yield tuple(k), bound - rem[0] // L
+        i -= 1
 
 
 def invert(a: Sequence[Sequence]) -> tuple[IntMat, int] | None:

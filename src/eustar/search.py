@@ -5,8 +5,8 @@ enumerating stars means enumerating such rank-one decompositions.  Vectors are
 chosen sign-normalized (first nonzero entry positive) in non-increasing
 lexicographic order, which makes the backtracking emit exactly one canonical
 representative per orbit under reordering and per-vector sign flips; the
-residual must stay positive semidefinite at every step, which bounds entries
-by isqrt(gram_ii) and the length by the trace.
+residual must stay positive semidefinite at every step, which bounds the
+length by the trace.
 
 Four facts keep the backtracking on live branches, each searched once.  The
 lead positions of the sorted alphabet never decrease, so a node only tries
@@ -49,7 +49,7 @@ weight lattice 65,227 nodes have a unit pivot, and the other 129,677 share
 
 The backtracking runs in coordinates of its own choosing.  They are sorted by
 the Gram diagonal, ascending, ties by index: small diagonal entries come
-first, so the rows that every node clears first have the smallest boxes and
+first, so the rows that every node clears first have the smallest caps and
 the fewest alphabet vectors.  Their signs are the flips that make the Gram's
 upper triangle, read row by row, lexicographically least, so the search does
 not depend on the signs of the basis vectors, nor on their order where the
@@ -59,9 +59,10 @@ order and no star is a prefix of another, so sorting the mapped stars in
 descending order gives the same list, in the same order, as a search in the
 lattice's own coordinates.
 
-The alphabet is drawn from the box prod_i [-isqrt(G_ii), isqrt(G_ii)], which
-is sized before it is built: past MAX_BOX_VECTORS the lattice is refused as
-InputError.
+The alphabet is listed directly: [[G, u], [u^T, 1]] is also PSD iff
+u^T G^-1 u <= 1 (the Schur complement of G), so the Fincke-Pohst walker
+``linalg._close_points`` lists it on the dual Gram.  Past _MAX_POINTS points
+listed the lattice is refused as InputError.
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ from typing import Sequence
 
 from .certify import certify_if_extremal
 from .lattice import InputError, InternalError, Lattice, format_vector
-from .linalg import sym_elim
+from .linalg import _close_points, sym_elim
 from .rootsys import recognize_star
 from .star import EutacticStar, star_from_pairings
 
-# The most vectors the alphabet box prod_i (2 isqrt(G_ii) + 1) may hold; the
-# B4 weight lattice has 14,641.
-MAX_BOX_VECTORS = 10 ** 6
+# The most points the alphabet's walk may list, +-u and 0: 99,795 on the E7
+# weight lattice.  Each lies in the box prod_i [-isqrt(G_ii), isqrt(G_ii)].
+_MAX_POINTS = 10 ** 6
 
 
 def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -96,18 +97,15 @@ def canonical_pairings(pairings: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
 def _fitting(bordered: Sequence[Sequence[int]]) -> list[int]:
     """Positions c, ascending, of the columns u_c of [R | u_0 .. u_m-1] with
     R - u_c u_c^T PSD, for a PSD integer matrix R of which, like sym_elim,
-    only the upper triangle is read.  The one PSD test of star enumeration.
+    only the upper triangle is read.  The one PSD test of the search's nodes.
 
     Bareiss on the bordered matrix [[R, u], [u^T, 1]] runs through R's pivots
     and leaves u's column as sym_elim carries it on [R | u]; with a zero
     pivot that column entry must be 0, and the corner, updated at each
     positive pivot p as (p corner - y^2) // prev (exact, by Sylvester's
-    identity), must end >= 0.  With no columns there is nothing to test and
-    no elimination is made.  The test is exact for any columns; the search
-    only passes those within R's diagonal caps (see enumerate_stars), since
-    a vector with some u_a^2 > R_aa fails on the diagonal.  It passes them
-    only at a node with a candidate and no unit pivot: a unit pivot's one
-    child is known without a test.
+    identity), must end >= 0.  With no columns no elimination is made.  The
+    test is exact for any columns; enumerate_stars passes only those within
+    R's diagonal caps, at a node with no unit pivot.
     """
     l = len(bordered)
     if len(bordered[0]) == l:
@@ -136,29 +134,33 @@ def _search_space(lattice: Lattice):
     """The search's Gram, sorted alphabet, lead blocks and mapped-back vectors.
 
     Returns (g, alphabet, begin, mapped): g is the Gram in the search's
-    coordinates (see the module docstring), alphabet the vectors u of the
-    box with g - u u^T PSD in descending order, alphabet[begin[p]:begin[p + 1]]
+    coordinates (see the module docstring), alphabet the vectors u with lead
+    > 0 and g - u u^T PSD in descending order, alphabet[begin[p]:begin[p + 1]]
     the vectors with lead position p, and mapped[k] alphabet[k] in the
     lattice's basis, in canonical form.
     """
     gram, l = lattice.gram, lattice.rank
     order = sorted(range(l), key=lambda i: (gram[i][i], i))
-    bound = [math.isqrt(gram[i][i]) for i in order]
-    if math.prod(2 * b + 1 for b in bound) > MAX_BOX_VECTORS:
-        raise InputError(f"the alphabet box of this Gram matrix has more than "
-                         f"{MAX_BOX_VECTORS} vectors")
-    # Search coordinate a is signs[a] times lattice coordinate order[a].  The
-    # box holds at least 3^l vectors, so the 2^(l-1) sign choices are few.
+    # Search coordinate a is signs[a] times lattice coordinate order[a]; all
+    # 2^(l-1) sign choices are compared, 128 at rank 8.
     signs = min(product((1,), *[(1, -1)] * (l - 1)),
                 key=lambda s: [s[a] * s[b] * gram[order[a]][order[b]]
                                for a in range(l) for b in range(a + 1, l)])
     g = [[signs[a] * signs[b] * gram[i][j] for b, j in enumerate(order)]
          for a, i in enumerate(order)]
-    box = [u for u in product(*(range(-b, b + 1) for b in bound))
-           if next((x for x in u if x != 0), 0) > 0]
-    # Every box vector is within g's diagonal caps.
-    fit = _fitting([row + [u[a] for u in box] for a, row in enumerate(g)])
-    alphabet = sorted((box[j] for j in fit), reverse=True)
+    gi, d = lattice.dual_gram()  # g - u u^T is PSD iff u^T gi_s u <= d
+    gi_s = [[signs[a] * signs[b] * gi[i][j] for b, j in enumerate(order)]
+            for a, i in enumerate(order)]
+    # With more axis points t e_a than the cap allows, the first point raises.
+    axis = 1 + sum(2 * math.isqrt(d // gi_s[a][a]) for a in range(l))
+    zero, alphabet = (0,) * l, []
+    for listed, (u, _) in enumerate(_close_points(sym_elim(gi_s), 1, zero, d), 1):
+        if max(listed, axis) > _MAX_POINTS:
+            raise InputError(f"the alphabet of this Gram matrix lists more than "
+                             f"{_MAX_POINTS} points")
+        if u > zero:  # lead > 0
+            alphabet.append(u)
+    alphabet.sort(reverse=True)
     leads = [next(k for k, x in enumerate(u) if x != 0) for u in alphabet]
     begin = [bisect_left(leads, p) for p in range(l + 1)]
     # Pairing order[a] in the lattice's basis is signs[a] times pairing a in the
@@ -175,12 +177,9 @@ def enumerate_stars(lattice: Lattice, *, max_n: int | None = None) -> list[Eutac
     keyword-only max_n raises InputError when the search reaches a nonzero
     residual with max_n vectors chosen, whether or not that branch can still
     reach a zero residual; branches the lead-position cut removes are never
-    entered and do not count.  The search runs in sorted, sign-normalized
-    coordinates and expands each (residual, least index) node once (see the
-    module docstring): a node with a unit pivot takes its one child by an
-    alphabet lookup, a node with no candidate is dead at once, and only the
-    others run an elimination.  The stars come back in the lattice's basis.
-    An alphabet that lacks a unit-pivot row is an InternalError.
+    entered and do not count.  The search is set out in the module
+    docstring; the stars come back in the lattice's basis.  An alphabet that
+    lacks a unit-pivot row is an InternalError.
     """
     g, alphabet, begin, mapped = _search_space(lattice)
     l = lattice.rank

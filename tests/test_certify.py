@@ -32,7 +32,7 @@ from eustar import certify
 from eustar.certify import (ExtremalityCertificate, certify_extremal, certify_if_extremal,
                             deficiency, min_deficiency)
 from eustar.lattice import InputError, InternalError, Lattice
-from eustar.linalg import sym_elim
+from eustar.linalg import _close_points, sym_elim
 from eustar.rootsys import build_P_lattice, build_star, catalog, catalog_labels
 from eustar.search import enumerate_stars
 from eustar.star import load_star, star_from_vectors
@@ -348,7 +348,7 @@ def test_close_points_matches_box(data):
         s = math.isqrt(math.ceil(bound * inv[i][i])) + 1
         box.append(range((num[i] - s) // den, (num[i] + s) // den + 2))
     want = {(k, q) for k in product(*box) if (q := _form_value(A, den, num, k)) <= bound}
-    got = list(certify._close_points(sym_elim(A), den, num, bound))
+    got = list(_close_points(sym_elim(A), den, num, bound))
     assert len(got) == len(set(got))
     assert set(got) == want
     assert (k0, bound) in want

@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from fractions import Fraction as Q
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from eustar import cli, qseries, search
 from eustar.certify import certify_extremal
 from eustar.cli import main
 from eustar.lattice import InputError, format_rational, lattice_from_json_dict, rational_parts
+from eustar.linalg import _close_points, sym_elim
 from eustar.rootsys import build_star, catalog, recognize_star
 from eustar.star import is_eutactic, star_from_json_dict
 
@@ -248,16 +250,17 @@ def test_malformed_file_exits_2(command, kind, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("entry", [10 ** 20, 10 ** 400], ids=["1e20", "1e400"])
+@pytest.mark.parametrize("entry", [10 ** 12, 10 ** 20, 10 ** 400], ids=["1e12", "1e20", "1e400"])
 def test_search_box_budget_exits_2(entry, tmp_path, capsys):
-    # The alphabet box has 2 isqrt(G_11) + 1 vectors; it is sized, not built.
+    # The alphabet's walk on [[G_11]] lists 2 isqrt(G_11) + 1 points, all of
+    # them axis points, which are counted before the walk goes past its first.
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"gram": [[entry]]}))
     assert main(["search", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the alphabet box")
-    assert "Traceback" not in captured.err
+    assert captured.err == (f"error: the alphabet of this Gram matrix lists more than "
+                            f"{search._MAX_POINTS} points\n")
 
 
 def test_parser_built_once_and_help_unchanged(capsys):
@@ -450,24 +453,40 @@ def damaged_lattice_files(draw):
     return {"gram": gram}
 
 
+def _walk_points_exceed(lattice, cap):
+    """Whether more than cap points x have x^T G^-1 x <= 1.  A box
+    prod_i (2 isqrt(G_ii) + 1) of at most cap vectors holds them all; more
+    than cap axis points t e_i, t^2 (G^-1)_ii <= 1, are too many; otherwise
+    they are counted, up to cap + 1, with Fincke-Pohst."""
+    gi, d = lattice.dual_gram()
+    l = lattice.rank
+    if math.prod(2 * math.isqrt(lattice.gram[i][i]) + 1 for i in range(l)) <= cap:
+        return False
+    if 1 + sum(2 * math.isqrt(d // gi[i][i]) for i in range(l)) > cap:
+        return True
+    walk = _close_points(sym_elim(gi), 1, [0] * l, d)
+    return sum(1 for _ in islice(walk, cap + 1)) > cap
+
+
 @settings(max_examples=300, deadline=None)
 @given(damaged_lattice_files())
 def test_search_keeps_the_exit_contract(tmp_path_factory, data):
     """search exits 0, 1 or 2 on any lattice file, with no escaping
     exception.  Exit 2 comes only with the InputError that loading the file
-    raises, or with the alphabet box's budget on a lattice the loader
+    raises, or with the alphabet walk's budget on a lattice the loader
     accepts, as one error line on stderr; otherwise the report is one JSON
-    line, and the exit is 1 iff it lists a counterexample."""
+    line, and the exit is 1 iff it lists a counterexample.  The budget never
+    refuses a lattice whose box prod_i (2 isqrt(G_ii) + 1) holds at most
+    search._MAX_POINTS vectors, as every point the walk lists lies in it."""
     path = tmp_path_factory.getbasetemp() / "generated.lattice.json"
     path.write_text(json.dumps(data))
     try:
         lattice, message = lattice_from_json_dict(data), None
     except InputError as exc:
         lattice, message = None, str(exc)
-    if lattice is not None and math.prod(2 * math.isqrt(lattice.gram[i][i]) + 1
-                                         for i in range(lattice.rank)) > search.MAX_BOX_VECTORS:
-        message = (f"the alphabet box of this Gram matrix has more than "
-                   f"{search.MAX_BOX_VECTORS} vectors")
+    if lattice is not None and _walk_points_exceed(lattice, search._MAX_POINTS):
+        message = (f"the alphabet of this Gram matrix lists more than "
+                   f"{search._MAX_POINTS} points")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["search", str(path)])

@@ -107,10 +107,11 @@ def test_extremal_entry_shape():
     assert entry["certificate"]["witness"] == ["1/3", "1/3"]
 
 
-def oracle_pairings(gram):
-    """Pairing lists by plain backtracking: a fresh sym_elim on every child
-    residual and no lead-position cut, memoised on (start, residual).  The
-    reference for enumerate_stars."""
+def box_alphabet(gram):
+    """The box filter: the vectors u with lead > 0 and gram - u u^T PSD, by a
+    fresh sym_elim on each vector of the box prod_i [-isqrt(G_ii), isqrt(G_ii)],
+    in descending order.  The box holds every such u, as u_i^2 <= G_ii.  The
+    reference for search._search_space's alphabet."""
     l = len(gram)
     alphabet = []
     for u in product(*(range(-math.isqrt(gram[i][i]), math.isqrt(gram[i][i]) + 1)
@@ -120,7 +121,15 @@ def oracle_pairings(gram):
         resid = [[gram[i][j] - u[i] * u[j] for j in range(l)] for i in range(l)]
         if all(resid[i][i] >= 0 for i in range(l)) and sym_elim(resid) is not None:
             alphabet.append(u)
-    alphabet.sort(reverse=True)
+    return sorted(alphabet, reverse=True)
+
+
+def oracle_pairings(gram):
+    """Pairing lists by plain backtracking: the box filter's alphabet, a fresh
+    sym_elim on every child residual and no lead-position cut, memoised on
+    (start, residual).  The reference for enumerate_stars."""
+    l = len(gram)
+    alphabet = box_alphabet(gram)
 
     @cache
     def completions(start, residual):
@@ -159,6 +168,79 @@ def pd_grams(draw, max_diag):
 def test_enumeration_matches_oracle(gram):
     got = [s.pairings for s in enumerate_stars(Lattice(gram))]
     assert got == oracle_pairings(gram)
+
+
+def check_alphabet_is_box_filter(lattice):
+    """_search_space's alphabet, listed by Fincke-Pohst on the dual Gram, is
+    the box filter's in the search's coordinates, sorted into lead blocks;
+    mapped back, it is the box filter's in the lattice's basis."""
+    g, alphabet, begin, mapped = search._search_space(lattice)
+    assert alphabet == box_alphabet(g)
+    assert begin[0] == 0 and begin[-1] == len(alphabet)
+    for p in range(lattice.rank):
+        assert all(u[:p] == (0,) * p and u[p] > 0 for u in alphabet[begin[p]:begin[p + 1]])
+    assert sorted(mapped, reverse=True) == box_alphabet(lattice.gram)
+
+
+@pytest.mark.parametrize("gram", CORPUS_GRAMS, ids=str)
+def test_alphabet_matches_box_filter_on_corpus(gram):
+    check_alphabet_is_box_filter(Lattice(gram))
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "A4", "D4", "B4", "C4"])
+def test_alphabet_matches_box_filter_on_weight_lattices(label):
+    check_alphabet_is_box_filter(build_P_lattice(catalog(label)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_grams(max_diag=16))
+def test_alphabet_matches_box_filter(gram):
+    check_alphabet_is_box_filter(Lattice(gram))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pd_grams(max_diag=16), st.randoms(use_true_random=False))
+def test_alphabet_follows_signed_permutations(gram, rng):
+    # In the basis b_i = s_i e_p(i) the Gram is s_i s_j G[p(i)][p(j)] and an
+    # alphabet vector u becomes s_i u[p(i)], as u^T G^-1 u is unchanged; where
+    # the Gram is unchanged too, the map takes the alphabet onto itself.
+    l = len(gram)
+    p, s = rng.sample(range(l), l), [rng.choice((1, -1)) for _ in range(l)]
+    moved = Lattice([[s[i] * s[j] * gram[p[i]][p[j]] for j in range(l)] for i in range(l)])
+    mapped = search._search_space(Lattice(gram))[3]
+    want = {canonical_pairings([[s[i] * u[p[i]] for i in range(l)]])[0] for u in mapped}
+    assert set(search._search_space(moved)[3]) == want
+
+
+@pytest.mark.parametrize("gram", [[[10 ** 12]], [[10 ** 400]], [[10 ** 400, 0], [0, 1]]],
+                         ids=["1e12", "1e400", "1e400-by-1"])
+def test_huge_diagonal_refused_at_the_first_point(gram, monkeypatch):
+    # More than _MAX_POINTS axis points t e_a: the walk stops at its first
+    # point, not after _MAX_POINTS of them.
+    listed = []
+    walk = search._close_points
+
+    def counted(*args):
+        for point in walk(*args):
+            listed.append(point)
+            yield point
+
+    monkeypatch.setattr(search, "_close_points", counted)
+    with pytest.raises(InputError, match="lists more than"):
+        search._search_space(Lattice(gram))
+    assert len(listed) == 1
+
+
+# Weight lattice -> alphabet size.  The D6 box holds 441,441 vectors, and the
+# box filter gave the same alphabet once; the others' boxes hold 2.1 to 2.3
+# million, too many to filter here.
+ALPHABET_SIZES = {"D6": 1718, "E6": 3186, "B6": 4078, "C6": 4390}
+
+
+@pytest.mark.parametrize("label", sorted(ALPHABET_SIZES))
+def test_rank_6_alphabet_sizes_pinned(label):
+    g, alphabet, begin, mapped = search._search_space(build_P_lattice(catalog(label)))
+    assert len(alphabet) == len(set(mapped)) == ALPHABET_SIZES[label]
 
 
 # Weight lattice -> (stars, sha256 of repr of the list of pairings in
@@ -256,13 +338,13 @@ def test_d4_weight_enumeration_table_work_pinned(monkeypatch):
 
 @pytest.mark.parametrize("label,fitted,plain", [("B3", 175, 564), ("C3", 326, 966)])
 def test_nodes_expanded_pinned(label, fitted, plain, monkeypatch):
-    # One _fitting call for the alphabet and one per node expanded that has
-    # no unit pivot and has a candidate: the table expands each of its 378
+    # One _fitting call per node expanded that has no unit pivot and has a
+    # candidate, and none for the alphabet: the table expands each of its 378
     # (B3) or 713 (C3) nodes once, the plain backtracking calls _fitting once
     # per prefix.
     lattice = build_P_lattice(catalog(label))
-    assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == 1 + fitted
-    assert _counted(monkeypatch, _fitting, plain_enumeration, lattice)[1] == 1 + plain
+    assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == fitted
+    assert _counted(monkeypatch, _fitting, plain_enumeration, lattice)[1] == plain
 
 
 @settings(max_examples=100, deadline=None)

@@ -168,9 +168,10 @@ def test_product_kernel_builds_no_fractions():
     assert not PRODUCT_KERNEL & FRACTION_EDGES["qseries.py"]
 
 
-# linalg.py's one elimination kernel, its rational entry and the inverse read
-# off it.  A second reduction shows up here.
-LINALG_KERNEL = {"clear_denominators", "sym_elim", "invert"}
+# linalg.py's one elimination kernel, its rational entry, the inverse read
+# off it and the one lattice-point walker on its rows.  A second reduction
+# shows up here.
+LINALG_KERNEL = {"clear_denominators", "sym_elim", "invert", "_close_points"}
 
 
 def test_linalg_holds_one_kernel():
