@@ -59,17 +59,16 @@ order and no star is a prefix of another, so sorting the mapped stars in
 descending order gives the same list, in the same order, as a search in the
 lattice's own coordinates.
 
-The alphabet is listed directly: [[G, u], [u^T, 1]] is also PSD iff
-u^T G^-1 u <= 1 (the Schur complement of G), so the Fincke-Pohst walker
-``linalg._close_points`` lists it on the dual Gram.  Past _MAX_POINTS points
-listed the lattice is refused as InputError.
+The alphabet is the u with u^T G^-1 u <= 1 (the Schur complement of G in
+[[G, u], [u^T, 1]]), listed on the dual Gram by ``linalg._close_points``;
+past _MAX_POINTS points the lattice is refused as InputError.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import product
+from itertools import combinations
 from operator import le, sub
 from typing import Sequence
 
@@ -141,16 +140,19 @@ def _search_space(lattice: Lattice):
     """
     gram, l = lattice.gram, lattice.rank
     order = sorted(range(l), key=lambda i: (gram[i][i], i))
-    # Search coordinate a is signs[a] times lattice coordinate order[a]; all
-    # 2^(l-1) sign choices are compared, 128 at rank 8.
-    signs = min(product((1,), *[(1, -1)] * (l - 1)),
-                key=lambda s: [s[a] * s[b] * gram[order[a]][order[b]]
-                               for a in range(l) for b in range(a + 1, l)])
-    g = [[signs[a] * signs[b] * gram[i][j] for b, j in enumerate(order)]
-         for a, i in enumerate(order)]
+    # Search coordinate a is signs[a] times lattice coordinate order[a].  The
+    # signs make the upper triangle, row by row, lexicographically least: an
+    # entry that joins two classes of linked coordinates (comp[a], the least
+    # in a's) is made negative by flipping the class with the larger least.
+    signs, comp = [1] * l, list(range(l))
+    for a, b in combinations(range(l), 2):
+        if comp[a] != comp[b] and (x := signs[a] * signs[b] * gram[order[a]][order[b]]):
+            flip = max(comp[a], comp[b])
+            signs = [-s if x > 0 and k == flip else s for s, k in zip(signs, comp)]
+            comp = [min(comp[a], comp[b]) if k == flip else k for k in comp]
     gi, d = lattice.dual_gram()  # g - u u^T is PSD iff u^T gi_s u <= d
-    gi_s = [[signs[a] * signs[b] * gi[i][j] for b, j in enumerate(order)]
-            for a, i in enumerate(order)]
+    g, gi_s = ([[signs[a] * signs[b] * m[i][j] for b, j in enumerate(order)]
+                for a, i in enumerate(order)] for m in (gram, gi))
     # With more axis points t e_a than the cap allows, the first point raises.
     axis = 1 + sum(2 * math.isqrt(d // gi_s[a][a]) for a in range(l))
     zero, alphabet = (0,) * l, []

@@ -7,9 +7,9 @@ import contextlib
 import io
 import json
 import math
+import time
 import warnings
 from fractions import Fraction as Q
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from eustar import cli, qseries, search
 from eustar.certify import certify_extremal
 from eustar.cli import main
 from eustar.lattice import InputError, format_rational, lattice_from_json_dict, rational_parts
-from eustar.linalg import _close_points, sym_elim
 from eustar.rootsys import build_star, catalog, recognize_star
 from eustar.star import is_eutactic, star_from_json_dict
 
@@ -263,6 +262,22 @@ def test_search_box_budget_exits_2(entry, tmp_path, capsys):
                             f"{search._MAX_POINTS} points\n")
 
 
+@pytest.mark.parametrize("rank", [13, 30])
+def test_search_high_rank_identity_exits_quickly(rank, tmp_path, capsys):
+    # The box of I_l holds 3^l vectors, so rank 13 and above were refused;
+    # the walk lists 2l + 1 points, and the signs are chosen without
+    # comparing 2^(l-1) choices.  One star, the l unit vectors, extremal.
+    p = tmp_path / "identity.json"
+    p.write_text(json.dumps({"gram": [[int(i == j) for j in range(rank)]
+                                      for i in range(rank)]}))
+    start = time.perf_counter()
+    assert main(["search", str(p)]) == 0
+    assert time.perf_counter() - start < 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["stars"] == 1 and report["counterexamples"] == []
+    assert len(report["extremal"]) == 1
+
+
 def test_parser_built_once_and_help_unchanged(capsys):
     # main reuses one parser; a parse leaves nothing behind for the next one.
     assert cli._parser() is cli._parser()
@@ -403,19 +418,21 @@ def test_expand_keeps_the_exit_contract(tmp_path_factory, data):
 
 
 # Lattice files for the 0/1/2 contract of search: a small positive definite
-# Gram, damaged by a few edits.
+# Gram, or the rank-13 identity, whose box of 3^13 vectors is over the
+# budget though its alphabet has 13, damaged by a few edits.
 BASE_GRAMS = [[[1]], [[2]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[4, 1], [1, 4]],
               [[3, 3], [3, 6]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-              [[3, 2, 1], [2, 4, 2], [1, 2, 3]]]
+              [[3, 2, 1], [2, 4, 2], [1, 2, 3]],
+              [[int(i == j) for j in range(13)] for i in range(13)]]
 BAD_GRAM_ENTRIES = [True, False, 1.5, 2.0, "1", "1/0", " 2/4", [1], [[2]], None]
 
 
 @st.composite
 def damaged_lattice_files(draw):
-    """The JSON of a lattice file with up to four edits to a small positive
-    definite Gram: a row dropped, added or cut short (non-square), one side
-    of an off-diagonal pair changed (non-symmetric), a row and its column
-    copied onto another (singular), a diagonal entry negated (indefinite), a
+    """The JSON of a lattice file with up to four edits to a base Gram: a
+    row dropped, added or cut short (non-square), one side of an
+    off-diagonal pair changed (non-symmetric), a row and its column copied
+    onto another (singular), a diagonal entry negated (indefinite), a
     symmetric pair or a diagonal entry set to 10^400 (huge), one entry
     replaced by a bool, float, string, list or null, or a row by a non-list."""
     gram = [list(row) for row in draw(st.sampled_from(BASE_GRAMS))]
@@ -453,19 +470,18 @@ def damaged_lattice_files(draw):
     return {"gram": gram}
 
 
-def _walk_points_exceed(lattice, cap):
-    """Whether more than cap points x have x^T G^-1 x <= 1.  A box
-    prod_i (2 isqrt(G_ii) + 1) of at most cap vectors holds them all; more
-    than cap axis points t e_i, t^2 (G^-1)_ii <= 1, are too many; otherwise
-    they are counted, up to cap + 1, with Fincke-Pohst."""
+def _budget_refuses(lattice, cap):
+    """Whether the alphabet's budget must refuse the lattice: False if its box
+    prod_i (2 isqrt(G_ii) + 1) holds at most cap vectors, as every point the
+    walk lists lies in it; True if more than cap axis points t e_i have
+    t^2 (G^-1)_ii <= 1; None, either outcome, in between."""
     gi, d = lattice.dual_gram()
     l = lattice.rank
     if math.prod(2 * math.isqrt(lattice.gram[i][i]) + 1 for i in range(l)) <= cap:
         return False
     if 1 + sum(2 * math.isqrt(d // gi[i][i]) for i in range(l)) > cap:
         return True
-    walk = _close_points(sym_elim(gi), 1, [0] * l, d)
-    return sum(1 for _ in islice(walk, cap + 1)) > cap
+    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -477,19 +493,25 @@ def test_search_keeps_the_exit_contract(tmp_path_factory, data):
     accepts, as one error line on stderr; otherwise the report is one JSON
     line, and the exit is 1 iff it lists a counterexample.  The budget never
     refuses a lattice whose box prod_i (2 isqrt(G_ii) + 1) holds at most
-    search._MAX_POINTS vectors, as every point the walk lists lies in it."""
+    search._MAX_POINTS vectors, as every point the walk lists lies in it,
+    and always refuses one with more axis points than that; in between the
+    test takes either outcome, and checks the walk's count in no other way."""
     path = tmp_path_factory.getbasetemp() / "generated.lattice.json"
     path.write_text(json.dumps(data))
     try:
         lattice, message = lattice_from_json_dict(data), None
     except InputError as exc:
         lattice, message = None, str(exc)
-    if lattice is not None and _walk_points_exceed(lattice, search._MAX_POINTS):
-        message = (f"the alphabet of this Gram matrix lists more than "
-                   f"{search._MAX_POINTS} points")
+    budget = (f"the alphabet of this Gram matrix lists more than "
+              f"{search._MAX_POINTS} points")
+    refuses = lattice is not None and _budget_refuses(lattice, search._MAX_POINTS)
+    if refuses:
+        message = budget
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["search", str(path)])
+    if refuses is None and code == 2:
+        message = budget
     if message is not None:
         assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
     else:

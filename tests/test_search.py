@@ -212,6 +212,39 @@ def test_alphabet_follows_signed_permutations(gram, rng):
     assert set(search._search_space(moved)[3]) == want
 
 
+@st.composite
+def sparse_grams(draw):
+    """B^T B for an upper triangular B of rank up to 8 with diagonal 1 or 2
+    and mostly zero entries above it, so that the coordinates often fall
+    into several classes linked by nonzero Gram entries."""
+    l = draw(st.integers(1, 8))
+    b = [[draw(st.sampled_from((1, 2))) if i == j else
+          draw(st.sampled_from((0, 0, 0, 1, -1))) if i < j else 0
+          for j in range(l)] for i in range(l)]
+    return [[sum(b[k][i] * b[k][j] for k in range(l)) for j in range(l)] for i in range(l)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_grams())
+@example([[2, 0], [0, 2]])
+def test_signs_are_the_first_lexicographically_least(gram):
+    # The definition of the search's signs, by comparing all 2^(l-1) choices
+    # in product order: the first that makes the upper triangle, row by row,
+    # lexicographically least.  g fixes the signs within each class; mapped
+    # fixes the classes' relative signs where an alphabet vector spans two.
+    l = len(gram)
+    order = sorted(range(l), key=lambda i: (gram[i][i], i))
+    signs = min(product((1,), *[(1, -1)] * (l - 1)),
+                key=lambda s: [s[a] * s[b] * gram[order[a]][order[b]]
+                               for a in range(l) for b in range(a + 1, l)])
+    g, alphabet, begin, mapped = search._search_space(Lattice(gram))
+    assert g == [[signs[a] * signs[b] * gram[i][j] for b, j in enumerate(order)]
+                 for a, i in enumerate(order)]
+    back = sorted(range(l), key=order.__getitem__)
+    assert mapped == [canonical_pairings([[signs[a] * u[a] for a in back]])[0]
+                      for u in alphabet]
+
+
 @pytest.mark.parametrize("gram", [[[10 ** 12]], [[10 ** 400]], [[10 ** 400, 0], [0, 1]]],
                          ids=["1e12", "1e400", "1e400-by-1"])
 def test_huge_diagonal_refused_at_the_first_point(gram, monkeypatch):
@@ -232,13 +265,15 @@ def test_huge_diagonal_refused_at_the_first_point(gram, monkeypatch):
 
 
 # Weight lattice -> alphabet size.  The D6 box holds 441,441 vectors, and the
-# box filter gave the same alphabet once; the others' boxes hold 2.1 to 2.3
-# million, too many to filter here.
-ALPHABET_SIZES = {"D6": 1718, "E6": 3186, "B6": 4078, "C6": 4390}
+# box filter gave the same alphabet once; the others' boxes hold 0.5 to 12.9
+# million, too many to filter here.  The CI frontier-enumeration job checks
+# E7 and D8, whose boxes hold over 500 million.
+ALPHABET_SIZES = {"D6": 1718, "E6": 3186, "B6": 4078, "C6": 4390, "A7": 1869,
+                  "A8": 4377, "D7": 9527}
 
 
 @pytest.mark.parametrize("label", sorted(ALPHABET_SIZES))
-def test_rank_6_alphabet_sizes_pinned(label):
+def test_alphabet_sizes_pinned(label):
     g, alphabet, begin, mapped = search._search_space(build_P_lattice(catalog(label)))
     assert len(alphabet) == len(set(mapped)) == ALPHABET_SIZES[label]
 
