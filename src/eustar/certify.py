@@ -20,9 +20,9 @@ quadratic q(k) = |P(k + h)|^2 is invariant under k -> k + U m (m in Z^l), and
 the search runs over the classes k mod U Z^l:
 
   * rows I: l pairing rows with U_I nonsingular and |det U_I| small (a greedy
-    rank pass, then exchanges while one lowers |det U_I|; 1 for root stars);
-    U_I^-1 = V / v is taken as (U_I^T U_I)^-1 U_I^T, so the only inverse
-    computed is that of a positive definite Gram matrix;
+    rank pass, then exchanges while one lowers |det U_I|; 1 for root stars).
+    One exact integer exchange pivot makes both, and carries U_I^-1 = V / v,
+    v = |det U_I|, through each row taken in O(l^2), so no inverse is formed;
   * k_I runs over |det U_I| representatives of Z^l / U_I Z^l, keyed by
     V k mod v: k and k' share a class iff U_I^-1 (k - k') is integral.  Each
     class of k mod U Z^l has exactly one k with k_I there, and which
@@ -70,7 +70,7 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import InputError, InternalError, format_rational, format_vector
-from .linalg import Vec, _close_points, clear_denominators, invert, sym_elim
+from .linalg import Vec, _close_points, clear_denominators, sym_elim
 from .star import EutacticStar, is_eutactic
 
 
@@ -107,50 +107,58 @@ class ExtremalityCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _inverse(u: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(V, v) with U^-1 = V / v = (U^T U)^-1 U^T, for a nonsingular square integer U."""
-    l = len(u)
-    inv = invert([[sum(r[a] * r[b] for r in u) for b in range(l)] for a in range(l)])
-    if inv is None:
-        raise InternalError("rows I of the pairing matrix are dependent")
-    x, v = inv
-    return [[sum(map(mul, x[a], row)) for row in u] for a in range(l)], v
-
-
 def _pick_rows(U: Sequence[Sequence[int]], l: int) -> tuple[list[int], list[list[int]], int]:
     """Sorted indices I of l rows of U with U_I nonsingular and |det U_I| small,
-    and (V, v) with U_I^-1 = V / v."""
-    # Greedy pass: the first l independent rows.  Each row is reduced, fraction
-    # free, against the echelon rows kept so far, each with its pivot column.
-    rows: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []
-    for j, w in enumerate(U):
-        if len(rows) == l:
+    and (V, v) with U_I^-1 = V / v and v = |det U_I|.
+
+    One exact exchange pivot (Gauss-Jordan in int; Edmonds, J. Res. NBS 71B,
+    1967) keeps V / d = B^-1 and d = +-det B for a basis B of Q^l whose rows
+    are rows of U and unit vectors, starting from B = 1.  For a row u_j,
+    t = u_j V is d times its coordinates in B, so putting u_j in place c of B
+    scales det B by t_c / d.  The greedy pass puts each row in the first place
+    still held by a unit vector with t_c != 0, which exists iff the row is
+    independent of those taken, so it takes the first l independent rows; the
+    exchanges then swap in the row that lowers |det U_I| most, while one does.
+    """
+    V, d = [[int(a == b) for b in range(l)] for a in range(l)], 1
+    rows: list[int | None] = [None] * l  # rows[c]: the row of U in place c of B, None for e_c
+    entered: list[int] = []  # the places of B, in the order their rows entered
+
+    def pivot(j: int, c: int, t: list[int]) -> None:
+        # u_j into place c: each row x of V becomes (t_c x - x_c t) / d outside
+        # column c, exactly, as V stays +-adj B (Cramer's rule); d becomes t_c.
+        nonlocal V, d
+        V = [[x if b == c else (t[c] * x - row[c] * s) // d
+              for b, (x, s) in enumerate(zip(row, t))] for row in V]
+        rows[c], d = j, t[c]
+
+    def coords(j: int) -> list[int]:
+        return [sum(map(mul, U[j], col)) for col in zip(*V)]
+
+    for j in range(len(U)):
+        if len(entered) == l:
             break
-        for p, e in echelon:
-            if w[p]:
-                w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
-        p = next((c for c, x in enumerate(w) if x), None)
-        if p is not None:
-            echelon.append((p, w))
-            rows.append(j)
+        t = coords(j)
+        c = next((c for c in range(l) if rows[c] is None and t[c]), None)
+        if c is not None:
+            entered.append(c)
+            pivot(j, c, t)
+    if len(entered) < l:
+        raise InternalError("the pairing rows do not span Q^l")
     while True:
-        V, v = _inverse([U[i] for i in rows])
-        cols = list(zip(*V))
-        # Swapping row a of U_I for row j scales det U_I by (U_j V)_a / v.
-        best = None
+        best = None  # (|t_c|, j, c, t): first (j, place in order of entry) at the least
         for j in range(len(U)):
-            if j in rows:
-                continue
-            for a, col in enumerate(cols):
-                c = abs(sum(map(mul, U[j], col)))
-                if 0 < c < v and (best is None or c < best[0]):
-                    best = (c, a, j)
+            if j not in rows:
+                t = coords(j)
+                for c in entered:
+                    if 0 < abs(t[c]) < abs(d) and (best is None or abs(t[c]) < best[0]):
+                        best = (abs(t[c]), j, c, t)
         if best is None:
-            # Sorting the rows of U_I permutes the columns of its inverse.
-            order = sorted(range(l), key=rows.__getitem__)
-            return [rows[a] for a in order], [[row[a] for a in order] for row in V], v
-        rows[best[1]] = best[2]
+            break
+        pivot(*best[1:])
+    # Sorting the rows of U_I permutes the columns of its inverse; v = |d|.
+    order, s = sorted(range(l), key=rows.__getitem__), -1 if d < 0 else 1
+    return [rows[a] for a in order], [[s * row[a] for a in order] for row in V], abs(d)
 
 
 def _classes(V: Sequence[Sequence[int]], v: int) -> list[tuple[int, ...]]:
@@ -186,7 +194,11 @@ def _search(star: EutacticStar, radius: Q | None,
         raise InputError("min_deficiency requires a eutactic star")
     U = star.pairings
     N, l = star.size, star.lattice.rank
-    radius = Q(N - l, 12) if radius is None else Q(radius)
+    if radius is None:
+        radius = Q(N - l, 12)
+    elif isinstance(radius, bool) or not isinstance(radius, (int, Q)):
+        raise InputError(f"the search radius {radius!r} is not an int or Fraction")
+    radius = Q(radius)
     if radius < 0:
         raise InputError(f"the search radius {radius} is negative")
     gi, g = star.lattice.dual_gram()  # G^-1 = gi / g

@@ -7,8 +7,7 @@ definite form in int, on which the one lattice-point walker ``_close_points``
 serves ``eustar.certify`` and ``eustar.search``.  A rational matrix reaches it
 through ``clear_denominators``, the one place that scales to int by the lcm of
 the denominators; ``invert`` returns one integer matrix over one denominator.
-No other reduction is kept: the coset representatives of ``eustar.certify``
-are read off such an inverse.
+No other reduction is kept.
 ``InputError`` lives here, in the module that imports no other, so that
 ``clear_denominators`` can raise it; ``eustar.lattice`` re-exports it.
 """

@@ -256,6 +256,15 @@ def test_radius_below_minimum_falls_back_to_mean_bound(g2_star):
         min_deficiency(g2_star, radius=Q(-1, 12))
 
 
+@pytest.mark.parametrize("radius", [0.5, True, float("nan"), "abc"],
+                         ids=["float", "bool", "nan", "str"])
+def test_radius_must_be_int_or_fraction(g2_star, radius):
+    # As for a float point of deficiency: no verdict may rest on an inexact
+    # radius, and True is not the radius 1.
+    with pytest.raises(InputError, match="radius"):
+        min_deficiency(g2_star, radius=radius)
+
+
 @pytest.mark.parametrize("label", catalog_labels())
 def test_pick_rows_unimodular_on_catalog(label):
     # |det U_I| = 1 iff U_I^-1 is integral; the inverse is the test's own.
@@ -298,10 +307,68 @@ def test_pick_rows_inverse_follows_sorted_rows(label):
         assert tuple(tuple(Q(x, v) for x in row) for row in V) == inv
 
 
+def echelon_pick_rows(U, l):
+    """(I, U_I^-1) by a second route: the first l independent rows of U by a
+    fraction-free echelon pass, then, while swapping row a of U_I for row j
+    lowers |det U_I|, the least such swap (first (j, a) on ties), with U_I
+    re-inverted by the test's own Gauss-Jordan inverse after each one."""
+    rows, echelon = [], []
+    for j, w in enumerate(U):
+        if len(rows) == l:
+            break
+        for p, e in echelon:
+            if w[p]:
+                w = [e[p] * x - w[p] * y for x, y in zip(w, e)]
+        p = next((c for c, x in enumerate(w) if x), None)
+        if p is not None:
+            echelon.append((p, w))
+            rows.append(j)
+    while True:
+        inv = gauss_jordan_inverse([U[i] for i in rows])
+        cols = list(zip(*inv))
+        # Swapping row a of U_I for row j scales det U_I by (U_j U_I^-1)_a.
+        best = None
+        for j in range(len(U)):
+            if j in rows:
+                continue
+            for a, col in enumerate(cols):
+                c = abs(dot(U[j], col))
+                if 0 < c < 1 and (best is None or c < best[0]):
+                    best = (c, a, j)
+        if best is None:
+            order = sorted(range(l), key=rows.__getitem__)
+            return [rows[a] for a in order], tuple(tuple(row[a] for a in order) for row in inv)
+        rows[best[1]] = best[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pick_rows_matches_echelon_oracle(data):
+    l = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(l, 9))
+    U = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=l, max_size=l),
+                           min_size=n, max_size=n))
+    assume(any(det([U[i] for i in c]) for c in combinations(range(n), l)))
+    rows, V, v = certify._pick_rows(U, l)
+    want_rows, want_inv = echelon_pick_rows(U, l)
+    assert rows == want_rows
+    assert tuple(tuple(Q(x, v) for x in row) for row in V) == want_inv
+    assert v == abs(det([U[i] for i in rows]))
+    # No swap of a row of U_I for another row lowers |det U_I|.
+    for j in set(range(n)) - set(rows):
+        assert not any(0 < abs(dot(U[j], col)) < v for col in zip(*V))
+
+
+def test_pick_rows_rejects_rows_that_do_not_span():
+    # A eutactic star's rows span Q^l; rows that do not are an internal fault.
+    with pytest.raises(InternalError):
+        certify._pick_rows([[1, 2], [2, 4], [0, 0]], 2)
+
+
 def test_classes_are_coset_representatives():
     # _classes lists |det a| vectors of Z^n, pairwise inequivalent mod a Z^n:
     # v - w is in a Z^n iff a^-1 (v - w) is integral, by the test's own inverse.
-    assert sorted(certify._classes(*certify._inverse([[2, 0], [0, 3]]))) == \
+    assert sorted(certify._classes(*certify._pick_rows([[2, 0], [0, 3]], 2)[1:])) == \
         sorted(product(range(2), range(3)))
     rng = random.Random(5)
     for _ in range(25):
@@ -310,7 +377,7 @@ def test_classes_are_coset_representatives():
         d = det(a)
         if d == 0:
             continue
-        reps = certify._classes(*certify._inverse(a))
+        reps = certify._classes(*certify._pick_rows(a, n)[1:])  # I is every row
         assert len(reps) == abs(d) and len(set(reps)) == len(reps)
         if abs(d) > 40:
             continue

@@ -1,8 +1,10 @@
 """Complete star enumeration and the extremal-implies-root-system check."""
 
+import cProfile
 import hashlib
 import math
 import random
+import types
 from functools import cache
 from itertools import permutations, product
 
@@ -380,6 +382,23 @@ def test_nodes_expanded_pinned(label, fitted, plain, monkeypatch):
     lattice = build_P_lattice(catalog(label))
     assert _counted(monkeypatch, _fitting, _stars, lattice)[1] == fitted
     assert _counted(monkeypatch, _fitting, plain_enumeration, lattice)[1] == plain
+
+
+@pytest.mark.parametrize("label,visits", [("B3", 437), ("C3", 842), ("D4", 2558)])
+def test_node_visits_pinned(label, visits):
+    # Calls of enumerate_stars's nested visit, one per residual reached,
+    # whether its node is made, found in the table or the zero residual: the
+    # node table's size plus its hits, counted by cProfile under visit's code
+    # object, so the count needs no instrument in the search itself.
+    code = next(c for c in enumerate_stars.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "visit")
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        enumerate_stars(build_P_lattice(catalog(label)))
+    finally:
+        profile.disable()
+    assert [e.callcount for e in profile.getstats() if e.code is code] == [visits]
 
 
 @settings(max_examples=100, deadline=None)
